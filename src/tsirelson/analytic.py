@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSize
-from .inequality import build_objective, chained
+from .inequality import chained
 from .linalg import symmetrize
 
 
@@ -108,7 +108,3 @@ def chsh_known_solution():
     lam = np.full(4, a)
     return g, lam
 
-
-def chained_objective_matrix(n):
-    """Convenience: the full 2n x 2n objective matrix of chained(n)."""
-    return build_objective(chained(n))

@@ -99,12 +99,24 @@ def _render_csv(rows, header):
 
 def _default_seed():
     env = os.environ.get("TSIRELSON_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise UsageError(f"TSIRELSON_SEED must be an integer, got {env!r}") from exc
+
+
+def _check_solver_args(args):
+    """Reject solver settings the library would refuse, as usage errors."""
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
+    if args.rank is not None and args.rank < 2:
+        raise UsageError(f"--rank must be >= 2, got {args.rank}")
+    if args.max_iter < 1:
+        raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
+    if not (0.0 < args.tol < float("inf")):
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
 
 
 def build_parser():
@@ -197,7 +209,13 @@ def _read_lambda_file(path, expected_len):
         raise UsageError(f"{path}: expected a JSON array of numbers")
     if len(doc) != expected_len:
         raise UsageError(f"{path}: expected {expected_len} entries, got {len(doc)}")
-    return np.array(doc, dtype=float)
+    try:
+        lam = np.array(doc, dtype=float)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise UsageError(f"{path}: entries must be finite numbers") from exc
+    if not np.all(np.isfinite(lam)):
+        raise UsageError(f"{path}: entries must be finite numbers")
+    return lam
 
 
 def _config_block(args):
@@ -428,9 +446,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = _default_seed()
     try:
+        if hasattr(args, "seed"):
+            if args.seed is None:
+                args.seed = _default_seed()
+            _check_solver_args(args)
         payload, status = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

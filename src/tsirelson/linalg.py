@@ -1,15 +1,17 @@
-"""Dense symmetric linear algebra: Jacobi eigendecomposition and Gram factorization.
+"""Dense symmetric linear algebra: eigenvalues and Gram factorization.
 
-The eigensolver is a cyclic-by-row Jacobi iteration.  It is deliberately
-self-contained so the spectrum checks against the closed-form results do not
-share code with a library eigensolver.
+min_eigenvalue, the PSD test on the certification path, calls LAPACK
+(numpy.linalg.eigvalsh).  sym_eigen is a cyclic-by-row Jacobi iteration kept as
+an independent oracle: it is deliberately self-contained so the spectrum
+checks against the closed-form results, and the tests of min_eigenvalue, do
+not share code with a library eigensolver.  It also serves vectors_from_gram.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NoConvergence, NotPSD
+from .errors import LengthMismatch, NoConvergence, NonFiniteEntry, NotPSD
 
 OFFDIAG_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -102,8 +104,16 @@ def _sorted_spectrum(vals, vecs):
 
 
 def min_eigenvalue(s):
-    """Smallest eigenvalue; the PSD test is min_eigenvalue(S) >= -tol."""
-    return float(sym_eigen(s).eigenvalues[0])
+    """Smallest eigenvalue of (S + S^T)/2; the PSD test is min_eigenvalue(S) >= -tol.
+
+    LAPACK reads one triangle only, hence the symmetrization.  Raises
+    NonFiniteEntry on a NaN or infinite entry, which LAPACK does not reliably
+    propagate into the result.
+    """
+    a = symmetrize(s)
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteEntry("matrix contains a non-finite entry")
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def gram_from_vectors(vectors):

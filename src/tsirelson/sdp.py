@@ -1,12 +1,16 @@
 """Unit-diagonal SDP solver with dual certification.
 
 The primal "maximize (1/2) Tr(G W) s.t. G >= 0, g_ii = 1" is attacked in the
-low-rank factorized form: m unit vectors are updated one at a time by
-block-coordinate ascent (each update is the closed-form maximizer, so the
-objective never decreases).  The nonconvexity of the factorization is repaired
-afterwards: any multiplier vector lambda whose diag(lambda) - W/2 is PSD gives
-a rigorous upper bound Tr(diag(lambda)) by weak duality, and an infeasible
-lambda can always be shifted onto the PSD cone at a quantified price.
+low-rank factorized form: m unit vectors are updated in a fixed order by
+block-coordinate ascent, the Mixing method (each update is the closed-form
+maximizer, so the objective never decreases).  Consecutive vectors that W does
+not couple are updated together in one matrix product; for a Bell objective,
+whose Alice-Alice and Bob-Bob blocks are zero, a sweep is two products, and
+the iterate is the same as updating one vector at a time.  The nonconvexity of
+the factorization is repaired afterwards: any multiplier vector lambda whose
+diag(lambda) - W/2 is PSD gives a rigorous upper bound Tr(diag(lambda)) by
+weak duality, and an infeasible lambda can always be shifted onto the PSD cone
+at a quantified price.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +19,7 @@ import numpy as np
 
 from . import inequality as ineq_mod
 from .classical import lhv_bound
-from .errors import InvalidRank, MaxIterReached
+from .errors import InvalidRank, MaxIterReached, NonFiniteEntry
 from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
@@ -67,17 +71,32 @@ def _initial_vectors(m, rank, seed):
     return v
 
 
-def _objective(w, v):
-    return 0.5 * float(np.einsum("ij,ik,jk->", w, v, v))
+def _uncoupled_runs(w):
+    """Split 0..m-1 into maximal runs [lo, hi) with W[j][lo:j] == 0 for each j.
+
+    No field g_j in a run reads a vector updated earlier in the same run, so
+    the run can be updated in one step with the same result as one at a time.
+    For a Bell objective the runs are Alice's indices, then Bob's.
+    """
+    runs = []
+    lo = 0
+    for j in range(1, w.shape[0]):
+        if np.any(w[j, lo:j]):
+            runs.append((lo, j))
+            lo = j
+    runs.append((lo, w.shape[0]))
+    return runs
 
 
 def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     """Block-coordinate ascent over unit vectors v_1..v_m.
 
     Each pass sets v_i to the normalized field g_i = sum_j W[i][j] v_j in fixed
-    index order (v_i untouched when ||g_i|| < 1e-14).  Stops when the largest
-    per-vector displacement in a sweep falls below tol; raises MaxIterReached
-    (carrying the partial solution) if the sweep cap is hit first.
+    index order (v_i untouched when ||g_i|| < 1e-14).  Runs of vectors that W
+    does not couple are updated together, which gives the same iterate as the
+    one-at-a-time sweep.  Stops when the largest per-vector displacement in a
+    sweep falls below tol; raises MaxIterReached (carrying the partial
+    solution) if the sweep cap is hit first.
     """
     w = np.asarray(w, dtype=float)
     m = w.shape[0]
@@ -86,19 +105,19 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     if tol <= 0:
         raise InvalidRank(f"tol must be positive, got {tol}")
     v = _initial_vectors(m, rank, seed)
+    runs = _uncoupled_runs(w)
     residual = np.inf
     for sweep in range(1, max_iter + 1):
         residual = 0.0
-        for i in range(m):
-            g = w[i] @ v
-            ng = np.linalg.norm(g)
-            if ng < 1e-14:
-                continue
-            new = g / ng
-            disp = np.linalg.norm(new - v[i])
-            if disp > residual:
-                residual = disp
-            v[i] = new
+        for lo, hi in runs:
+            g = w[lo:hi] @ v
+            ng = np.linalg.norm(g, axis=1)
+            live = ng >= 1e-14
+            old = v[lo:hi]  # a view: assigning through it updates v
+            new = g[live] / ng[live, None]
+            disp = np.linalg.norm(new - old[live], axis=1)
+            residual = max(residual, float(disp.max(initial=0.0)))
+            old[live] = new
         if residual < tol:
             return _finish(w, v, sweep, residual, converged=True)
     partial = _finish(w, v, max_iter, residual, converged=False)
@@ -136,18 +155,23 @@ def certify(w, lam):
     mu = min_eig(diag(lam) - W/2); when mu < 0 every entry is shifted by -mu
     (adding c*I keeps the matrix moving toward the PSD cone and adds m*c to
     the trace), so the certified bound sum(lam) + m*max(0, -mu) holds no
-    matter where lam came from.
+    matter where lam came from.  Raises NonFiniteEntry when lam has a NaN or
+    infinite entry, or when the bound overflows.
     """
     w = np.asarray(w, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise NonFiniteEntry("lambda contains a non-finite entry")
     m = w.shape[0]
     mu = min_eigenvalue(np.diag(lam) - w / 2.0)
     shift = max(0.0, -mu)
-    feasible = lam + shift
+    bound = float(np.sum(lam) + m * shift)
+    if not np.isfinite(bound):
+        raise NonFiniteEntry("certified bound overflows")
     return DualCertificate(
-        lam=feasible,
+        lam=lam + shift,
         feasibility_margin=float(mu),
-        certified_bound=float(np.sum(lam) + m * shift),
+        certified_bound=bound,
     )
 
 

@@ -1,5 +1,9 @@
 """Independent brute-force oracles used to check the solver.
 
+The row-by-row sweep is the Mixing-method ascent exactly as first written: one
+vector at a time, in index order.  The library's block sweep must reproduce
+its iterates.
+
 The rank-2 oracle maximizes the correlation expression over unit vectors
 confined to a plane: Alice's first vector is pinned at angle 0 (global
 rotations cancel), the remaining Alice angles are scanned on a grid, and
@@ -84,3 +88,30 @@ def _rank2_max_3(c, step):
     t2 = (best[1] + fine)[None, :]
     vals = _value_grid_2(c, t1, t2)
     return float(vals.max())
+
+
+def rowwise_sweeps(w, v, max_iter, tol):
+    """One-vector-at-a-time ascent from the unit rows v (updated in place).
+
+    Each sweep sets v_i to the normalized field g_i = sum_j W[i][j] v_j in
+    index order, leaving v_i untouched when ||g_i|| < 1e-14.  Returns
+    (sweeps, residual, converged), where the residual is the largest
+    displacement in the last sweep.
+    """
+    w = np.asarray(w, dtype=float)
+    residual = np.inf
+    for sweep in range(1, max_iter + 1):
+        residual = 0.0
+        for i in range(w.shape[0]):
+            g = w[i] @ v
+            ng = np.linalg.norm(g)
+            if ng < 1e-14:
+                continue
+            new = g / ng
+            disp = np.linalg.norm(new - v[i])
+            if disp > residual:
+                residual = disp
+            v[i] = new
+        if residual < tol:
+            return sweep, residual, True
+    return max_iter, residual, False

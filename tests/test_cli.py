@@ -225,3 +225,42 @@ def test_output_unwritable(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "bound", "--inequality", "nope")[0] == 1
     assert run_cli(capsys)[0] == 1
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_certify_rejects_non_finite_lambda(tmp_path, capsys, entry):
+    lam_path = tmp_path / "lam.json"
+    lam_path.write_text(f"[{entry}, 1, 1, 1]")
+    status, out, err = run_cli(
+        capsys, "certify", "--inequality", "chained", "--n", "2",
+        "--lambda-file", str(lam_path), "--format", "json",
+    )
+    assert status == 1
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--rank", "1"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
+     ("--max-iter", "0"), ("--seed", "-1")],
+)
+def test_bad_solver_settings_are_usage_errors(capsys, flag, value):
+    for command in ("bound", "realize", "table"):
+        status, out, err = run_cli(
+            capsys, command, "--inequality", "gisin", "--n", "2", flag, value
+        )
+        assert status == 1
+        assert out == ""
+        assert flag.lstrip("-") in err
+
+
+def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("TSIRELSON_SEED", "abc")
+    status, out, err = run_cli(capsys, "bound", "--inequality", "chsh")
+    assert status == 1
+    assert out == ""
+    assert "TSIRELSON_SEED" in err
+    # an explicit flag wins, and commands without a solver never read it
+    assert run_cli(capsys, "bound", "--inequality", "chsh", "--seed", "1")[0] == 0
+    assert run_cli(capsys, "classical", "--inequality", "chsh")[0] == 0

@@ -3,7 +3,7 @@ import pytest
 
 from tsirelson import build_objective, chained
 from tsirelson.analytic import chained_dual_lambda, chained_primal_vectors
-from tsirelson.errors import LengthMismatch, NotPSD
+from tsirelson.errors import LengthMismatch, NonFiniteEntry, NotPSD
 from tsirelson.linalg import (
     gram_from_vectors,
     min_eigenvalue,
@@ -74,6 +74,31 @@ def test_min_eigenvalue_infeasible_lambda():
     slack = np.diag(np.full(6, 0.5)) - w / 2.0
     mu = min_eigenvalue(slack)
     assert mu == pytest.approx(0.5 - np.cos(np.pi / 6), abs=1e-9)
+
+
+def test_min_eigenvalue_matches_jacobi_oracle():
+    # sizes 1..64, weighted toward small ones: Jacobi costs ~dim^3 Python steps
+    rng = np.random.default_rng(41)
+    for dim in np.geomspace(1, 64, 20).round().astype(int):
+        s = symmetrize(rng.standard_normal((dim, dim)))
+        expected = sym_eigen(s).eigenvalues[0]
+        assert abs(min_eigenvalue(s) - expected) <= 1e-10 * np.linalg.norm(s)
+
+
+def test_min_eigenvalue_symmetrizes_its_input():
+    # LAPACK reads one triangle; without symmetrizing, the answer would differ
+    a = np.array([[1.0, 3.0, 0.0], [-1.0, 2.0, 4.0], [0.0, 0.0, -1.0]])
+    expected = sym_eigen(a).eigenvalues[0]
+    assert abs(np.linalg.eigvalsh(a)[0] - expected) > 0.1
+    assert abs(min_eigenvalue(a) - expected) <= 1e-10 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_min_eigenvalue_rejects_non_finite(bad):
+    s = np.eye(3)
+    s[1, 1] = bad
+    with pytest.raises(NonFiniteEntry):
+        min_eigenvalue(s)
 
 
 def test_gram_from_vectors_basis():

@@ -18,10 +18,11 @@ from tsirelson.analytic import (
     chained_primal_vectors,
     chained_quantum_bound,
 )
-from tsirelson.errors import InvalidRank, MaxIterReached
+from tsirelson import linalg, sdp
+from tsirelson.errors import InvalidRank, MaxIterReached, NonFiniteEntry
 from tsirelson.linalg import sym_eigen
 
-from oracles import rank2_max
+from oracles import rank2_max, rowwise_sweeps
 
 
 def test_solve_primal_chsh_optimum():
@@ -57,6 +58,55 @@ def test_solve_primal_max_iter_carries_partial():
     partial = exc.value.solution
     assert partial.iterations == 3 and not partial.converged
     assert partial.value <= chained_quantum_bound(6) + 1e-8
+
+
+def _zero_column_w():
+    c = np.random.default_rng(8).standard_normal((3, 7))
+    c[:, 4] = 0.0  # Bob's fifth field is zero: that vector is skipped
+    return build_objective(new_inequality("zero-column", c))
+
+
+def _intra_block_w():
+    # couplings inside Alice's and Bob's blocks split the two runs into four
+    w = build_objective(chained(4)).copy()
+    w[0, 2] = w[2, 0] = 0.7
+    w[5, 6] = w[6, 5] = -0.4
+    return w
+
+
+@pytest.mark.parametrize(
+    "w, max_iter",
+    [
+        (build_objective(chained(8)), sdp.DEFAULT_MAX_ITER),
+        (build_objective(chained(16)), sdp.DEFAULT_MAX_ITER),
+        (build_objective(gisin(5)), sdp.DEFAULT_MAX_ITER),
+        (_zero_column_w(), sdp.DEFAULT_MAX_ITER),
+        (_intra_block_w(), sdp.DEFAULT_MAX_ITER),
+        (build_objective(chained(6)), 3),
+    ],
+    ids=["chained-8", "chained-16", "gisin-5", "zero-column", "intra-block",
+         "max-iter-3"],
+)
+def test_block_sweep_matches_rowwise(w, max_iter):
+    m = w.shape[0]
+    v = sdp._initial_vectors(m, m, 0)
+    sweeps, _, converged = rowwise_sweeps(w, v, max_iter, sdp.DEFAULT_TOL)
+    try:
+        sol = solve_primal(w, rank=m, max_iter=max_iter)
+    except MaxIterReached as exc:
+        sol = exc.solution
+    assert (sol.iterations, sol.converged) == (sweeps, converged)
+    np.testing.assert_allclose(sol.vectors, v, rtol=0, atol=1e-12)
+    assert sol.value == pytest.approx(0.5 * float(np.sum((v @ v.T) * w)), abs=1e-12)
+
+
+def test_uncoupled_runs():
+    w = build_objective(new_inequality("3x5", np.ones((3, 5))))
+    assert sdp._uncoupled_runs(w) == [(0, 3), (3, 8)]
+    # row 2 reads row 0, row 5 (Bob 1) reads Alice 2, row 6 reads row 5
+    assert sdp._uncoupled_runs(_intra_block_w()) == [
+        (0, 2), (2, 5), (5, 6), (6, 8)
+    ]
 
 
 def test_sweep_monotonicity():
@@ -105,6 +155,20 @@ def test_certify_chained_lambda(n):
     assert cert.certified_bound == pytest.approx(chained_quantum_bound(n), abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certify_rejects_non_finite_lambda(bad):
+    w = build_objective(chained(2))
+    with pytest.raises(NonFiniteEntry):
+        certify(w, [bad, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_certify_rejects_overflowing_bound():
+    w = build_objective(chained(2))
+    with pytest.raises(NonFiniteEntry):
+        certify(w, np.full(4, 5e307))  # each entry finite, the sum is not
+
+
 def test_certify_zero():
     cert = certify(np.zeros((2, 2)), np.zeros(2))
     assert cert.feasibility_margin == 0.0
@@ -144,6 +208,15 @@ def test_solve_gisin_3_certified():
     w = build_objective(gisin(3))
     top = sym_eigen(w).eigenvalues[-1]
     assert report.primal.value <= 0.5 * w.shape[0] * top + 1e-8
+
+
+def test_solve_does_not_reach_jacobi(monkeypatch):
+    def jacobi(_):
+        raise AssertionError("sym_eigen called on the solve path")
+
+    monkeypatch.setattr(linalg, "sym_eigen", jacobi)
+    report = solve(gisin(4))
+    assert report.gap <= 1e-5
 
 
 def test_solve_chained_1_degenerate():
