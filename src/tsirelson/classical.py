@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import NonFiniteEntry, TooLarge
 
 ENUM_LIMIT = 30
 
@@ -24,8 +24,8 @@ class ClassicalBound:
 
 
 def _enumerate(c):
-    # rows are enumerated; entries exact int64 when the matrix is integral
-    integral = np.all(c == np.round(c))
+    # rows are enumerated; entries exact int64 when integral and size*max|c| < 2^53
+    integral = np.all(c == np.round(c)) and np.abs(c).max() < 2.0**53 / c.size
     mat = np.round(c).astype(np.int64) if integral else c
     k, _ = mat.shape
     best_val = None
@@ -47,8 +47,14 @@ def lhv_bound(ineq):
     na, nb = c.shape
     if min(na, nb) > ENUM_LIMIT:
         raise TooLarge(f"enumeration limited to {ENUM_LIMIT} settings per side")
-    if nb < na:
-        val, wy, wx = _enumerate(c.T)
-    else:
-        val, wx, wy = _enumerate(c)
+    # A float overflow while scoring any strategy means the bound itself
+    # overflows: every partial column sum is at most the bound.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if nb < na:
+                val, wy, wx = _enumerate(c.T)
+            else:
+                val, wx, wy = _enumerate(c)
+    except FloatingPointError as exc:
+        raise NonFiniteEntry("classical bound overflows the float range") from exc
     return ClassicalBound(value=float(val), witness_x=wx, witness_y=wy)

@@ -127,7 +127,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, solver=True):
+    def add_common(p, solver=True, formats=("text", "json")):
         p.add_argument(
             "--inequality",
             choices=["chained", "chsh", "gisin", "file"],
@@ -135,7 +135,7 @@ def build_parser():
         )
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--file", dest="file_path")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", dest="output_path")
         if solver:
             p.add_argument("--seed", type=int, default=None)
@@ -153,7 +153,7 @@ def build_parser():
     add_common(sub.add_parser("spectrum", help="closed-form chained spectrum"),
                solver=False)
     p_table = sub.add_parser("table", help="bound table over a range of n")
-    add_common(p_table)
+    add_common(p_table, formats=("text", "json", "csv"))
     p_table.add_argument("--n-range", dest="n_range", default="2..8")
     return parser
 
@@ -173,18 +173,23 @@ def _load_inequality(args):
     return ineq_mod.gisin(args.n)
 
 
-def _read_inequality_file(path):
+def _read_json(path):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise IOError(str(exc)) from exc
     try:
-        doc = json.loads(text)
+        # an integer literal beyond the float range reads as inf: rejected as non-finite
+        return json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _read_inequality_file(path):
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "name" not in doc or "coefficients" not in doc:
         raise UsageError(f'{path}: expected {{"name": ..., "coefficients": [[...]]}}')
     try:
@@ -194,25 +199,12 @@ def _read_inequality_file(path):
 
 
 def _read_lambda_file(path, expected_len):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = _read_json(path)
     if not isinstance(doc, list) or not all(isinstance(v, (int, float)) for v in doc):
         raise UsageError(f"{path}: expected a JSON array of numbers")
     if len(doc) != expected_len:
         raise UsageError(f"{path}: expected {expected_len} entries, got {len(doc)}")
-    try:
-        lam = np.array(doc, dtype=float)
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise UsageError(f"{path}: entries must be finite numbers") from exc
+    lam = np.array(doc, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise UsageError(f"{path}: entries must be finite numbers")
     return lam
@@ -332,21 +324,14 @@ def _cmd_realize(args):
         xs, ys = v[:na], v[na:]
         certified = report.dual.certified_bound
     real = realization.realize(xs, ys)
-    value = realization.inequality_value(ineq, real)
-    max_err = 0.0
-    for s, x in enumerate(xs):
-        for t, y in enumerate(ys):
-            corr = realization.correlation(
-                real.observables_x[s], real.observables_y[t], real.psi
-            )
-            max_err = max(max_err, abs(corr - float(np.dot(x, y))))
+    table = realization.correlation_table(real)
     out = {
         "config": _config_block(args),
         "inequality": ineq.name,
         "dimension": real.dim,
-        "achieved_value": value,
+        "achieved_value": float(np.sum(ineq.coefficients * table)),
         "certified_bound": certified,
-        "max_correlation_error": max_err,
+        "max_correlation_error": float(np.abs(table - xs @ ys.T).max()),
     }
     return out, EXIT_OK
 

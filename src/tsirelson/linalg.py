@@ -19,9 +19,9 @@ PSD_TOL = 1e-9
 
 
 def symmetrize(m):
-    """Return (M + M^T)/2 as a float array."""
+    """Return (M + M^T)/2 as a float array, as M/2 + M^T/2 so it cannot overflow."""
     m = np.asarray(m, dtype=float)
-    return (m + m.T) / 2.0
+    return m / 2.0 + m.T / 2.0
 
 
 @dataclass(frozen=True)

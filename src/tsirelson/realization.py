@@ -6,6 +6,9 @@ d = 2^ceil(N/2)) turn each vector into a +-1-eigenvalue observable
 sum_k v[k] C_k.  On the canonical maximally entangled state the correlation
 <Psi| X (x) Y |Psi> then reproduces the inner product x . y exactly, because
 <Psi| X (x) Y |Psi> = Tr(X Y^T)/d and Tr(C_k C_l) = d delta_kl.
+
+correlation_table contracts the state once per Alice observable, using
+<Psi| X (x) Y |Psi> = sum_jk (M^H X M)_jk Y_jk with M = psi reshaped to d x d.
 """
 
 from dataclasses import dataclass
@@ -115,6 +118,18 @@ def correlation_trace(x, y):
     return float(np.trace(x @ y.T).real / d)
 
 
+def correlation_table(realization):
+    """n_A x n_B matrix of <Psi| X_s (x) Y_t |Psi> over all setting pairs."""
+    d, psi = realization.dim, realization.psi
+    obs = realization.observables_x + realization.observables_y
+    if psi.shape != (d * d,) or any(o.shape != (d, d) for o in obs):
+        raise DimensionMismatch("observable/state dimensions disagree")
+    m = psi.reshape(d, d)
+    ys = np.stack(realization.observables_y).reshape(-1, d * d)
+    rows = [ys @ (m.conj().T @ x @ m).reshape(-1) for x in realization.observables_x]
+    return np.array(rows).real
+
+
 def inequality_value(ineq, realization):
     """sum_{s,t} c[s][t] <Psi| X_s (x) Y_t |Psi> for a realized strategy."""
     c = ineq.coefficients
@@ -123,12 +138,4 @@ def inequality_value(ineq, realization):
             f"inequality is {c.shape}, realization has "
             f"{len(realization.observables_x)}x{len(realization.observables_y)} settings"
         )
-    total = 0.0
-    for s in range(c.shape[0]):
-        for t in range(c.shape[1]):
-            if c[s, t] != 0.0:
-                total += c[s, t] * correlation(
-                    realization.observables_x[s], realization.observables_y[t],
-                    realization.psi,
-                )
-    return total
+    return float(np.sum(c * correlation_table(realization)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsirelson import chained, chsh, gisin, lhv_bound, new_inequality, solve
-from tsirelson.errors import TooLarge
+from tsirelson.errors import NonFiniteEntry, TooLarge
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -75,6 +75,16 @@ def test_dominated_by_quantum_bound():
     for ineq in (chained(3), gisin(3), chsh()):
         report = solve(ineq)
         assert lhv_bound(ineq).value <= report.dual.certified_bound + 1e-8
+
+
+def test_huge_coefficients():
+    # an int64 cast of 1e308 used to give 2^63 and a wrong witness
+    c = np.array([[1e308, 1.0], [1.0, -1.0]])
+    bound = lhv_bound(new_inequality("big", c))
+    assert bound.value == 1e308
+    assert float(bound.witness_x @ c @ bound.witness_y) == bound.value
+    with pytest.raises(NonFiniteEntry):
+        lhv_bound(new_inequality("huge", [[1e308, 1e308], [1.0, -1.0]]))
 
 
 def test_too_large():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tsirelson import realization
 from tsirelson.cli import canonical_json, main
 
 
@@ -119,22 +120,30 @@ def test_spectrum_requires_chained(capsys):
     assert "chained" in err
 
 
-def test_realize_command(capsys):
+def test_realize_command(capsys, monkeypatch):
+    calls = []
+    table = realization.correlation_table
+    monkeypatch.setattr(
+        realization, "correlation_table", lambda r: calls.append(r) or table(r)
+    )
     status, out, _ = run_cli(
         capsys, "realize", "--inequality", "chained", "--n", "4", "--format", "json"
     )
     assert status == 0
+    assert len(calls) == 1
     doc = json.loads(out)
     assert doc["achieved_value"] == pytest.approx(8 * np.cos(np.pi / 8), abs=1e-9)
     assert doc["max_correlation_error"] <= 1e-10
 
 
-def test_realize_solved_family(capsys):
+@pytest.mark.parametrize("n, dim", [(2, 4), (6, 64)])
+def test_realize_solved_family(capsys, n, dim):
     status, out, _ = run_cli(
-        capsys, "realize", "--inequality", "gisin", "--n", "2", "--format", "json"
+        capsys, "realize", "--inequality", "gisin", "--n", str(n), "--format", "json"
     )
     assert status == 0
     doc = json.loads(out)
+    assert doc["dimension"] == dim
     assert doc["achieved_value"] == pytest.approx(doc["certified_bound"], abs=1e-6)
     assert doc["max_correlation_error"] <= 1e-10
 
@@ -164,6 +173,17 @@ def test_file_inequality_malformed(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_file_inequality_huge_integer(tmp_path, capsys):
+    # an integer literal beyond the float range used to escape as OverflowError
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "big", "coefficients": [[1%s, 1], [1, -1]]}' % ("0" * 400))
+    status, out, err = run_cli(
+        capsys, "classical", "--inequality", "file", "--file", str(path)
+    )
+    assert (status, out) == (1, "")
+    assert "non-finite" in err
+
+
 def test_file_inequality_missing_flag(capsys):
     status, _, err = run_cli(capsys, "bound", "--inequality", "file")
     assert status == 1
@@ -189,6 +209,64 @@ def test_certify_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["certified_bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-9)
     assert abs(doc["feasibility_margin"]) <= 1e-9
+
+
+def test_lambda_file_read_errors(tmp_path, capsys):
+    lam_path = tmp_path / "lam.json"
+    lam_path.write_text("[1,\n 2,")
+    args = ("certify", "--inequality", "chsh", "--lambda-file")
+    status, out, err = run_cli(capsys, *args, str(lam_path))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {lam_path}: malformed JSON at line 2, column")
+    status, out, _ = run_cli(capsys, *args, str(tmp_path / "none.json"))
+    assert (status, out) == (3, "")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_certify_huge_lambda_is_finite(tmp_path, capsys):
+    # (M + M^T)/2 used to overflow on the 1e308 diagonal entry
+    lam_path = tmp_path / "lam.json"
+    lam_path.write_text("[1e308, 0, 0, 0]")
+    status, out, _ = run_cli(
+        capsys, "certify", "--inequality", "chsh",
+        "--lambda-file", str(lam_path), "--format", "json",
+    )
+    assert status == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["certified_bound"] == 1e308
+    assert doc["feasibility_margin"] == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
+
+
+def test_classical_huge_coefficients(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "big", "coefficients": [[1e308, 1], [1, -1]]}')
+    args = ("classical", "--inequality", "file", "--file", str(path), "--format", "json")
+    status, out, _ = run_cli(capsys, *args)
+    assert status == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["value"] == 1e308
+    # the bound overflows: numerical failure, no report
+    path.write_text('{"name": "huge", "coefficients": [[1e308, 1e308], [1, -1]]}')
+    status, out, err = run_cli(capsys, *args)
+    assert (status, out) == (2, "")
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "command", ["bound", "certify", "classical", "realize", "spectrum"]
+)
+def test_csv_format_only_for_table(tmp_path, capsys, command):
+    lam_path = tmp_path / "lam.json"
+    lam_path.write_text("[1, 1, 1, 1]")
+    extra = ["--lambda-file", str(lam_path)] if command == "certify" else []
+    status, out, err = run_cli(
+        capsys, command, "--inequality", "chained", "--n", "2", "--format", "csv", *extra
+    )
+    assert (status, out) == (1, "")
+    assert "csv" in err
 
 
 def test_certify_wrong_length(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsirelson import build_objective, chained
+from tsirelson import build_objective, chained, chsh
 from tsirelson.analytic import chained_dual_lambda, chained_primal_vectors
 from tsirelson.errors import LengthMismatch, NonFiniteEntry, NotPSD
 from tsirelson.linalg import (
@@ -91,6 +91,14 @@ def test_min_eigenvalue_symmetrizes_its_input():
     expected = sym_eigen(a).eigenvalues[0]
     assert abs(np.linalg.eigvalsh(a)[0] - expected) > 0.1
     assert abs(min_eigenvalue(a) - expected) <= 1e-10 * np.linalg.norm(a)
+
+
+def test_min_eigenvalue_huge_finite_entry():
+    # symmetrizing as (M + M^T)/2 overflowed on entries above ~9e307
+    s = np.diag([1e308, 0.0, 0.0, 0.0]) - build_objective(chsh()) / 2.0
+    assert min_eigenvalue(s) == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
+    a = np.random.default_rng(3).standard_normal((5, 5))
+    np.testing.assert_array_equal(symmetrize(a), (a + a.T) / 2.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -13,6 +13,7 @@ from tsirelson.errors import (
 from tsirelson.realization import (
     clifford_generators,
     correlation,
+    correlation_table,
     correlation_trace,
     inequality_value,
     maximally_entangled_state,
@@ -164,12 +165,15 @@ def test_roundtrip_random_families():
         ys = rng.standard_normal((kb, n))
         ys /= np.linalg.norm(ys, axis=1, keepdims=True)
         real = realize(xs, ys)
+        table = correlation_table(real)
+        assert table.shape == (ka, kb)
         for s in range(ka):
             for t in range(kb):
                 corr = correlation(
                     real.observables_x[s], real.observables_y[t], real.psi
                 )
                 assert abs(corr - float(np.dot(xs[s], ys[t]))) <= 1e-10
+                assert abs(table[s, t] - corr) <= 1e-12
 
 
 def test_inequality_value_counts():
