@@ -2,9 +2,14 @@
 
 The maximum of a correlation expression over local classical models is
 attained at a deterministic vertex of the local polytope, so it suffices to
-scan sign assignments.  For a fixed Alice assignment x in {-1,+1}^nA, Bob's
-best response per setting is the sign of his column sum, so only the smaller
-side is enumerated.
+scan sign assignments.  For a fixed Alice assignment x in {-1,+1}^k, Bob's
+best response per setting is the sign of his column sum, so x scores
+sum_t |(x c)_t| and only the smaller side is enumerated.  Strategy i has
+x_s = -1 where bit s of i is set; x and -x (indices i, 2^k-1-i) tie and the
+smaller index has its top bit clear, so scanning [0, 2^(k-1)) finds the first
+maximizer over all 2^k.  float64 is exact for integral c with sum |c| < 2^53
+(every partial sum is an integer below 2^53).  No score or partial sum
+exceeds the bound, so the bound overflows exactly when some score does.
 """
 
 from dataclasses import dataclass
@@ -14,6 +19,7 @@ import numpy as np
 from .errors import NonFiniteEntry, TooLarge
 
 ENUM_LIMIT = 30
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -24,21 +30,19 @@ class ClassicalBound:
 
 
 def _enumerate(c):
-    # rows are enumerated; entries exact int64 when integral and size*max|c| < 2^53
-    integral = np.all(c == np.round(c)) and np.abs(c).max() < 2.0**53 / c.size
-    mat = np.round(c).astype(np.int64) if integral else c
-    k, _ = mat.shape
-    best_val = None
-    best_x = None
-    for idx in range(1 << k):
-        x = np.array([1 if (idx >> s) & 1 == 0 else -1 for s in range(k)], dtype=mat.dtype)
-        val = np.abs(x @ mat).sum()
-        if best_val is None or val > best_val:
-            best_val = val
-            best_x = x
-    cols = best_x @ mat
-    y = np.where(cols >= 0, 1, -1).astype(best_x.dtype)
-    return best_val, best_x, y
+    k = c.shape[0]
+    half = 1 << (k - 1)
+    best_val, best_x = -np.inf, None
+    for start in range(0, half, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, half))
+        x = 1.0 - 2.0 * ((idx[:, None] >> np.arange(k)) & 1)
+        vals = np.abs(x @ c).sum(axis=1)
+        i = int(np.argmax(vals))  # lands on a NaN or inf if there is one
+        if not np.isfinite(vals[i]):
+            raise NonFiniteEntry("classical bound overflows the float range")
+        if vals[i] > best_val:
+            best_val, best_x = vals[i], x[i].copy()
+    return best_val, best_x, np.where(best_x @ c >= 0, 1.0, -1.0)
 
 
 def lhv_bound(ineq):
@@ -47,14 +51,9 @@ def lhv_bound(ineq):
     na, nb = c.shape
     if min(na, nb) > ENUM_LIMIT:
         raise TooLarge(f"enumeration limited to {ENUM_LIMIT} settings per side")
-    # A float overflow while scoring any strategy means the bound itself
-    # overflows: every partial column sum is at most the bound.
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if nb < na:
-                val, wy, wx = _enumerate(c.T)
-            else:
-                val, wx, wy = _enumerate(c)
-    except FloatingPointError as exc:
-        raise NonFiniteEntry("classical bound overflows the float range") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        if nb < na:
+            val, wy, wx = _enumerate(c.T)
+        else:
+            val, wx, wy = _enumerate(c)
     return ClassicalBound(value=float(val), witness_x=wx, witness_y=wy)

@@ -192,15 +192,21 @@ def _read_inequality_file(path):
     doc = _read_json(path)
     if not isinstance(doc, dict) or "name" not in doc or "coefficients" not in doc:
         raise UsageError(f'{path}: expected {{"name": ..., "coefficients": [[...]]}}')
+    rows = doc["coefficients"]
+    # every JSON number reads as a float, so this rejects strings, booleans and null
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(isinstance(v, float) for v in row) for row in rows
+    ):
+        raise UsageError(f"{path}: coefficients must be a list of rows of numbers")
     try:
-        return ineq_mod.new_inequality(doc["name"], doc["coefficients"])
+        return ineq_mod.new_inequality(doc["name"], rows)
     except (TsirelsonError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
 def _read_lambda_file(path, expected_len):
     doc = _read_json(path)
-    if not isinstance(doc, list) or not all(isinstance(v, (int, float)) for v in doc):
+    if not isinstance(doc, list) or not all(isinstance(v, float) for v in doc):
         raise UsageError(f"{path}: expected a JSON array of numbers")
     if len(doc) != expected_len:
         raise UsageError(f"{path}: expected {expected_len} entries, got {len(doc)}")

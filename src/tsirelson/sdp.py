@@ -52,7 +52,6 @@ class BoundReport:
     dual: DualCertificate
     gap: float
     classical_bound: float | None = None
-    analytic_bound: float | None = None
     runs: list = field(default_factory=list)
 
 
@@ -88,6 +87,15 @@ def _uncoupled_runs(w):
     return runs
 
 
+def _scale_exponent(w):
+    """e with max|W| * 2^-e in [0.5, 1) (0 when W == 0).
+
+    Scaling by 2^-e is exact, and keeps the squares inside np.linalg.norm from
+    overflowing for entries above ~1e154.
+    """
+    return int(np.frexp(np.abs(w).max())[1])
+
+
 def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     """Block-coordinate ascent over unit vectors v_1..v_m.
 
@@ -106,13 +114,15 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         raise InvalidRank(f"tol must be positive, got {tol}")
     v = _initial_vectors(m, rank, seed)
     runs = _uncoupled_runs(w)
+    e = _scale_exponent(w)
+    ws, floor = np.ldexp(w, -e), np.ldexp(1e-14, -e)
     residual = np.inf
     for sweep in range(1, max_iter + 1):
         residual = 0.0
         for lo, hi in runs:
-            g = w[lo:hi] @ v
+            g = ws[lo:hi] @ v
             ng = np.linalg.norm(g, axis=1)
-            live = ng >= 1e-14
+            live = ng >= floor
             old = v[lo:hi]  # a view: assigning through it updates v
             new = g[live] / ng[live, None]
             disp = np.linalg.norm(new - old[live], axis=1)
@@ -146,7 +156,8 @@ def extract_dual(w, vectors):
     """
     w = np.asarray(w, dtype=float)
     v = np.asarray(vectors, dtype=float)
-    return 0.5 * np.linalg.norm(w @ v, axis=1)
+    e = _scale_exponent(w)
+    return 0.5 * np.ldexp(np.linalg.norm(np.ldexp(w, -e) @ v, axis=1), e)
 
 
 def certify(w, lam):
@@ -189,7 +200,11 @@ def solve(ineq, opts=None, classical=True):
 
     If the first run converged but the certified gap exceeds 1e-4 (a stuck
     rank-deficient saddle), one restart with seed+1 and rank+2 is attempted
-    and both runs are reported; the report carries the better run.
+    and both runs are reported; the report carries the better run.  When the
+    classical witness scores above that run's primal value (a slow run can
+    stop just short of a classical optimum), the witness, as the feasible
+    point x_s, y_t = +-e_1, becomes the reported primal; the run's iteration
+    count, residual and convergence flag are kept, and runs is unchanged.
     """
     opts = opts or SolveOptions()
     w = ineq_mod.build_objective(ineq)
@@ -202,12 +217,21 @@ def solve(ineq, opts=None, classical=True):
         runs.append(_run_summary(opts.seed + 1, rank + 2, primal2, dual2))
         if dual2.certified_bound - primal2.value < dual.certified_bound - primal.value:
             primal, dual = primal2, dual2
+    classical_bound = None
+    if classical:
+        lhv = lhv_bound(ineq)
+        classical_bound = lhv.value
+        v = np.zeros_like(primal.vectors)
+        v[:, 0] = np.concatenate([lhv.witness_x, lhv.witness_y])
+        witness = _finish(w, v, primal.iterations, primal.residual, primal.converged)
+        if witness.value > primal.value:
+            primal = witness
     return BoundReport(
         name=ineq.name,
         primal=primal,
         dual=dual,
         gap=dual.certified_bound - primal.value,
-        classical_bound=lhv_bound(ineq).value if classical else None,
+        classical_bound=classical_bound,
         runs=runs,
     )
 

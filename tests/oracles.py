@@ -4,6 +4,11 @@ The row-by-row sweep is the Mixing-method ascent exactly as first written: one
 vector at a time, in index order.  The library's block sweep must reproduce
 its iterates.
 
+The first-maximum enumeration is the classical scan exactly as first written:
+one strategy at a time over all 2^k sign vectors, in int64 when the matrix is
+integral.  The library's chunked half-scan must reproduce its value and
+witnesses.
+
 The rank-2 oracle maximizes the correlation expression over unit vectors
 confined to a plane: Alice's first vector is pinned at angle 0 (global
 rotations cancel), the remaining Alice angles are scanned on a grid, and
@@ -115,3 +120,39 @@ def rowwise_sweeps(w, v, max_iter, tol):
         if residual < tol:
             return sweep, residual, True
     return max_iter, residual, False
+
+
+def first_max_enumeration(c):
+    """First maximizer of sum_t |(x @ c)_t| over all x in {-1,+1}^k, in index order.
+
+    Strategy idx has x_s = -1 where bit s of idx is set.  Returns
+    (value, x, y) with y the sign of each column sum (+1 on a zero sum).
+    """
+    # rows are enumerated; entries exact int64 when integral and size*max|c| < 2^53
+    integral = np.all(c == np.round(c)) and np.abs(c).max() < 2.0**53 / c.size
+    mat = np.round(c).astype(np.int64) if integral else c
+    k, _ = mat.shape
+    best_val = None
+    best_x = None
+    for idx in range(1 << k):
+        x = np.array([1 if (idx >> s) & 1 == 0 else -1 for s in range(k)], dtype=mat.dtype)
+        val = np.abs(x @ mat).sum()
+        if best_val is None or val > best_val:
+            best_val = val
+            best_x = x
+    cols = best_x @ mat
+    y = np.where(cols >= 0, 1, -1).astype(best_x.dtype)
+    return best_val, best_x, y
+
+
+def first_max_lhv(c):
+    """first_max_enumeration oriented like lhv_bound: the smaller side is scanned.
+
+    Returns (value, witness_x, witness_y) with x per row and y per column of c.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape[1] < c.shape[0]:
+        val, y, x = first_max_enumeration(c.T)
+    else:
+        val, x, y = first_max_enumeration(c)
+    return float(val), x, y

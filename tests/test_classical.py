@@ -4,6 +4,16 @@ import pytest
 from tsirelson import chained, chsh, gisin, lhv_bound, new_inequality, solve
 from tsirelson.errors import NonFiniteEntry, TooLarge
 
+from oracles import first_max_lhv
+
+
+def _assert_matches_reference(c):
+    bound = lhv_bound(new_inequality("c", c))
+    val, x, y = first_max_lhv(c)
+    assert bound.value == val
+    np.testing.assert_array_equal(bound.witness_x, x)
+    np.testing.assert_array_equal(bound.witness_y, y)
+
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_chained_classical_bound(n):
@@ -85,6 +95,28 @@ def test_huge_coefficients():
     assert float(bound.witness_x @ c @ bound.witness_y) == bound.value
     with pytest.raises(NonFiniteEntry):
         lhv_bound(new_inequality("huge", [[1e308, 1e308], [1.0, -1.0]]))
+
+
+def test_matches_first_max_enumeration():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        k, n = rng.integers(1, 11, 2)
+        c = rng.integers(-3, 4, (k, n)).astype(float)
+        _assert_matches_reference(c)
+        _assert_matches_reference(c.T)
+    for n in range(2, 17):
+        _assert_matches_reference(gisin(n).coefficients)
+        _assert_matches_reference(chained(n).coefficients)
+    _assert_matches_reference([[1e308, 1.0], [1.0, -1.0]])
+    # the reference overflows to inf where lhv_bound refuses to report
+    with np.errstate(over="ignore"):
+        assert first_max_lhv([[1e308, 1e308], [1.0, -1.0]])[0] == np.inf
+
+
+def test_witnesses_are_float_signs():
+    bound = lhv_bound(gisin(5))
+    assert bound.witness_x.dtype == bound.witness_y.dtype == np.float64
+    assert set(bound.witness_x) | set(bound.witness_y) <= {-1.0, 1.0}
 
 
 def test_too_large():

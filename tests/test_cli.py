@@ -255,6 +255,44 @@ def test_classical_huge_coefficients(tmp_path, capsys):
     assert "overflow" in err
 
 
+def test_bound_huge_coefficients(tmp_path, capsys):
+    # solve_primal's row norms used to overflow above ~1e154: exit 2
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "big", "coefficients": [[1e300, 1], [1, -1]]}')
+    status, out, _ = run_cli(
+        capsys, "bound", "--inequality", "file", "--file", str(path), "--format", "json"
+    )
+    assert status == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    for value in (doc["primal"]["value"], doc["dual"]["certified_bound"],
+                  doc["classical_bound"]):
+        assert value == pytest.approx(1e300, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("certify", "[true, 1, 1, 1]"),
+        ("certify", '[1, 1, "1", 1]'),
+        ("certify", "[1, 1, null, 1]"),
+        ("classical", '{"name": "s", "coefficients": [["1", true], [1, "-1"]]}'),
+        ("classical", '{"name": "b", "coefficients": [[1, false], [1, -1]]}'),
+        ("classical", '{"name": "r", "coefficients": ["11", "1-"]}'),
+        ("classical", '{"name": "d", "coefficients": {"0": [1, 1]}}'),
+    ],
+)
+def test_non_numbers_in_json_files(tmp_path, capsys, command, content):
+    path = tmp_path / "in.json"
+    path.write_text(content)
+    if command == "certify":
+        args = ("--inequality", "chsh", "--lambda-file", str(path))
+    else:
+        args = ("--inequality", "file", "--file", str(path))
+    status, out, err = run_cli(capsys, command, *args, "--format", "json")
+    assert (status, out) == (1, "")
+    assert str(path) in err
+
+
 @pytest.mark.parametrize(
     "command", ["bound", "certify", "classical", "realize", "spectrum"]
 )

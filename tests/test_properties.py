@@ -1,0 +1,76 @@
+"""Property tests over small integral inequalities (entries -3..3, up to 6x6).
+
+Examples are derandomized, so every run checks the same inputs.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from tsirelson import lhv_bound, new_inequality, solve
+
+from oracles import first_max_lhv
+
+KRIVINE = 1.7823  # upper bound on Grothendieck's constant
+
+derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+matrices = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.integers(-3, 3).map(float),
+)
+
+
+def _bound(c):
+    return lhv_bound(new_inequality("c", c))
+
+
+def _signs(data, n):
+    return np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+
+
+@derandomized
+@given(matrices)
+def test_lhv_matches_first_max_enumeration(c):
+    bound = _bound(c)
+    val, x, y = first_max_lhv(c)
+    assert bound.value == val
+    np.testing.assert_array_equal(bound.witness_x, x)
+    np.testing.assert_array_equal(bound.witness_y, y)
+
+
+@derandomized
+@given(matrices)
+def test_witness_attains_value(c):
+    bound = _bound(c)
+    assert float(bound.witness_x @ c @ bound.witness_y) == bound.value
+
+
+@derandomized
+@given(matrices, st.data())
+def test_value_invariant_under_symmetries(c, data):
+    k, n = c.shape
+    rows = data.draw(st.permutations(range(k)))
+    cols = data.draw(st.permutations(range(n)))
+    moved = (_signs(data, k)[:, None] * c * _signs(data, n))[rows][:, cols]
+    value = _bound(c).value
+    assert _bound(moved).value == value
+    assert _bound(c.T).value == value
+
+
+@derandomized
+@given(matrices, st.integers(-40, 40))
+def test_value_scales_by_powers_of_two(c, e):
+    assert _bound(np.ldexp(c, e)).value == np.ldexp(_bound(c).value, e)
+
+
+@settings(derandomized, max_examples=100)
+@given(matrices)
+def test_bound_chain(c):
+    report = solve(new_inequality("c", c))
+    classical, primal = report.classical_bound, report.primal.value
+    certified = report.dual.certified_bound
+    slack = 1e-9 * max(1.0, abs(certified))
+    assert classical <= primal
+    assert primal <= certified + slack
+    assert certified <= KRIVINE * classical + slack

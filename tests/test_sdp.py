@@ -253,3 +253,38 @@ def test_rank_sufficiency_chained():
     for n in (2, 5, 10):
         report = solve(chained(n), SolveOptions(rank=2 * n))
         assert report.gap <= 1e-6
+
+
+def test_primal_not_below_classical():
+    # the ascent stops 1.5e-8 short of 12 after 10000 sweeps on this input;
+    # the classical witness is a feasible point worth 12
+    ineq = new_inequality("slow", [[-3, 2, 1], [1, 0, 3], [-1, 0, -3]])
+    report = solve(ineq)
+    (run,) = report.runs
+    assert run["primal_value"] < 12.0
+    assert report.classical_bound == 12.0
+    assert report.primal.value == 12.0
+    assert report.primal.iterations == run["iterations"] == sdp.DEFAULT_MAX_ITER
+    assert report.primal.converged is run["converged"] is False
+    assert report.gap == report.dual.certified_bound - 12.0
+    v = report.primal.vectors
+    np.testing.assert_array_equal(np.abs(v[:, 0]), 1.0)
+    np.testing.assert_array_equal(v[:, 1:], 0.0)
+
+
+def test_huge_coefficients_do_not_overflow():
+    # the row norms used to square entries above ~1e154 to inf.  Scaling W by
+    # a power of two is exact, so the iterates match those of a scaled-down W
+    ineq = new_inequality("big", [[1e300, 1.0], [1.0, -1.0]])
+    w = build_objective(ineq)
+    small = np.ldexp(w, -980)
+    sol, ref = solve_primal(w, rank=4), solve_primal(small, rank=4)
+    assert (sol.iterations, sol.converged) == (ref.iterations, True)
+    np.testing.assert_array_equal(sol.vectors, ref.vectors)
+    assert sol.value == pytest.approx(1e300, rel=1e-12)
+    lam = extract_dual(w, sol.vectors)
+    np.testing.assert_array_equal(lam, np.ldexp(extract_dual(small, ref.vectors), 980))
+    report = solve(ineq)
+    assert report.primal.value == pytest.approx(1e300, rel=1e-12)
+    assert report.dual.certified_bound == pytest.approx(1e300, rel=1e-12)
+    assert report.classical_bound == pytest.approx(1e300, rel=1e-12)
