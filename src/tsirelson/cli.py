@@ -192,6 +192,8 @@ def _read_inequality_file(path):
     doc = _read_json(path)
     if not isinstance(doc, dict) or "name" not in doc or "coefficients" not in doc:
         raise UsageError(f'{path}: expected {{"name": ..., "coefficients": [[...]]}}')
+    if not isinstance(doc["name"], str):
+        raise UsageError(f"{path}: name must be a string")
     rows = doc["coefficients"]
     # every JSON number reads as a float, so this rejects strings, booleans and null
     if not isinstance(rows, list) or not all(

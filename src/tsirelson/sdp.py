@@ -1,18 +1,25 @@
 """Unit-diagonal SDP solver with dual certification.
 
 The primal "maximize (1/2) Tr(G W) s.t. G >= 0, g_ii = 1" is attacked in the
-low-rank factorized form: m unit vectors are updated in a fixed order by
-block-coordinate ascent, the Mixing method (each update is the closed-form
-maximizer, so the objective never decreases).  Consecutive vectors that W does
-not couple are updated together in one matrix product; for a Bell objective,
-whose Alice-Alice and Bob-Bob blocks are zero, a sweep is two products, and
-the iterate is the same as updating one vector at a time.  The nonconvexity of
-the factorization is repaired afterwards: any multiplier vector lambda whose
-diag(lambda) - W/2 is PSD gives a rigorous upper bound Tr(diag(lambda)) by
-weak duality, and an infeasible lambda can always be shifted onto the PSD cone
-at a quantified price.
+low-rank factorized form: m unit vectors of length rank, by default
+min(m, ceil(sqrt(2m)) + 1), the Barvinok-Pataki bound.  The plain map is a
+sweep of block-coordinate ascent, the Mixing method: each vector is set to
+its closed-form maximizer in a fixed order, so the objective never
+decreases.  Consecutive vectors that W does not couple are updated together
+in one matrix product; for a Bell objective, whose Alice-Alice and Bob-Bob
+blocks are zero, a sweep is two products, and the iterate is the same as
+updating one vector at a time.  The sweep is Anderson-accelerated (Walker &
+Ni, 2011), with a mixed step kept only if it does not lower the objective,
+and the ascent stops as soon as the certificate below proves its iterate
+within a small gap of optimal.  The nonconvexity of the factorization is
+repaired afterwards: any multiplier vector lambda whose diag(lambda) - W/2
+is PSD gives a rigorous upper bound Tr(diag(lambda)) by weak duality, and an
+infeasible lambda can always be shifted onto the PSD cone at a quantified
+price.
 """
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +33,10 @@ DEFAULT_MAX_ITER = 10000
 DEFAULT_TOL = 1e-10
 OPTIMAL_GAP = 1e-5
 RESTART_GAP = 1e-4
+
+_DEPTH = 5  # Anderson history: the last _DEPTH points and their sweeps
+_GAP_TARGET = 1e-8  # certified gap, in the scaled W, that stops the ascent
+_CHECK_EVERY = 10  # largest step between gap checks
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,7 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    rank: int | None = None  # default nA + nB
+    rank: int | None = None  # default min(m, ceil(sqrt(2m)) + 1), m = nA + nB
     seed: int = 0
     max_iter: int = DEFAULT_MAX_ITER
     tol: float = DEFAULT_TOL
@@ -96,15 +107,56 @@ def _scale_exponent(w):
     return int(np.frexp(np.abs(w).max())[1])
 
 
-def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
-    """Block-coordinate ascent over unit vectors v_1..v_m.
+def _sweep(ws, v, runs, floor):
+    """One Mixing-method sweep over the unit rows v, in place; the plain map.
 
-    Each pass sets v_i to the normalized field g_i = sum_j W[i][j] v_j in fixed
-    index order (v_i untouched when ||g_i|| < 1e-14).  Runs of vectors that W
-    does not couple are updated together, which gives the same iterate as the
-    one-at-a-time sweep.  Stops when the largest per-vector displacement in a
-    sweep falls below tol; raises MaxIterReached (carrying the partial
-    solution) if the sweep cap is hit first.
+    Each run [lo, hi) sets its rows to the normalized fields ws[lo:hi] @ v,
+    leaving a row untouched when its field norm is below floor.  Returns the
+    largest per-row displacement.
+    """
+    sq = 0.0
+    for lo, hi in runs:
+        g = ws[lo:hi] @ v
+        ng = np.linalg.norm(g, axis=1, keepdims=True)
+        old = v[lo:hi]  # a view: assigning through it updates v
+        new = np.divide(g, ng, out=old.copy(), where=ng >= floor)
+        sq = max(sq, float(((new - old) ** 2).sum(axis=1).max()))
+        old[...] = new
+    return math.sqrt(sq)
+
+
+def _value(ws, v):
+    return 0.5 * float(np.vdot(ws @ v, v))
+
+
+def _anderson(history):
+    """Type-II Anderson mix of the points x_i and their sweeps F(x_i) in history.
+
+    With residuals f_i = F(x_i) - x_i, finds gamma minimizing
+    ||f_k - dF gamma|| over the differences of consecutive residuals and
+    returns F(x_k) - dG gamma, dG the differences of the F(x_i).
+    """
+    x, fx = map(np.stack, zip(*history))
+    f = (fx - x).reshape(len(history), -1)
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    return fx[-1] - np.tensordot(gamma, np.diff(fx, axis=0), axes=1)
+
+
+def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+    """Anderson-accelerated block-coordinate ascent over unit vectors v_1..v_m.
+
+    The plain map F is one sweep (_sweep).  Each iteration applies it to the
+    iterate v, then mixes the last _DEPTH points and their sweeps by least
+    squares (_anderson), renormalizes the rows and sweeps once more.  The
+    mixed point is kept, and joins the history, only if its value is not
+    below that of F(v), so values along the iterates never decrease;
+    otherwise F(v) is kept and the history cleared.  Stops when the largest
+    per-vector displacement of the plain sweep falls below tol, or when the
+    certified gap (certify on extract_dual) of the iterate is at most
+    _GAP_TARGET, checked after iterations 4, 8, 16, then every
+    _CHECK_EVERY.  Raises MaxIterReached (carrying the partial solution) if
+    max_iter iterations, each of at most two sweeps, come first.  Everything
+    runs on W scaled by a power of two, so a scaled W takes the same steps.
     """
     w = np.asarray(w, dtype=float)
     m = w.shape[0]
@@ -116,23 +168,34 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     runs = _uncoupled_runs(w)
     e = _scale_exponent(w)
     ws, floor = np.ldexp(w, -e), np.ldexp(1e-14, -e)
+    history = deque(maxlen=_DEPTH)
+    check = 4
     residual = np.inf
-    for sweep in range(1, max_iter + 1):
-        residual = 0.0
-        for lo, hi in runs:
-            g = ws[lo:hi] @ v
-            ng = np.linalg.norm(g, axis=1)
-            live = ng >= floor
-            old = v[lo:hi]  # a view: assigning through it updates v
-            new = g[live] / ng[live, None]
-            disp = np.linalg.norm(new - old[live], axis=1)
-            residual = max(residual, float(disp.max(initial=0.0)))
-            old[live] = new
+    for it in range(1, max_iter + 1):
+        fv = v.copy()
+        residual = _sweep(ws, fv, runs, floor)
         if residual < tol:
-            return _finish(w, v, sweep, residual, converged=True)
+            return _finish(w, fv, it, residual, converged=True)
+        history.append((v, fv))
+        v = fv
+        if len(history) > 1:
+            mixed = _anderson(history)
+            mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
+            y = mixed.copy()
+            _sweep(ws, y, runs, floor)
+            if _value(ws, y) >= _value(ws, fv):
+                v = y
+                history.append((mixed, y))
+            else:
+                history.clear()
+        if it == check:
+            check += min(check, _CHECK_EVERY)
+            gap = certify(ws, extract_dual(ws, v)).certified_bound - _value(ws, v)
+            if gap <= _GAP_TARGET:
+                return _finish(w, v, it, residual, converged=True)
     partial = _finish(w, v, max_iter, residual, converged=False)
     raise MaxIterReached(
-        f"no convergence after {max_iter} sweeps (residual {residual:.3e})", partial
+        f"no convergence after {max_iter} iterations (residual {residual:.3e})", partial
     )
 
 
@@ -198,7 +261,8 @@ def _single_run(w, rank, seed, max_iter, tol):
 def solve(ineq, opts=None, classical=True):
     """Full pipeline: objective, primal ascent, dual extraction, certification.
 
-    If the first run converged but the certified gap exceeds 1e-4 (a stuck
+    The rank defaults to min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the
+    first run converged but the certified gap exceeds 1e-4 (a stuck
     rank-deficient saddle), one restart with seed+1 and rank+2 is attempted
     and both runs are reported; the report carries the better run.  When the
     classical witness scores above that run's primal value (a slow run can
@@ -209,7 +273,7 @@ def solve(ineq, opts=None, classical=True):
     opts = opts or SolveOptions()
     w = ineq_mod.build_objective(ineq)
     m = w.shape[0]
-    rank = opts.rank if opts.rank is not None else m
+    rank = opts.rank if opts.rank is not None else min(m, math.isqrt(2 * m - 1) + 2)
     primal, dual = _single_run(w, rank, opts.seed, opts.max_iter, opts.tol)
     runs = [_run_summary(opts.seed, rank, primal, dual)]
     if primal.converged and dual.certified_bound - primal.value > RESTART_GAP:

@@ -136,7 +136,7 @@ def test_realize_command(capsys, monkeypatch):
     assert doc["max_correlation_error"] <= 1e-10
 
 
-@pytest.mark.parametrize("n, dim", [(2, 4), (6, 64)])
+@pytest.mark.parametrize("n, dim", [(2, 4), (6, 8), (11, 16)])
 def test_realize_solved_family(capsys, n, dim):
     status, out, _ = run_cli(
         capsys, "realize", "--inequality", "gisin", "--n", str(n), "--format", "json"
@@ -279,6 +279,8 @@ def test_bound_huge_coefficients(tmp_path, capsys):
         ("classical", '{"name": "b", "coefficients": [[1, false], [1, -1]]}'),
         ("classical", '{"name": "r", "coefficients": ["11", "1-"]}'),
         ("classical", '{"name": "d", "coefficients": {"0": [1, 1]}}'),
+        ("classical", '{"name": [1], "coefficients": [[1, 1], [1, -1]]}'),
+        ("classical", '{"name": 5, "coefficients": [[1, 1], [1, -1]]}'),
     ],
 )
 def test_non_numbers_in_json_files(tmp_path, capsys, command, content):

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tsirelson import lhv_bound, new_inequality, solve
+from tsirelson import chained, lhv_bound, new_inequality, sdp, solve
 
 from oracles import first_max_lhv
 
@@ -74,3 +74,21 @@ def test_bound_chain(c):
     assert classical <= primal
     assert primal <= certified + slack
     assert certified <= KRIVINE * classical + slack
+
+
+@settings(derandomized, max_examples=100)
+@given(matrices)
+def test_solve_converges_certified(c):
+    report = solve(new_inequality("c", c))
+    assert report.primal.converged
+    assert all(run["converged"] for run in report.runs)
+    assert report.gap <= sdp.OPTIMAL_GAP
+
+
+def test_chained_iteration_count():
+    # a deterministic guard on the accelerated ascent: the plain sweep took
+    # 6260 sweeps at n = 64, growing like n^2
+    for n in range(2, 65):
+        report = solve(chained(n), classical=False)
+        assert abs(report.primal.value - 2 * n * np.cos(np.pi / (2 * n))) <= 1e-7
+    assert report.primal.iterations <= 400  # n = 64

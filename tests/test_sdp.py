@@ -88,16 +88,16 @@ def _intra_block_w():
          "max-iter-3"],
 )
 def test_block_sweep_matches_rowwise(w, max_iter):
+    # the plain map, iterated as many times as the row-by-row ascent sweeps
     m = w.shape[0]
     v = sdp._initial_vectors(m, m, 0)
+    block = v.copy()
     sweeps, _, converged = rowwise_sweeps(w, v, max_iter, sdp.DEFAULT_TOL)
-    try:
-        sol = solve_primal(w, rank=m, max_iter=max_iter)
-    except MaxIterReached as exc:
-        sol = exc.solution
-    assert (sol.iterations, sol.converged) == (sweeps, converged)
-    np.testing.assert_allclose(sol.vectors, v, rtol=0, atol=1e-12)
-    assert sol.value == pytest.approx(0.5 * float(np.sum((v @ v.T) * w)), abs=1e-12)
+    runs = sdp._uncoupled_runs(w)
+    residuals = [sdp._sweep(w, block, runs, 1e-14) for _ in range(sweeps)]
+    assert min(residuals[:-1], default=np.inf) >= sdp.DEFAULT_TOL
+    assert (residuals[-1] < sdp.DEFAULT_TOL) == converged
+    np.testing.assert_allclose(block, v, rtol=0, atol=1e-12)
 
 
 def test_uncoupled_runs():
@@ -122,6 +122,35 @@ def test_sweep_monotonicity():
         values.append(sol.value)
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-12)
+
+
+def test_worse_mixed_point_is_rejected(monkeypatch):
+    # a mix that lands on random vectors mostly scores below the plain sweep;
+    # only the safeguard keeps the trajectory nondecreasing
+    def scatter(history):
+        return np.random.default_rng(len(history)).standard_normal(history[-1][1].shape)
+
+    monkeypatch.setattr(sdp, "_anderson", scatter)
+    w = build_objective(gisin(4))
+    values = []
+    for k in range(1, 40):
+        try:
+            sol = solve_primal(w, rank=4, seed=5, max_iter=k)
+        except MaxIterReached as exc:
+            sol = exc.solution
+        values.append(sol.value)
+    assert np.all(np.diff(values) >= -1e-12)
+    assert sol.converged
+
+
+def test_gap_stop():
+    # chained-16 is proven within the gap target before any sweep moves a
+    # vector by less than tol
+    w = build_objective(chained(16))
+    sol = solve_primal(w, rank=9)
+    assert sol.converged and sol.residual >= sdp.DEFAULT_TOL
+    gap = certify(w, extract_dual(w, sol.vectors)).certified_bound - sol.value
+    assert 0.0 <= gap <= 2 * sdp._GAP_TARGET  # max|W| = 1, scaled by 1/2
 
 
 def test_extract_dual_known_vectors():
@@ -255,16 +284,30 @@ def test_rank_sufficiency_chained():
         assert report.gap <= 1e-6
 
 
+TIE = new_inequality("tie", [[-3, 2, 1], [1, 0, 3], [-1, 0, -3]])
+
+
+def test_tie_converges():
+    # the classical and quantum bounds are both 12 here, where the plain
+    # ascent is sublinear: it ran all 10000 sweeps and stopped 1.5e-8 short
+    report = solve(TIE)
+    (run,) = report.runs
+    assert report.primal.converged is run["converged"] is True
+    assert report.primal.iterations == run["iterations"] < 100
+    assert run["primal_value"] >= 12.0 - 1e-9
+    assert report.primal.value >= 12.0 - 1e-9
+    assert report.gap <= sdp.OPTIMAL_GAP
+
+
 def test_primal_not_below_classical():
-    # the ascent stops 1.5e-8 short of 12 after 10000 sweeps on this input;
-    # the classical witness is a feasible point worth 12
-    ineq = new_inequality("slow", [[-3, 2, 1], [1, 0, 3], [-1, 0, -3]])
-    report = solve(ineq)
+    # stopped after 8 iterations the ascent is 2e-6 short of 12; the
+    # classical witness is a feasible point worth 12
+    report = solve(TIE, SolveOptions(max_iter=8))
     (run,) = report.runs
     assert run["primal_value"] < 12.0
     assert report.classical_bound == 12.0
     assert report.primal.value == 12.0
-    assert report.primal.iterations == run["iterations"] == sdp.DEFAULT_MAX_ITER
+    assert report.primal.iterations == run["iterations"] == 8
     assert report.primal.converged is run["converged"] is False
     assert report.gap == report.dual.certified_bound - 12.0
     v = report.primal.vectors
