@@ -7,6 +7,7 @@ configurations (including the seed) produce identical output bytes.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-NUMERICAL_GAP_THRESHOLD = 1e-4
+NUMERICAL_GAP_THRESHOLD = 1e-4  # on sdp.relative_gap
 
 
 class UsageError(Exception):
@@ -89,7 +90,7 @@ def _scalar_text(v):
 def _render_csv(rows, header):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_scalar_text(v) for v in row))
+        lines.append(",".join("" if v is None else _scalar_text(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -119,7 +120,13 @@ def _check_solver_args(args):
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.
+
+    parse_args returns a fresh Namespace per call and every default is an
+    immutable scalar, so one parser serves every call of main.
+    """
     parser = argparse.ArgumentParser(
         prog="tsirelson",
         description="Quantum and classical bounds for two-party correlation "
@@ -261,6 +268,7 @@ def _analytic_bound(args):
 def _cmd_bound(args):
     ineq = _load_inequality(args)
     report = sdp.solve(ineq, _solve_options(args))
+    rel_gap = sdp.relative_gap(report.gap, ineq.coefficients)
     out = {
         "config": _config_block(args),
         "inequality": ineq.name,
@@ -276,7 +284,7 @@ def _cmd_bound(args):
             "certified_bound": report.dual.certified_bound,
         },
         "gap": report.gap,
-        "certified_optimal": report.gap <= sdp.OPTIMAL_GAP,
+        "certified_optimal": rel_gap <= sdp.OPTIMAL_GAP,
         "classical_bound": report.classical_bound,
         "runs": report.runs,
     }
@@ -284,7 +292,7 @@ def _cmd_bound(args):
     if bound is not None:
         out["analytic_bound"] = bound
     status = EXIT_OK
-    if not report.primal.converged and report.gap > NUMERICAL_GAP_THRESHOLD:
+    if not report.primal.converged and rel_gap > NUMERICAL_GAP_THRESHOLD:
         status = EXIT_NUMERICAL
     return out, status
 
@@ -388,7 +396,7 @@ def _cmd_table(args):
         )
         report = sdp.solve(ineq, opts)
         quantum_analytic = (
-            analytic.chained_quantum_bound(n) if args.inequality == "chained" else ""
+            analytic.chained_quantum_bound(n) if args.inequality == "chained" else None
         )
         rows.append(
             (n, report.classical_bound, quantum_analytic, report.primal.value,

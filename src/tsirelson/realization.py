@@ -25,11 +25,6 @@ from .errors import (
 
 MAX_GENERATORS = 20
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-
 
 @dataclass(frozen=True)
 class QuantumRealization:
@@ -45,20 +40,34 @@ def clifford_generators(n):
     Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y,
     over m = ceil(N/2) qubit factors.
     """
+    return list(_generator_stack(n))
+
+
+def _generator_stack(n):
+    """clifford_generators(n) as one (N, d, d) array, built by index arithmetic.
+
+    Each generator is a Pauli string, so it has one nonzero per row.  Counting
+    from 0, generators 2j (X) and 2j+1 (Y) have it in row i at column i XOR b,
+    b the bit of qubit j.  Its value is (-1)^(parity of i's bits on qubits
+    0..j-1, the Z factors), times 1 for X, or times -i or +i for Y as i's bit
+    on qubit j is 0 or 1.
+    """
     if n < 1 or n > MAX_GENERATORS:
         raise TooLarge(f"need 1 <= N <= {MAX_GENERATORS}, got {n}")
     qubits = (n + 1) // 2
-    gens = []
-    for k in range(n):
-        j = k // 2  # qubit carrying the X/Y factor
-        factors = [_PAULI_Z] * j
-        factors.append(_PAULI_X if k % 2 == 0 else _PAULI_Y)
-        factors.extend([_ID2] * (qubits - j - 1))
-        mat = factors[0]
-        for f in factors[1:]:
-            mat = np.kron(mat, f)
-        gens.append(mat)
-    return gens
+    d = 1 << qubits
+    rows = np.arange(d)
+    stack = np.zeros((n, d, d), dtype=complex)
+    sign = np.ones(d)  # (-1)^(parity of the bits on qubits 0..j-1)
+    for j in range(qubits):
+        b = 1 << (qubits - 1 - j)  # qubit 0 is the most significant bit
+        bit = (rows & b) != 0
+        cols = rows ^ b
+        stack[2 * j].real[rows, cols] = sign
+        if 2 * j + 1 < n:
+            stack[2 * j + 1].imag[rows, cols] = np.where(bit, sign, -sign)
+        sign = np.where(bit, -sign, sign)
+    return stack
 
 
 def maximally_entangled_state(d):
@@ -84,14 +93,16 @@ def realize(xs, ys):
     for v in xs + ys:
         if abs(np.linalg.norm(v) - 1.0) > 1e-10:
             raise NotUnitVector(f"vector norm {np.linalg.norm(v):.12f} is not 1")
-    gens = clifford_generators(n)
-    d = gens[0].shape[0]
-    obs_x = [sum(v[k] * gens[k] for k in range(n)) for v in xs]
-    obs_y = [sum(v[k] * gens[k] for k in range(n)).T.copy() for v in ys]
+    gens = _generator_stack(n)
+    d = gens.shape[1]
+    # exact: each entry of sum_k v[k] C_k has at most one real and one imaginary term
+    obs_x = np.tensordot(np.reshape(xs, (-1, n)), gens, axes=1)
+    obs_y = np.tensordot(np.reshape(ys, (-1, n)), gens, axes=1)
+    obs_y = obs_y.transpose(0, 2, 1).copy()
     return QuantumRealization(
         dim=d,
-        observables_x=obs_x,
-        observables_y=obs_y,
+        observables_x=list(obs_x),
+        observables_y=list(obs_y),
         psi=maximally_entangled_state(d),
     )
 

@@ -31,7 +31,7 @@ from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
 DEFAULT_TOL = 1e-10
-OPTIMAL_GAP = 1e-5
+OPTIMAL_GAP = 1e-5  # thresholds on relative_gap
 RESTART_GAP = 1e-4
 
 _DEPTH = 5  # Anderson history: the last _DEPTH points and their sweeps
@@ -88,13 +88,16 @@ def _uncoupled_runs(w):
     the run can be updated in one step with the same result as one at a time.
     For a Bell objective the runs are Alice's indices, then Bob's.
     """
+    m = w.shape[0]
+    # last column below the diagonal that row j reads, -1 when there is none
+    last = np.where(np.tril(w != 0, -1), np.arange(m), -1).max(axis=1)
     runs = []
     lo = 0
-    for j in range(1, w.shape[0]):
-        if np.any(w[j, lo:j]):
+    for j, col in enumerate(last.tolist()):
+        if col >= lo:
             runs.append((lo, j))
             lo = j
-    runs.append((lo, w.shape[0]))
+    runs.append((lo, m))
     return runs
 
 
@@ -107,6 +110,15 @@ def _scale_exponent(w):
     return int(np.frexp(np.abs(w).max())[1])
 
 
+def _row_norms(a):
+    """Euclidean norm of each row of a real a, as a column.
+
+    The same arithmetic as np.linalg.norm(a, axis=1, keepdims=True), without
+    its dispatch overhead.
+    """
+    return np.sqrt((a * a).sum(axis=1, keepdims=True))
+
+
 def _sweep(ws, v, runs, floor):
     """One Mixing-method sweep over the unit rows v, in place; the plain map.
 
@@ -117,7 +129,7 @@ def _sweep(ws, v, runs, floor):
     sq = 0.0
     for lo, hi in runs:
         g = ws[lo:hi] @ v
-        ng = np.linalg.norm(g, axis=1, keepdims=True)
+        ng = _row_norms(g)
         old = v[lo:hi]  # a view: assigning through it updates v
         new = np.divide(g, ng, out=old.copy(), where=ng >= floor)
         sq = max(sq, float(((new - old) ** 2).sum(axis=1).max()))
@@ -130,26 +142,28 @@ def _value(ws, v):
 
 
 def _anderson(history):
-    """Type-II Anderson mix of the points x_i and their sweeps F(x_i) in history.
+    """Type-II Anderson mix of the points x_i and their sweeps F(x_i).
 
-    With residuals f_i = F(x_i) - x_i, finds gamma minimizing
+    Each history entry is the flattened pair (f_i, F(x_i)), a 2 x (m*r)
+    array with f_i = F(x_i) - x_i the residual.  Finds gamma minimizing
     ||f_k - dF gamma|| over the differences of consecutive residuals and
-    returns F(x_k) - dG gamma, dG the differences of the F(x_i).
+    returns F(x_k) - dG gamma, dG the differences of the F(x_i), flattened.
     """
-    x, fx = map(np.stack, zip(*history))
-    f = (fx - x).reshape(len(history), -1)
-    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
-    return fx[-1] - np.tensordot(gamma, np.diff(fx, axis=0), axes=1)
+    h = np.stack(history)
+    f, fx = h[:, 0], h[:, 1]
+    gamma = np.linalg.lstsq((f[1:] - f[:-1]).T, f[-1], rcond=None)[0]
+    return fx[-1] - gamma.dot(fx[1:] - fx[:-1])
 
 
 def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     """Anderson-accelerated block-coordinate ascent over unit vectors v_1..v_m.
 
     The plain map F is one sweep (_sweep).  Each iteration applies it to the
-    iterate v, then mixes the last _DEPTH points and their sweeps by least
-    squares (_anderson), renormalizes the rows and sweeps once more.  The
-    mixed point is kept, and joins the history, only if its value is not
-    below that of F(v), so values along the iterates never decrease;
+    iterate v and appends the flattened pair (F(v) - v, F(v)) to the history
+    of the last _DEPTH points, which it then mixes by least squares
+    (_anderson); it renormalizes the rows of the mixed point and sweeps once
+    more.  The mixed point is kept, and joins the history, only if its value
+    is not below that of F(v), so values along the iterates never decrease;
     otherwise F(v) is kept and the history cleared.  Stops when the largest
     per-vector displacement of the plain sweep falls below tol, or when the
     certified gap (certify on extract_dual) of the iterate is at most
@@ -176,16 +190,16 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         residual = _sweep(ws, fv, runs, floor)
         if residual < tol:
             return _finish(w, fv, it, residual, converged=True)
-        history.append((v, fv))
+        history.append(np.stack((fv - v, fv)).reshape(2, -1))
         v = fv
         if len(history) > 1:
-            mixed = _anderson(history)
-            mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
+            mixed = _anderson(history).reshape(m, rank)
+            mixed /= _row_norms(mixed)
             y = mixed.copy()
             _sweep(ws, y, runs, floor)
             if _value(ws, y) >= _value(ws, fv):
                 v = y
-                history.append((mixed, y))
+                history.append(np.stack((y - mixed, y)).reshape(2, -1))
             else:
                 history.clear()
         if it == check:
@@ -249,6 +263,15 @@ def certify(w, lam):
     )
 
 
+def relative_gap(gap, w):
+    """gap / max(1, max|W|), the scale the solver and certify are accurate to.
+
+    W may be the objective or the coefficient matrix: both have the same
+    largest entry.
+    """
+    return gap / max(1.0, float(np.abs(w).max()))
+
+
 def _single_run(w, rank, seed, max_iter, tol):
     try:
         primal = solve_primal(w, rank, seed=seed, max_iter=max_iter, tol=tol)
@@ -262,7 +285,7 @@ def solve(ineq, opts=None, classical=True):
     """Full pipeline: objective, primal ascent, dual extraction, certification.
 
     The rank defaults to min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the
-    first run converged but the certified gap exceeds 1e-4 (a stuck
+    first run converged but its relative_gap exceeds RESTART_GAP (a stuck
     rank-deficient saddle), one restart with seed+1 and rank+2 is attempted
     and both runs are reported; the report carries the better run.  When the
     classical witness scores above that run's primal value (a slow run can
@@ -276,7 +299,8 @@ def solve(ineq, opts=None, classical=True):
     rank = opts.rank if opts.rank is not None else min(m, math.isqrt(2 * m - 1) + 2)
     primal, dual = _single_run(w, rank, opts.seed, opts.max_iter, opts.tol)
     runs = [_run_summary(opts.seed, rank, primal, dual)]
-    if primal.converged and dual.certified_bound - primal.value > RESTART_GAP:
+    gap = relative_gap(dual.certified_bound - primal.value, w)
+    if primal.converged and gap > RESTART_GAP:
         primal2, dual2 = _single_run(w, rank + 2, opts.seed + 1, opts.max_iter, opts.tol)
         runs.append(_run_summary(opts.seed + 1, rank + 2, primal2, dual2))
         if dual2.certified_bound - primal2.value < dual.certified_bound - primal.value:

@@ -9,6 +9,18 @@ one strategy at a time over all 2^k sign vectors, in int64 when the matrix is
 integral.  The library's chunked half-scan must reproduce its value and
 witnesses.
 
+The row loop over W finds the runs of vectors W does not couple one row at a
+time, as first written; the library takes each row's last nonzero column in
+one vectorized step and must find the same runs.
+
+The stacked Anderson mix is the least-squares mix as first written, over 3-D
+stacks of the history; the library's flattened history must give the same
+array.
+
+The Kronecker-product generators are the Clifford generators as first
+written, one np.kron chain per generator; the library builds them by index
+arithmetic and must give equal arrays.
+
 The rank-2 oracle maximizes the correlation expression over unit vectors
 confined to a plane: Alice's first vector is pinned at angle 0 (global
 rotations cancel), the remaining Alice angles are scanned on a grid, and
@@ -156,3 +168,50 @@ def first_max_lhv(c):
     else:
         val, x, y = first_max_enumeration(c)
     return float(val), x, y
+
+
+def rowwise_uncoupled_runs(w):
+    """Maximal runs [lo, hi) of 0..m-1 with W[j][lo:j] == 0 for each j, row by row."""
+    runs = []
+    lo = 0
+    for j in range(1, w.shape[0]):
+        if np.any(w[j, lo:j]):
+            runs.append((lo, j))
+            lo = j
+    runs.append((lo, w.shape[0]))
+    return runs
+
+
+def stacked_anderson(history):
+    """Type-II Anderson mix over pairs (f_i, F(x_i)) of m x r arrays.
+
+    f_i = F(x_i) - x_i.  Returns F(x_k) - dG gamma as an m x r array, gamma
+    minimizing ||f_k - dF gamma|| over the differences of consecutive
+    residuals.
+    """
+    f, fx = map(np.stack, zip(*history))
+    f = f.reshape(len(history), -1)
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    return fx[-1] - np.tensordot(gamma, np.diff(fx, axis=0), axes=1)
+
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_ID2 = np.eye(2, dtype=complex)
+
+
+def kron_clifford_generators(n):
+    """Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y."""
+    qubits = (n + 1) // 2
+    gens = []
+    for k in range(n):
+        j = k // 2  # qubit carrying the X/Y factor
+        factors = [_PAULI_Z] * j
+        factors.append(_PAULI_X if k % 2 == 0 else _PAULI_Y)
+        factors.extend([_ID2] * (qubits - j - 1))
+        mat = factors[0]
+        for f in factors[1:]:
+            mat = np.kron(mat, f)
+        gens.append(mat)
+    return gens

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsirelson import realization
-from tsirelson.cli import canonical_json, main
+import tsirelson
+from tsirelson import chained, realization, sdp
+from tsirelson.cli import build_parser, canonical_json, main
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +88,16 @@ def test_table_chained(capsys):
         n, classical, qa, qn, gap = line.split(",")
         assert float(classical) == 2 * int(n) - 2
         assert abs(float(qa) - float(qn)) <= 1e-6
+
+
+def test_table_gisin_has_no_analytic_bound(capsys):
+    args = ("table", "--inequality", "gisin", "--n-range", "2..3", "--format")
+    status, out, _ = run_cli(capsys, *args, "json")
+    assert status == 0
+    assert [r["quantum_analytic"] for r in json.loads(out)["rows"]] == [None, None]
+    status, out, _ = run_cli(capsys, *args, "csv")
+    assert status == 0
+    assert [line.split(",")[2] for line in out.strip().split("\n")[1:]] == ["", ""]
 
 
 def test_table_bad_range(capsys):
@@ -269,6 +284,30 @@ def test_bound_huge_coefficients(tmp_path, capsys):
         assert value == pytest.approx(1e300, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e6, 1e9])
+def test_bound_scaled_coefficients(tmp_path, capsys, scale):
+    # the gap is tested relative to max|c|: one run, and certified optimal
+    path = tmp_path / "scaled.json"
+    c = scale * chained(16).coefficients
+    path.write_text(json.dumps({"name": "scaled", "coefficients": c.tolist()}))
+    status, out, _ = run_cli(
+        capsys, "bound", "--inequality", "file", "--file", str(path), "--format", "json"
+    )
+    assert status == 0
+    doc = json.loads(out)
+    assert len(doc["runs"]) == 1
+    assert doc["certified_optimal"] is True
+    assert doc["gap"] / scale <= sdp.OPTIMAL_GAP
+
+
+def test_relative_gap_of_unit_families():
+    # max|c| = 1: every threshold still reads the gap itself
+    for ineq in (chained(2), chained(7), tsirelson.gisin(6)):
+        assert sdp.relative_gap(1.2345e-5, ineq.coefficients) == 1.2345e-5
+    assert sdp.relative_gap(1.0, 0.5 * chained(3).coefficients) == 1.0
+    assert sdp.relative_gap(6.0, -3.0 * chained(3).coefficients) == 2.0
+
+
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -382,3 +421,50 @@ def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
     # an explicit flag wins, and commands without a solver never read it
     assert run_cli(capsys, "bound", "--inequality", "chsh", "--seed", "1")[0] == 0
     assert run_cli(capsys, "classical", "--inequality", "chsh")[0] == 0
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
+    lam_path = tmp_path / "lam.json"
+    lam_path.write_text("[0.75, 0.75, 0.75, 0.75]")
+    monkeypatch.delenv("TSIRELSON_SEED", raising=False)
+    calls = [
+        ({}, ["bound", "--seed", "5", "--format", "json"]),
+        ({"TSIRELSON_SEED": "17"}, ["bound", "--format", "json"]),
+        ({}, ["bound", "--n", "two"]),
+        ({}, ["--help"]),
+        ({}, ["certify", "--inequality", "chsh", "--lambda-file", str(lam_path)]),
+        ({}, ["bound", "--seed", "5", "--format", "json"]),
+    ]
+
+    def run(env, argv, fresh):
+        with monkeypatch.context() as mp:
+            for key, value in env.items():
+                mp.setenv(key, value)
+            if fresh:
+                build_parser.cache_clear()
+            return run_cli(capsys, *argv)
+
+    parser = build_parser()
+    reused = [run(env, argv, fresh=False) for env, argv in calls]
+    assert build_parser() is parser
+    fresh = [run(env, argv, fresh=True) for env, argv in calls]
+    assert reused == fresh
+    assert [status for status, _, _ in reused] == [0, 0, 1, 0, 0, 0]
+    assert json.loads(reused[1][1])["config"]["seed"] == 17
+    assert reused[0] == reused[-1]
+
+
+def test_library_import_skips_cli():
+    # the parser and its cache are a cost of the command line only
+    src = str(Path(tsirelson.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, tsirelson\n"
+        "loaded = {'argparse', 'tsirelson.cli'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -20,6 +20,8 @@ from tsirelson.realization import (
     realize,
 )
 
+from oracles import kron_clifford_generators
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -59,6 +61,39 @@ def test_generators_size_limits():
         clifford_generators(0)
     with pytest.raises(TooLarge):
         clifford_generators(21)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_generators_match_kron(n):
+    gens = clifford_generators(n)
+    assert len(gens) == n
+    for g, ref in zip(gens, kron_clifford_generators(n)):
+        np.testing.assert_array_equal(g, ref)
+
+
+def test_generators_independent_and_writable():
+    gens = clifford_generators(5)
+    before = [g.copy() for g in gens]
+    gens[0][...] = 7.0
+    assert all(g.flags.writeable for g in gens)
+    assert not any(np.shares_memory(gens[0], g) for g in gens[1:])
+    for g, ref in zip(gens[1:], before[1:]):
+        np.testing.assert_array_equal(g, ref)
+    np.testing.assert_array_equal(clifford_generators(5)[0], before[0])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_observables_match_generator_sum(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((5, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    gens = kron_clifford_generators(n)
+    real = realize(v[:3], v[3:])
+    # byte for byte, signed zeros included
+    for x, obs in zip(v[:3], real.observables_x):
+        assert obs.tobytes() == sum(x[k] * gens[k] for k in range(n)).tobytes()
+    for y, obs in zip(v[3:], real.observables_y):
+        assert obs.tobytes() == sum(y[k] * gens[k] for k in range(n)).T.tobytes()
 
 
 def test_observable_law_random_unit_vectors():

@@ -22,7 +22,7 @@ from tsirelson import linalg, sdp
 from tsirelson.errors import InvalidRank, MaxIterReached, NonFiniteEntry
 from tsirelson.linalg import sym_eigen
 
-from oracles import rank2_max, rowwise_sweeps
+from oracles import rank2_max, rowwise_sweeps, rowwise_uncoupled_runs, stacked_anderson
 
 
 def test_solve_primal_chsh_optimum():
@@ -74,19 +74,19 @@ def _intra_block_w():
     return w
 
 
-@pytest.mark.parametrize(
-    "w, max_iter",
-    [
-        (build_objective(chained(8)), sdp.DEFAULT_MAX_ITER),
-        (build_objective(chained(16)), sdp.DEFAULT_MAX_ITER),
-        (build_objective(gisin(5)), sdp.DEFAULT_MAX_ITER),
-        (_zero_column_w(), sdp.DEFAULT_MAX_ITER),
-        (_intra_block_w(), sdp.DEFAULT_MAX_ITER),
-        (build_objective(chained(6)), 3),
-    ],
-    ids=["chained-8", "chained-16", "gisin-5", "zero-column", "intra-block",
-         "max-iter-3"],
-)
+SWEEP_CASES = [
+    (build_objective(chained(8)), sdp.DEFAULT_MAX_ITER),
+    (build_objective(chained(16)), sdp.DEFAULT_MAX_ITER),
+    (build_objective(gisin(5)), sdp.DEFAULT_MAX_ITER),
+    (_zero_column_w(), sdp.DEFAULT_MAX_ITER),
+    (_intra_block_w(), sdp.DEFAULT_MAX_ITER),
+    (build_objective(chained(6)), 3),
+]
+SWEEP_IDS = ["chained-8", "chained-16", "gisin-5", "zero-column", "intra-block",
+             "max-iter-3"]
+
+
+@pytest.mark.parametrize("w, max_iter", SWEEP_CASES, ids=SWEEP_IDS)
 def test_block_sweep_matches_rowwise(w, max_iter):
     # the plain map, iterated as many times as the row-by-row ascent sweeps
     m = w.shape[0]
@@ -107,6 +107,47 @@ def test_uncoupled_runs():
     assert sdp._uncoupled_runs(_intra_block_w()) == [
         (0, 2), (2, 5), (5, 6), (6, 8)
     ]
+
+
+def _random_sparse_symmetric(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 40))
+    w = rng.standard_normal((m, m)) * (rng.random((m, m)) < rng.random())
+    return w + w.T
+
+
+@pytest.mark.parametrize(
+    "w",
+    [w for w, _ in SWEEP_CASES] + [_random_sparse_symmetric(s) for s in range(40)],
+    ids=SWEEP_IDS + [f"sparse-{s}" for s in range(40)],
+)
+def test_uncoupled_runs_match_rowwise(w):
+    assert sdp._uncoupled_runs(w) == rowwise_uncoupled_runs(w)
+
+
+@pytest.mark.parametrize(
+    "ineq",
+    [chained(16),
+     new_inequality("random-12", np.random.default_rng(12).standard_normal((12, 12)))],
+    ids=["chained-16", "random-12"],
+)
+def test_anderson_matches_stacked(monkeypatch, ineq):
+    # every history the solve mixes, with the flat point it returned
+    seen = []
+    mix = sdp._anderson
+
+    def record(history):
+        out = mix(history)
+        seen.append(([h.copy() for h in history], out.copy()))
+        return out
+
+    monkeypatch.setattr(sdp, "_anderson", record)
+    solve(ineq, classical=False)
+    assert len(seen) >= 5 and max(len(h) for h, _ in seen) == sdp._DEPTH
+    m = ineq.n_alice + ineq.n_bob
+    for history, out in seen:
+        pairs = [(f.reshape(m, -1), fx.reshape(m, -1)) for f, fx in history]
+        assert out.tobytes() == stacked_anderson(pairs).tobytes()
 
 
 def test_sweep_monotonicity():
