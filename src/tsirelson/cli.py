@@ -23,7 +23,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-NUMERICAL_GAP_THRESHOLD = 1e-4  # on sdp.relative_gap
+NUMERICAL_GAP_THRESHOLD = 1e-4  # on BoundReport.relative_gap
 
 
 class UsageError(Exception):
@@ -120,48 +120,69 @@ def _check_solver_args(args):
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built once per process.
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it first parses.
 
-    parse_args returns a fresh Namespace per call and every default is an
-    immutable scalar, so one parser serves every call of main.
+    The top-level parser hands a subcommand its arguments through
+    parse_known_args, and its usage, help and errors are printed from there,
+    so a call of main builds the arguments of the one subcommand it runs.
     """
+
+    def __init__(self, *args, add_arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            add_arguments, self._pending = self._pending, None
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_common(p, solver=True, formats=("text", "json")):
+    p.add_argument(
+        "--inequality",
+        choices=["chained", "chsh", "gisin", "file"],
+        default="chained",
+    )
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--file", dest="file_path")
+    p.add_argument("--format", choices=formats, default="text")
+    p.add_argument("--output", dest="output_path")
+    if solver:
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--rank", type=int, default=None)
+        p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
+        p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
+
+
+def _add_certify(p):
+    _add_common(p, solver=False)
+    p.add_argument("--lambda-file", dest="lambda_file", required=True)
+
+
+def _add_table(p):
+    _add_common(p, formats=("text", "json", "csv"))
+    p.add_argument("--n-range", dest="n_range", default="2..8")
+
+
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="tsirelson",
         description="Quantum and classical bounds for two-party correlation "
         "Bell inequalities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, solver=True, formats=("text", "json")):
-        p.add_argument(
-            "--inequality",
-            choices=["chained", "chsh", "gisin", "file"],
-            default="chained",
-        )
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--file", dest="file_path")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--output", dest="output_path")
-        if solver:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--rank", type=int, default=None)
-            p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
-            p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
-
-    add_common(sub.add_parser("bound", help="primal + certified dual bound"))
-    p_cert = sub.add_parser("certify", help="certify a lambda vector from file")
-    add_common(p_cert, solver=False)
-    p_cert.add_argument("--lambda-file", dest="lambda_file", required=True)
-    add_common(sub.add_parser("classical", help="exact LHV bound with witnesses"),
-               solver=False)
-    add_common(sub.add_parser("realize", help="observables achieving the bound"))
-    add_common(sub.add_parser("spectrum", help="closed-form chained spectrum"),
-               solver=False)
-    p_table = sub.add_parser("table", help="bound table over a range of n")
-    add_common(p_table, formats=("text", "json", "csv"))
-    p_table.add_argument("--n-range", dest="n_range", default="2..8")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    no_solver = functools.partial(_add_common, solver=False)
+    for name, help_text, add_arguments in [
+        ("bound", "primal + certified dual bound", _add_common),
+        ("certify", "certify a lambda vector from file", _add_certify),
+        ("classical", "exact LHV bound with witnesses", no_solver),
+        ("realize", "observables achieving the bound", _add_common),
+        ("spectrum", "closed-form chained spectrum", no_solver),
+        ("table", "bound table over a range of n", _add_table),
+    ]:
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
 
@@ -268,7 +289,6 @@ def _analytic_bound(args):
 def _cmd_bound(args):
     ineq = _load_inequality(args)
     report = sdp.solve(ineq, _solve_options(args))
-    rel_gap = sdp.relative_gap(report.gap, ineq.coefficients)
     out = {
         "config": _config_block(args),
         "inequality": ineq.name,
@@ -284,7 +304,7 @@ def _cmd_bound(args):
             "certified_bound": report.dual.certified_bound,
         },
         "gap": report.gap,
-        "certified_optimal": rel_gap <= sdp.OPTIMAL_GAP,
+        "certified_optimal": report.certified_optimal,
         "classical_bound": report.classical_bound,
         "runs": report.runs,
     }
@@ -292,7 +312,7 @@ def _cmd_bound(args):
     if bound is not None:
         out["analytic_bound"] = bound
     status = EXIT_OK
-    if not report.primal.converged and rel_gap > NUMERICAL_GAP_THRESHOLD:
+    if not report.primal.converged and report.relative_gap > NUMERICAL_GAP_THRESHOLD:
         status = EXIT_NUMERICAL
     return out, status
 

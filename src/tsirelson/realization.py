@@ -97,8 +97,10 @@ def realize(xs, ys):
     d = gens.shape[1]
     # exact: each entry of sum_k v[k] C_k has at most one real and one imaginary term
     obs_x = np.tensordot(np.reshape(xs, (-1, n)), gens, axes=1)
-    obs_y = np.tensordot(np.reshape(ys, (-1, n)), gens, axes=1)
-    obs_y = obs_y.transpose(0, 2, 1).copy()
+    # C_k is symmetric for X (even k) and antisymmetric for Y (odd k), so
+    # Bob's transposed sum is the sum with his Y coefficients negated
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    obs_y = np.tensordot(np.reshape(ys, (-1, n)) * sign, gens, axes=1)
     return QuantumRealization(
         dim=d,
         observables_x=list(obs_x),

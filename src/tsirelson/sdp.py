@@ -31,7 +31,7 @@ from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
 DEFAULT_TOL = 1e-10
-OPTIMAL_GAP = 1e-5  # thresholds on relative_gap
+OPTIMAL_GAP = 1e-5  # thresholds on the gap relative to max(1, max|W|)
 RESTART_GAP = 1e-4
 
 _DEPTH = 5  # Anderson history: the last _DEPTH points and their sweeps
@@ -62,8 +62,13 @@ class BoundReport:
     primal: PrimalSolution
     dual: DualCertificate
     gap: float
+    relative_gap: float  # gap / max(1, max|W|): the solver is accurate to that scale
     classical_bound: float | None = None
     runs: list = field(default_factory=list)
+
+    @property
+    def certified_optimal(self):
+        return self.relative_gap <= OPTIMAL_GAP
 
 
 @dataclass(frozen=True)
@@ -110,15 +115,6 @@ def _scale_exponent(w):
     return int(np.frexp(np.abs(w).max())[1])
 
 
-def _row_norms(a):
-    """Euclidean norm of each row of a real a, as a column.
-
-    The same arithmetic as np.linalg.norm(a, axis=1, keepdims=True), without
-    its dispatch overhead.
-    """
-    return np.sqrt((a * a).sum(axis=1, keepdims=True))
-
-
 def _sweep(ws, v, runs, floor):
     """One Mixing-method sweep over the unit rows v, in place; the plain map.
 
@@ -129,7 +125,7 @@ def _sweep(ws, v, runs, floor):
     sq = 0.0
     for lo, hi in runs:
         g = ws[lo:hi] @ v
-        ng = _row_norms(g)
+        ng = np.linalg.norm(g, axis=1, keepdims=True)
         old = v[lo:hi]  # a view: assigning through it updates v
         new = np.divide(g, ng, out=old.copy(), where=ng >= floor)
         sq = max(sq, float(((new - old) ** 2).sum(axis=1).max()))
@@ -194,7 +190,7 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         v = fv
         if len(history) > 1:
             mixed = _anderson(history).reshape(m, rank)
-            mixed /= _row_norms(mixed)
+            mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
             y = mixed.copy()
             _sweep(ws, y, runs, floor)
             if _value(ws, y) >= _value(ws, fv):
@@ -263,15 +259,6 @@ def certify(w, lam):
     )
 
 
-def relative_gap(gap, w):
-    """gap / max(1, max|W|), the scale the solver and certify are accurate to.
-
-    W may be the objective or the coefficient matrix: both have the same
-    largest entry.
-    """
-    return gap / max(1.0, float(np.abs(w).max()))
-
-
 def _single_run(w, rank, seed, max_iter, tol):
     try:
         primal = solve_primal(w, rank, seed=seed, max_iter=max_iter, tol=tol)
@@ -285,9 +272,10 @@ def solve(ineq, opts=None, classical=True):
     """Full pipeline: objective, primal ascent, dual extraction, certification.
 
     The rank defaults to min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the
-    first run converged but its relative_gap exceeds RESTART_GAP (a stuck
-    rank-deficient saddle), one restart with seed+1 and rank+2 is attempted
-    and both runs are reported; the report carries the better run.  When the
+    first run converged but its gap over max(1, max|W|) exceeds RESTART_GAP
+    (a stuck rank-deficient saddle), one restart with seed+1 and rank+2 is
+    attempted and both runs are reported; the report carries the better
+    run, and its gap also over max(1, max|W|) as relative_gap.  When the
     classical witness scores above that run's primal value (a slow run can
     stop just short of a classical optimum), the witness, as the feasible
     point x_s, y_t = +-e_1, becomes the reported primal; the run's iteration
@@ -299,8 +287,8 @@ def solve(ineq, opts=None, classical=True):
     rank = opts.rank if opts.rank is not None else min(m, math.isqrt(2 * m - 1) + 2)
     primal, dual = _single_run(w, rank, opts.seed, opts.max_iter, opts.tol)
     runs = [_run_summary(opts.seed, rank, primal, dual)]
-    gap = relative_gap(dual.certified_bound - primal.value, w)
-    if primal.converged and gap > RESTART_GAP:
+    scale = max(1.0, float(np.abs(w).max()))
+    if primal.converged and (dual.certified_bound - primal.value) / scale > RESTART_GAP:
         primal2, dual2 = _single_run(w, rank + 2, opts.seed + 1, opts.max_iter, opts.tol)
         runs.append(_run_summary(opts.seed + 1, rank + 2, primal2, dual2))
         if dual2.certified_bound - primal2.value < dual.certified_bound - primal.value:
@@ -314,11 +302,13 @@ def solve(ineq, opts=None, classical=True):
         witness = _finish(w, v, primal.iterations, primal.residual, primal.converged)
         if witness.value > primal.value:
             primal = witness
+    gap = dual.certified_bound - primal.value
     return BoundReport(
         name=ineq.name,
         primal=primal,
         dual=dual,
-        gap=dual.certified_bound - primal.value,
+        gap=gap,
+        relative_gap=gap / scale,
         classical_bound=classical_bound,
         runs=runs,
     )

@@ -21,6 +21,11 @@ The Kronecker-product generators are the Clifford generators as first
 written, one np.kron chain per generator; the library builds them by index
 arithmetic and must give equal arrays.
 
+The eager parser is the command line's argument parser as first written,
+with every subcommand's arguments added up front; the library adds a
+subcommand's arguments when it first parses, and must parse, print help and
+fail the same.
+
 The rank-2 oracle maximizes the correlation expression over unit vectors
 confined to a plane: Alice's first vector is pinned at angle 0 (global
 rotations cancel), the remaining Alice angles are scanned on a grid, and
@@ -30,7 +35,11 @@ sharpens the best grid point.  Nothing here touches the coordinate-ascent
 solver.
 """
 
+import argparse
+
 import numpy as np
+
+from tsirelson import sdp
 
 
 def bob_best_value(c, alice):
@@ -215,3 +224,42 @@ def kron_clifford_generators(n):
             mat = np.kron(mat, f)
         gens.append(mat)
     return gens
+
+
+def eager_parser():
+    parser = argparse.ArgumentParser(
+        prog="tsirelson",
+        description="Quantum and classical bounds for two-party correlation "
+        "Bell inequalities.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, solver=True, formats=("text", "json")):
+        p.add_argument(
+            "--inequality",
+            choices=["chained", "chsh", "gisin", "file"],
+            default="chained",
+        )
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--file", dest="file_path")
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--output", dest="output_path")
+        if solver:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--rank", type=int, default=None)
+            p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
+            p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
+
+    add_common(sub.add_parser("bound", help="primal + certified dual bound"))
+    p_cert = sub.add_parser("certify", help="certify a lambda vector from file")
+    add_common(p_cert, solver=False)
+    p_cert.add_argument("--lambda-file", dest="lambda_file", required=True)
+    add_common(sub.add_parser("classical", help="exact LHV bound with witnesses"),
+               solver=False)
+    add_common(sub.add_parser("realize", help="observables achieving the bound"))
+    add_common(sub.add_parser("spectrum", help="closed-form chained spectrum"),
+               solver=False)
+    p_table = sub.add_parser("table", help="bound table over a range of n")
+    add_common(p_table, formats=("text", "json", "csv"))
+    p_table.add_argument("--n-range", dest="n_range", default="2..8")
+    return parser

@@ -11,6 +11,8 @@ import tsirelson
 from tsirelson import chained, realization, sdp
 from tsirelson.cli import build_parser, canonical_json, main
 
+from oracles import eager_parser
+
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
@@ -300,14 +302,6 @@ def test_bound_scaled_coefficients(tmp_path, capsys, scale):
     assert doc["gap"] / scale <= sdp.OPTIMAL_GAP
 
 
-def test_relative_gap_of_unit_families():
-    # max|c| = 1: every threshold still reads the gap itself
-    for ineq in (chained(2), chained(7), tsirelson.gisin(6)):
-        assert sdp.relative_gap(1.2345e-5, ineq.coefficients) == 1.2345e-5
-    assert sdp.relative_gap(1.0, 0.5 * chained(3).coefficients) == 1.0
-    assert sdp.relative_gap(6.0, -3.0 * chained(3).coefficients) == 2.0
-
-
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -423,43 +417,38 @@ def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
     assert run_cli(capsys, "classical", "--inequality", "chsh")[0] == 0
 
 
-def test_parser_is_built_once():
-    assert build_parser() is build_parser()
+def _parse(parser, argv, capsys):
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
 
 
-def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
-    lam_path = tmp_path / "lam.json"
-    lam_path.write_text("[0.75, 0.75, 0.75, 0.75]")
-    monkeypatch.delenv("TSIRELSON_SEED", raising=False)
-    calls = [
-        ({}, ["bound", "--seed", "5", "--format", "json"]),
-        ({"TSIRELSON_SEED": "17"}, ["bound", "--format", "json"]),
-        ({}, ["bound", "--n", "two"]),
-        ({}, ["--help"]),
-        ({}, ["certify", "--inequality", "chsh", "--lambda-file", str(lam_path)]),
-        ({}, ["bound", "--seed", "5", "--format", "json"]),
-    ]
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["nope"], ["bound", "--seed", "5", "--format", "json"],
+     ["certify"], ["certify", "--lambda-file", "lam.json", "--inequality", "chsh"],
+     ["table", "--n-range", "2..4", "--format", "csv"], ["spectrum", "--output", "o"],
+     ["classical", "--format", "csv"], ["realize", "--rank", "3", "--tol", "1e-9"]]
+    + [[cmd, *args] for cmd in ("bound", "certify", "classical", "realize", "spectrum",
+                                "table") for args in (["--help"], ["--n", "two"], ["-x"])],
+)
+def test_parser_matches_eager_parser(capsys, argv):
+    # namespaces, help, usage and errors as with every argument added up front
+    assert _parse(build_parser(), argv, capsys) == _parse(eager_parser(), argv, capsys)
 
-    def run(env, argv, fresh):
-        with monkeypatch.context() as mp:
-            for key, value in env.items():
-                mp.setenv(key, value)
-            if fresh:
-                build_parser.cache_clear()
-            return run_cli(capsys, *argv)
 
+def test_parser_parses_more_than_once():
+    # a subcommand adds its arguments on its first parse only
     parser = build_parser()
-    reused = [run(env, argv, fresh=False) for env, argv in calls]
-    assert build_parser() is parser
-    fresh = [run(env, argv, fresh=True) for env, argv in calls]
-    assert reused == fresh
-    assert [status for status, _, _ in reused] == [0, 0, 1, 0, 0, 0]
-    assert json.loads(reused[1][1])["config"]["seed"] == 17
-    assert reused[0] == reused[-1]
+    first = parser.parse_args(["table", "--n", "3"])
+    assert parser.parse_args(["table", "--n", "3"]) == first
 
 
 def test_library_import_skips_cli():
-    # the parser and its cache are a cost of the command line only
+    # the argument parser is a cost of the command line only
     src = str(Path(tsirelson.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (

@@ -372,3 +372,15 @@ def test_huge_coefficients_do_not_overflow():
     assert report.primal.value == pytest.approx(1e300, rel=1e-12)
     assert report.dual.certified_bound == pytest.approx(1e300, rel=1e-12)
     assert report.classical_bound == pytest.approx(1e300, rel=1e-12)
+
+
+def test_relative_gap_is_over_max_coefficient():
+    # max|c| <= 1 leaves the gap as it is; above, the gap is over max|c|
+    for ineq in (chained(2), chained(7), gisin(6)):
+        report = solve(ineq)
+        assert report.relative_gap == report.gap
+        assert report.certified_optimal is (report.gap <= sdp.OPTIMAL_GAP) is True
+    half = solve(new_inequality("half", 0.5 * chained(3).coefficients))
+    assert half.relative_gap == half.gap
+    report = solve(new_inequality("neg", -3.0 * chained(3).coefficients))
+    assert report.relative_gap == report.gap / 3.0
