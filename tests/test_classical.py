@@ -1,15 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tsirelson import chained, chsh, gisin, lhv_bound, new_inequality, solve
 from tsirelson.errors import NonFiniteEntry, TooLarge
 
-from oracles import first_max_lhv
+from oracles import chunked_enumeration, first_max_lhv
 
 
-def _assert_matches_reference(c):
+def _assert_matches_reference(c, reference=first_max_lhv):
     bound = lhv_bound(new_inequality("c", c))
-    val, x, y = first_max_lhv(c)
+    val, x, y = reference(c)
     assert bound.value == val
     np.testing.assert_array_equal(bound.witness_x, x)
     np.testing.assert_array_equal(bound.witness_y, y)
@@ -111,6 +113,60 @@ def test_matches_first_max_enumeration():
     # the reference overflows to inf where lhv_bound refuses to report
     with np.errstate(over="ignore"):
         assert first_max_lhv([[1e308, 1e308], [1.0, -1.0]])[0] == np.inf
+
+
+@pytest.mark.parametrize("shape", [
+    (11, 11), (12, 12), (13, 13), (14, 14), (17, 17), (18, 18), (20, 20),
+    (13, 16), (16, 13), (17, 19), (19, 17), (2, 2000), (2000, 2), (8, 500), (500, 8),
+], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_matches_chunked_enumeration(shape):
+    # above a dozen settings the chunked half-scan stands in for the one-at-a-time loop
+    rng = np.random.default_rng(list(shape))
+    _assert_matches_reference(rng.integers(-3, 4, shape).astype(float), chunked_enumeration)
+    _assert_matches_reference(rng.integers(-1, 2, shape).astype(float), chunked_enumeration)
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_tied_families_match_chunked_enumeration(n):
+    _assert_matches_reference(gisin(n).coefficients, chunked_enumeration)
+    _assert_matches_reference(chained(n).coefficients, chunked_enumeration)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (14, 14), (16, 16), (17, 17), (13, 16), (19, 17)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_gaussian_coefficients_match_chunked_enumeration(shape):
+    # sums are taken in another order, so agreement is to a few ulp, not exact
+    c = np.random.default_rng([7, *shape]).standard_normal(shape)
+    bound = lhv_bound(new_inequality("gauss", c))
+    tol = 4 * np.spacing(np.abs(c).sum())
+    assert abs(bound.value - chunked_enumeration(c)[0]) <= tol
+    assert abs(float(bound.witness_x @ c @ bound.witness_y) - bound.value) <= tol
+
+
+def test_overflow_in_high_bits_or_later_block():
+    # 16 x 16: rows 13-15 are only in the high sums, and x_15 = +1 always
+    high = np.ones((16, 16))
+    high[13:, 4] = 1e308
+    # 17 x 17: the two huge entries cancel until x_15 = -1, in the second block
+    later = np.ones((17, 17))
+    later[15, 4], later[16, 4] = -1e308, 1e308
+    for c in (high, later, high.T, later.T):
+        assert not np.isfinite(chunked_enumeration(c)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEntry):
+                lhv_bound(new_inequality("overflow", c))
+
+
+def test_huge_finite_bound_is_reported():
+    # integers times 2^1010 keep every sum exact, with sum |c| below 2^1020
+    rng = np.random.default_rng(37)
+    for shape in [(16, 16), (17, 17), (13, 18), (18, 13)]:
+        c = rng.integers(-3, 4, shape) * 2.0**1010
+        bound = lhv_bound(new_inequality("huge", c))
+        assert np.isfinite(bound.value) and bound.value > 2.0**1015
+        assert float(bound.witness_x @ c @ bound.witness_y) == bound.value
+        _assert_matches_reference(c, chunked_enumeration)
 
 
 def test_witnesses_are_float_signs():
