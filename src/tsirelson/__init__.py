@@ -19,7 +19,7 @@ from .inequality import (
     new_inequality,
     objective_value,
 )
-from .linalg import gram_from_vectors, min_eigenvalue, sym_eigen, vectors_from_gram
+from .linalg import gram_from_vectors, min_eigenvalue, vectors_from_gram
 from .realization import (
     QuantumRealization,
     clifford_generators,
@@ -69,6 +69,5 @@ __all__ = [
     "realize",
     "solve",
     "solve_primal",
-    "sym_eigen",
     "vectors_from_gram",
 ]

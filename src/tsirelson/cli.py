@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import analytic, inequality as ineq_mod, realization, sdp
+from . import analytic, inequality as ineq_mod, linalg, realization, sdp
 from .classical import lhv_bound
 from .errors import TsirelsonError
 
@@ -39,26 +39,12 @@ def _fmt_float(x):
 
 
 def canonical_json(obj):
-    """JSON with sorted keys and 17-significant-digit floats.
+    """JSON with sorted keys, no spaces and shortest round-trip floats.
 
     Parsing the output and re-serializing it reproduces the same bytes.
+    Raises ValueError on a NaN or infinite float, which JSON cannot hold.
     """
-    if isinstance(obj, dict):
-        items = ",".join(
-            f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in sorted(obj.items())
-        )
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    return json.dumps(str(obj))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _render_text(obj, indent=0):
@@ -347,18 +333,10 @@ def _cmd_classical(args):
 
 def _cmd_realize(args):
     ineq = _load_inequality(args)
-    if args.inequality == "chained":
-        xs, ys = analytic.chained_primal_vectors(args.n)
-        # the optimal vectors live in a 2-plane: realize on a single EPR pair
-        xs, ys = xs[:, :2], ys[:, :2]
-        certified = analytic.chained_quantum_bound(args.n)
-    else:
-        report = sdp.solve(ineq, _solve_options(args), classical=False)
-        na = ineq.n_alice
-        v = report.primal.vectors
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
-        xs, ys = v[:na], v[na:]
-        certified = report.dual.certified_bound
+    report = sdp.solve(ineq, _solve_options(args), classical=False)
+    v = np.stack(linalg.vectors_from_gram(report.primal.gram))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    xs, ys = v[: ineq.n_alice], v[ineq.n_alice :]
     real = realization.realize(xs, ys)
     table = realization.correlation_table(real)
     out = {
@@ -366,7 +344,7 @@ def _cmd_realize(args):
         "inequality": ineq.name,
         "dimension": real.dim,
         "achieved_value": float(np.sum(ineq.coefficients * table)),
-        "certified_bound": certified,
+        "certified_bound": report.dual.certified_bound,
         "max_correlation_error": float(np.abs(table - xs @ ys.T).max()),
     }
     return out, EXIT_OK
@@ -446,7 +424,11 @@ def _emit(payload, args):
     if isinstance(payload, str):
         text = payload
     elif args.format == "json":
-        text = canonical_json(payload) + "\n"
+        try:
+            text = canonical_json(payload) + "\n"
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
     else:
         text = "\n".join(_render_text(payload)) + "\n"
     if args.output_path:

@@ -25,12 +25,6 @@ class NotPSD(TsirelsonError):
     pass
 
 
-class NoConvergence(TsirelsonError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class InvalidRank(TsirelsonError):
     pass
 

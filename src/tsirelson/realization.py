@@ -123,14 +123,6 @@ def correlation(x, y, psi):
     return float(val.real)
 
 
-def correlation_trace(x, y):
-    """Tr(X Y^T)/d, valid on the canonical maximally entangled state."""
-    d = x.shape[0]
-    if y.shape != (d, d):
-        raise DimensionMismatch("observable dimensions disagree")
-    return float(np.trace(x @ y.T).real / d)
-
-
 def correlation_table(realization):
     """n_A x n_B matrix of <Psi| X_s (x) Y_t |Psi> over all setting pairs."""
     d, psi = realization.dim, realization.psi

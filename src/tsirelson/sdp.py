@@ -272,9 +272,10 @@ def solve(ineq, opts=None, classical=True):
     """Full pipeline: objective, primal ascent, dual extraction, certification.
 
     The rank defaults to min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the
-    first run converged but its gap over max(1, max|W|) exceeds RESTART_GAP
-    (a stuck rank-deficient saddle), one restart with seed+1 and rank+2 is
-    attempted and both runs are reported; the report carries the better
+    first run's gap over max(1, max|W|) exceeds RESTART_GAP, whether it
+    converged or hit max_iter (both happen at a stuck rank-deficient saddle),
+    one restart with seed+1 and rank+2 is attempted and both runs are
+    reported; the report carries the better
     run, and its gap also over max(1, max|W|) as relative_gap.  When the
     classical witness scores above that run's primal value (a slow run can
     stop just short of a classical optimum), the witness, as the feasible
@@ -288,7 +289,7 @@ def solve(ineq, opts=None, classical=True):
     primal, dual = _single_run(w, rank, opts.seed, opts.max_iter, opts.tol)
     runs = [_run_summary(opts.seed, rank, primal, dual)]
     scale = max(1.0, float(np.abs(w).max()))
-    if primal.converged and (dual.certified_bound - primal.value) / scale > RESTART_GAP:
+    if (dual.certified_bound - primal.value) / scale > RESTART_GAP:
         primal2, dual2 = _single_run(w, rank + 2, opts.seed + 1, opts.max_iter, opts.tol)
         runs.append(_run_summary(opts.seed + 1, rank + 2, primal2, dual2))
         if dual2.certified_bound - primal2.value < dual.certified_bound - primal.value:

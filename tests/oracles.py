@@ -30,6 +30,14 @@ with every subcommand's arguments added up front; the library adds a
 subcommand's arguments when it first parses, and must parse, print help and
 fail the same.
 
+The cyclic Jacobi eigensolver is a symmetric eigensolver that shares no
+code with LAPACK: the spectrum checks against the closed-form results, and
+the tests of min_eigenvalue, compare the library against it.
+
+The trace correlation is Tr(X Y^T)/d, the correlation on the canonical
+maximally entangled state written without the state; the library contracts
+the state itself and must agree with it.
+
 The rank-2 oracle maximizes the correlation expression over unit vectors
 confined to a plane: Alice's first vector is pinned at angle 0 (global
 rotations cancel), the remaining Alice angles are scanned on a grid, and
@@ -40,10 +48,16 @@ solver.
 """
 
 import argparse
+from dataclasses import dataclass
 
 import numpy as np
 
 from tsirelson import sdp
+from tsirelson.errors import DimensionMismatch
+from tsirelson.linalg import symmetrize
+
+OFFDIAG_TOL = 1e-13
+MAX_SWEEPS = 100
 
 
 def bob_best_value(c, alice):
@@ -294,3 +308,89 @@ def eager_parser():
     add_common(p_table, formats=("text", "json", "csv"))
     p_table.add_argument("--n-range", dest="n_range", default="2..8")
     return parser
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    eigenvalues: np.ndarray  # sorted ascending
+    eigenvectors: np.ndarray  # orthonormal columns, column k pairs with eigenvalue k
+
+
+def _offdiag_norm(a):
+    off = a - np.diag(np.diag(a))
+    return float(np.linalg.norm(off))
+
+
+def sym_eigen(s):
+    """Full spectral decomposition of a symmetric matrix by cyclic Jacobi sweeps.
+
+    Sweeps rotate away every off-diagonal pair in row order until the
+    off-diagonal Frobenius norm drops below 1e-13 * ||S||_F, or raises
+    RuntimeError after 100 sweeps.
+    """
+    a = symmetrize(s)
+    n = a.shape[0]
+    q = np.eye(n)
+    norm_s = np.linalg.norm(a)
+    if n == 1 or norm_s == 0.0:
+        return _sorted_spectrum(np.diag(a).copy(), q)
+    threshold = OFFDIAG_TOL * norm_s
+    for _ in range(MAX_SWEEPS):
+        if _offdiag_norm(a) <= threshold:
+            break
+        for p in range(n - 1):
+            for r in range(p + 1, n):
+                apq = a[p, r]
+                if abs(apq) <= 1e-300:
+                    continue
+                diff = a[r, r] - a[p, p]
+                if abs(apq) < abs(diff) * 1e-36:
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                sn = t * c
+                # rotate rows/columns p and r
+                row_p = a[p, :].copy()
+                row_r = a[r, :].copy()
+                a[p, :] = c * row_p - sn * row_r
+                a[r, :] = sn * row_p + c * row_r
+                col_p = a[:, p].copy()
+                col_r = a[:, r].copy()
+                a[:, p] = c * col_p - sn * col_r
+                a[:, r] = sn * col_p + c * col_r
+                qp = q[:, p].copy()
+                qr = q[:, r].copy()
+                q[:, p] = c * qp - sn * qr
+                q[:, r] = sn * qp + c * qr
+    else:
+        resid = _offdiag_norm(a)
+        if resid > threshold:
+            raise RuntimeError(
+                f"Jacobi sweep cap reached, off-diagonal residual {resid:.3e}"
+            )
+    return _sorted_spectrum(np.diag(a).copy(), q)
+
+
+def _sorted_spectrum(vals, vecs):
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order]
+    # deterministic sign: first component of magnitude > 1e-12 made positive
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            vecs[:, k] = -col
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+
+
+def correlation_trace(x, y):
+    """Tr(X Y^T)/d, valid on the canonical maximally entangled state."""
+    d = x.shape[0]
+    if y.shape != (d, d):
+        raise DimensionMismatch("observable dimensions disagree")
+    return float(np.trace(x @ y.T).real / d)

@@ -16,10 +16,10 @@ from tsirelson import (
     solve,
 )
 from tsirelson.analytic import chained_primal_vectors, chained_quantum_bound
-from tsirelson.linalg import min_eigenvalue, sym_eigen
+from tsirelson.linalg import min_eigenvalue
 from tsirelson.realization import correlation, inequality_value, realize
 
-from oracles import rank2_max
+from oracles import rank2_max, sym_eigen
 
 
 def _report(name, ok, detail=""):

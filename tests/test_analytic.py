@@ -11,8 +11,10 @@ from tsirelson.analytic import (
     chsh_known_solution,
 )
 from tsirelson.errors import InvalidSize
-from tsirelson.linalg import gram_from_vectors, min_eigenvalue, sym_eigen
+from tsirelson.linalg import gram_from_vectors, min_eigenvalue
 from tsirelson.sdp import certify
+
+from oracles import sym_eigen
 
 
 def test_quantum_bound_values():

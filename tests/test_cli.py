@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tsirelson
-from tsirelson import chained, realization, sdp
+from tsirelson import chained, cli, realization, sdp
 from tsirelson.cli import build_parser, canonical_json, main
 
 from oracles import eager_parser
@@ -153,16 +153,30 @@ def test_realize_command(capsys, monkeypatch):
     assert doc["max_correlation_error"] <= 1e-10
 
 
-@pytest.mark.parametrize("n, dim", [(2, 4), (6, 8), (11, 16)])
-def test_realize_solved_family(capsys, n, dim):
+@pytest.mark.parametrize("n", [2, 6, 11, 91])
+def test_realize_solved_family(capsys, n):
+    # the optimal Gram matrix has rank 2: one EPR pair, also past
+    # m = 180 settings, where the solver's rank exceeds 20 generators
     status, out, _ = run_cli(
         capsys, "realize", "--inequality", "gisin", "--n", str(n), "--format", "json"
     )
     assert status == 0
     doc = json.loads(out)
-    assert doc["dimension"] == dim
+    assert doc["dimension"] == 2
     assert doc["achieved_value"] == pytest.approx(doc["certified_bound"], abs=1e-6)
     assert doc["max_correlation_error"] <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_realize_chained_certified(capsys, n):
+    status, out, _ = run_cli(
+        capsys, "realize", "--inequality", "chained", "--n", str(n), "--format", "json"
+    )
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["certified_bound"] == pytest.approx(2 * n * np.cos(np.pi / (2 * n)),
+                                                   abs=1e-6)
+    assert doc["achieved_value"] == pytest.approx(doc["certified_bound"], abs=1e-6)
 
 
 def test_file_inequality(tmp_path, capsys):
@@ -300,6 +314,35 @@ def test_bound_scaled_coefficients(tmp_path, capsys, scale):
     assert len(doc["runs"]) == 1
     assert doc["certified_optimal"] is True
     assert doc["gap"] / scale <= sdp.OPTIMAL_GAP
+
+
+def test_bound_restarts_unconverged_run(tmp_path, capsys):
+    # the first run stalls at a saddle for all 200 iterations; it used to
+    # exit 2 because only converged runs were restarted
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps({"name": "rand-6", "coefficients": [
+        [-1, -3, 2, 2, -1, 2], [-1, 2, -2, -2, -1, 0], [-1, -3, 0, 2, 2, 2],
+        [-3, 2, 2, -1, 3, 1], [1, -1, 0, -2, 3, -1], [-1, 2, 2, -1, -3, -1]]}))
+    status, out, _ = run_cli(
+        capsys, "bound", "--inequality", "file", "--file", str(path),
+        "--max-iter", "200", "--format", "json",
+    )
+    assert status == 0
+    doc = json.loads(out)
+    assert [run["converged"] for run in doc["runs"]] == [False, True]
+    assert doc["certified_optimal"] is True
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_report_is_numerical_failure(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setitem(cli._COMMANDS, "classical", lambda args: ({"value": value}, 0))
+    status, out, err = run_cli(capsys, "classical", "--format", "json")
+    assert (status, out) == (2, "")
+    assert "error" in err
+    path = tmp_path / "out.json"
+    status = main(["classical", "--format", "json", "--output", str(path)])
+    assert status == 2
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

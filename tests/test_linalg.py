@@ -7,10 +7,11 @@ from tsirelson.errors import LengthMismatch, NonFiniteEntry, NotPSD
 from tsirelson.linalg import (
     gram_from_vectors,
     min_eigenvalue,
-    sym_eigen,
     symmetrize,
     vectors_from_gram,
 )
+
+from oracles import sym_eigen
 
 
 def test_sym_eigen_identity():
@@ -161,6 +162,15 @@ def test_vectors_from_gram_clips_tiny_negative():
     np.testing.assert_allclose(gram_from_vectors(vs), np.diag([1.0, 0.0]), atol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_vectors_from_gram_rejects_non_finite(bad):
+    # LAPACK returns a NaN eigenvalue, which no comparison with tol would catch
+    g = np.eye(3)
+    g[1, 1] = bad
+    with pytest.raises(NonFiniteEntry):
+        vectors_from_gram(g)
+
+
 def test_gram_roundtrip_random():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -170,3 +180,16 @@ def test_gram_roundtrip_random():
         g = gram_from_vectors(list(vecs))
         back = vectors_from_gram(g)
         np.testing.assert_allclose(gram_from_vectors(back), g, atol=1e-8)
+
+
+def test_vectors_from_gram_compresses_to_numerical_rank():
+    # the chained optimum spans a plane: rotated into R^30, it factors in R^2
+    xs, ys = chained_primal_vectors(100)
+    v = np.zeros((200, 30))
+    v[:, :2] = np.concatenate([xs, ys])[:, :2]
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((30, 30)))
+    g = gram_from_vectors(list(v @ q))
+    back = vectors_from_gram(g)
+    assert len(back) == 200
+    assert {b.shape for b in back} == {(2,)}
+    assert np.abs(gram_from_vectors(back) - g).max() <= 1e-12

@@ -14,13 +14,12 @@ from tsirelson.realization import (
     clifford_generators,
     correlation,
     correlation_table,
-    correlation_trace,
     inequality_value,
     maximally_entangled_state,
     realize,
 )
 
-from oracles import kron_clifford_generators
+from oracles import correlation_trace, kron_clifford_generators
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
