@@ -40,34 +40,55 @@ def clifford_generators(n):
     Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y,
     over m = ceil(N/2) qubit factors.
     """
-    return list(_generator_stack(n))
+    rows, terms = _pauli_terms(n)
+    gens = np.zeros((n, len(rows), len(rows)), dtype=complex)
+    for j, (cols, x_sign, y_sign) in enumerate(terms):
+        gens[2 * j].real[rows, cols] = x_sign
+        if 2 * j + 1 < n:
+            gens[2 * j + 1].imag[rows, cols] = y_sign
+    return list(gens)
 
 
-def _generator_stack(n):
-    """clifford_generators(n) as one (N, d, d) array, built by index arithmetic.
+def _pauli_terms(n):
+    """The one nonzero per row of each generator, by index arithmetic.
 
     Each generator is a Pauli string, so it has one nonzero per row.  Counting
     from 0, generators 2j (X) and 2j+1 (Y) have it in row i at column i XOR b,
     b the bit of qubit j.  Its value is (-1)^(parity of i's bits on qubits
     0..j-1, the Z factors), times 1 for X, or times -i or +i for Y as i's bit
-    on qubit j is 0 or 1.
+    on qubit j is 0 or 1.  Returns the rows 0..d-1 and, per qubit j, the
+    columns and the real sign of X and imaginary sign of Y in each row.
     """
     if n < 1 or n > MAX_GENERATORS:
         raise TooLarge(f"need 1 <= N <= {MAX_GENERATORS}, got {n}")
     qubits = (n + 1) // 2
-    d = 1 << qubits
-    rows = np.arange(d)
-    stack = np.zeros((n, d, d), dtype=complex)
-    sign = np.ones(d)  # (-1)^(parity of the bits on qubits 0..j-1)
+    rows = np.arange(1 << qubits)
+    terms = []
+    sign = np.ones(len(rows))  # (-1)^(parity of the bits on qubits 0..j-1)
     for j in range(qubits):
         b = 1 << (qubits - 1 - j)  # qubit 0 is the most significant bit
         bit = (rows & b) != 0
-        cols = rows ^ b
-        stack[2 * j].real[rows, cols] = sign
-        if 2 * j + 1 < n:
-            stack[2 * j + 1].imag[rows, cols] = np.where(bit, sign, -sign)
+        terms.append((rows ^ b, sign, np.where(bit, sign, -sign)))
         sign = np.where(bit, -sign, sign)
-    return stack
+    return rows, terms
+
+
+def _observables(coeffs, n):
+    """sum_k coeffs[s, k] C_k for each row s, as one (len(coeffs), d, d) array.
+
+    Different qubits fill different columns of a row, so each entry of the sum
+    is one term, the real part from an X generator and the imaginary part from
+    a Y: it is written in place, and the generators are never formed.
+    """
+    rows, terms = _pauli_terms(n)
+    d = len(rows)
+    out = np.zeros((len(coeffs), d * d), dtype=complex)
+    for j, (cols, x_sign, y_sign) in enumerate(terms):
+        at = rows * d + cols
+        out.real[:, at] = coeffs[:, 2 * j, None] * x_sign
+        if 2 * j + 1 < n:
+            out.imag[:, at] = coeffs[:, 2 * j + 1, None] * y_sign
+    return out.reshape(-1, d, d)
 
 
 def maximally_entangled_state(d):
@@ -93,18 +114,15 @@ def realize(xs, ys):
     for v in xs + ys:
         if abs(np.linalg.norm(v) - 1.0) > 1e-10:
             raise NotUnitVector(f"vector norm {np.linalg.norm(v):.12f} is not 1")
-    gens = _generator_stack(n)
-    d = gens.shape[1]
-    # exact: each entry of sum_k v[k] C_k has at most one real and one imaginary term
-    obs_x = np.tensordot(np.reshape(xs, (-1, n)), gens, axes=1)
     # C_k is symmetric for X (even k) and antisymmetric for Y (odd k), so
     # Bob's transposed sum is the sum with his Y coefficients negated
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    obs_y = np.tensordot(np.reshape(ys, (-1, n)) * sign, gens, axes=1)
+    obs = _observables(np.vstack([np.reshape(xs, (-1, n)), np.reshape(ys, (-1, n)) * sign]), n)
+    d = obs.shape[1]
     return QuantumRealization(
         dim=d,
-        observables_x=list(obs_x),
-        observables_y=list(obs_y),
+        observables_x=list(obs[: len(xs)]),
+        observables_y=list(obs[len(xs) :]),
         psi=maximally_entangled_state(d),
     )
 

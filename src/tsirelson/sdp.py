@@ -9,9 +9,12 @@ decreases.  Consecutive vectors that W does not couple are updated together
 in one matrix product; for a Bell objective, whose Alice-Alice and Bob-Bob
 blocks are zero, a sweep is two products, and the iterate is the same as
 updating one vector at a time.  The sweep is Anderson-accelerated (Walker &
-Ni, 2011), with a mixed step kept only if it does not lower the objective,
-and the ascent stops as soon as the certificate below proves its iterate
-within a small gap of optimal.  The nonconvexity of the factorization is
+Ni, 2011): the mixing weights solve the k x k normal equations of the last
+few residual differences, a singular system is a rejected mix, and a mixed
+step is kept only if it does not lower the objective.  The ascent stops as
+soon as the certificate below would prove its iterate within a small gap of
+optimal, decided inside the loop by one Cholesky factorization instead of
+an eigensolver.  The nonconvexity of the factorization is
 repaired afterwards: any multiplier vector lambda whose diag(lambda) - W/2
 is PSD gives a rigorous upper bound Tr(diag(lambda)) by weak duality, and an
 infeasible lambda can always be shifted onto the PSD cone at a quantified
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import inequality as ineq_mod
 from .classical import lhv_bound
-from .errors import InvalidRank, MaxIterReached, NonFiniteEntry
+from .errors import InvalidRank, LengthMismatch, MaxIterReached, NonFiniteEntry
 from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
@@ -138,17 +141,46 @@ def _value(ws, v):
 
 
 def _anderson(history):
-    """Type-II Anderson mix of the points x_i and their sweeps F(x_i).
+    """Type-II Anderson mix of the points x_i and their sweeps F(x_i), or None.
 
     Each history entry is the flattened pair (f_i, F(x_i)), a 2 x (m*r)
-    array with f_i = F(x_i) - x_i the residual.  Finds gamma minimizing
-    ||f_k - dF gamma|| over the differences of consecutive residuals and
-    returns F(x_k) - dG gamma, dG the differences of the F(x_i), flattened.
+    array with f_i = F(x_i) - x_i the residual.  With dF the k <= _DEPTH - 1
+    rows of consecutive residual differences, gamma minimizes
+    ||f_k - dF^T gamma|| through the k x k normal equations
+    (dF dF^T) gamma = dF f_k, and the mix is F(x_k) - dG^T gamma, dG the
+    differences of the F(x_i), flattened.  Returns None, a rejected mix,
+    when the normal equations are singular or gamma is not finite.
     """
     h = np.stack(history)
     f, fx = h[:, 0], h[:, 1]
-    gamma = np.linalg.lstsq((f[1:] - f[:-1]).T, f[-1], rcond=None)[0]
+    df = f[1:] - f[:-1]
+    try:
+        gamma = np.linalg.solve(df @ df.T, df @ f[-1])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(gamma)):
+        return None
     return fx[-1] - gamma.dot(fx[1:] - fx[:-1])
+
+
+def _gap_proven(ws, v):
+    """True iff certify(ws, extract_dual(ws, v)) proves v within _GAP_TARGET of optimal.
+
+    With lambda = extract_dual(ws, v) and t = (_GAP_TARGET - (sum(lambda) -
+    value)) / m, certify's bound minus the value is at most _GAP_TARGET
+    exactly when t >= 0 and diag(lambda + t) - ws/2 is PSD.  A Cholesky
+    factorization decides that, up to the boundary where the matrix is
+    singular, without an eigensolver.
+    """
+    lam = extract_dual(ws, v)
+    t = (_GAP_TARGET - (float(np.sum(lam)) - _value(ws, v))) / ws.shape[0]
+    if t < 0:
+        return False
+    try:
+        np.linalg.cholesky(np.diag(lam + t) - ws / 2.0)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
@@ -156,15 +188,17 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
 
     The plain map F is one sweep (_sweep).  Each iteration applies it to the
     iterate v and appends the flattened pair (F(v) - v, F(v)) to the history
-    of the last _DEPTH points, which it then mixes by least squares
-    (_anderson); it renormalizes the rows of the mixed point and sweeps once
-    more.  The mixed point is kept, and joins the history, only if its value
-    is not below that of F(v), so values along the iterates never decrease;
-    otherwise F(v) is kept and the history cleared.  Stops when the largest
-    per-vector displacement of the plain sweep falls below tol, or when the
-    certified gap (certify on extract_dual) of the iterate is at most
-    _GAP_TARGET, checked after iterations 4, 8, 16, then every
-    _CHECK_EVERY.  Raises MaxIterReached (carrying the partial solution) if
+    of the last _DEPTH points, which it then mixes with weights from the
+    normal equations of the residual differences (_anderson); it
+    renormalizes the rows of the mixed point and sweeps once more.  The
+    mixed point is kept, and joins the history, only if its value is not
+    below that of F(v), so values along the iterates never decrease;
+    otherwise, or when the normal equations are singular, F(v) is kept and
+    the history cleared.  Stops when the largest per-vector displacement of
+    the plain sweep falls below tol, or when the certified gap (certify on
+    extract_dual) of the iterate is at most _GAP_TARGET, decided by a
+    Cholesky factorization (_gap_proven) after iterations 4, 8, 16, then
+    every _CHECK_EVERY.  Raises MaxIterReached (carrying the partial solution) if
     max_iter iterations, each of at most two sweeps, come first.  Everything
     runs on W scaled by a power of two, so a scaled W takes the same steps.
     """
@@ -189,19 +223,20 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         history.append(np.stack((fv - v, fv)).reshape(2, -1))
         v = fv
         if len(history) > 1:
-            mixed = _anderson(history).reshape(m, rank)
-            mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
-            y = mixed.copy()
-            _sweep(ws, y, runs, floor)
-            if _value(ws, y) >= _value(ws, fv):
+            mixed = _anderson(history)
+            if mixed is not None:
+                mixed = mixed.reshape(m, rank)
+                mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
+                y = mixed.copy()
+                _sweep(ws, y, runs, floor)
+            if mixed is not None and _value(ws, y) >= _value(ws, fv):
                 v = y
                 history.append(np.stack((y - mixed, y)).reshape(2, -1))
             else:
                 history.clear()
         if it == check:
             check += min(check, _CHECK_EVERY)
-            gap = certify(ws, extract_dual(ws, v)).certified_bound - _value(ws, v)
-            if gap <= _GAP_TARGET:
+            if _gap_proven(ws, v):
                 return _finish(w, v, it, residual, converged=True)
     partial = _finish(w, v, max_iter, residual, converged=False)
     raise MaxIterReached(
@@ -239,14 +274,17 @@ def certify(w, lam):
     mu = min_eig(diag(lam) - W/2); when mu < 0 every entry is shifted by -mu
     (adding c*I keeps the matrix moving toward the PSD cone and adds m*c to
     the trace), so the certified bound sum(lam) + m*max(0, -mu) holds no
-    matter where lam came from.  Raises NonFiniteEntry when lam has a NaN or
-    infinite entry, or when the bound overflows.
+    matter where lam came from.  Raises LengthMismatch unless lam has one
+    entry per row of W, and NonFiniteEntry when lam has a NaN or infinite
+    entry, or when the bound overflows.
     """
     w = np.asarray(w, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    m = w.shape[0]
+    if lam.shape != (m,):
+        raise LengthMismatch(f"lambda has shape {lam.shape}, expected ({m},)")
     if not np.all(np.isfinite(lam)):
         raise NonFiniteEntry("lambda contains a non-finite entry")
-    m = w.shape[0]
     mu = min_eigenvalue(np.diag(lam) - w / 2.0)
     shift = max(0.0, -mu)
     bound = float(np.sum(lam) + m * shift)

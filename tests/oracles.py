@@ -18,8 +18,10 @@ time, as first written; the library takes each row's last nonzero column in
 one vectorized step and must find the same runs.
 
 The stacked Anderson mix is the least-squares mix as first written, over 3-D
-stacks of the history; the library's flattened history must give the same
-array.
+stacks of the history.  The normal-equation mix solves the same least-squares
+problem through its k x k normal equations, over the same stacks; the
+library's flattened history must give its array byte for byte, and agree with
+the least-squares mix to rounding.
 
 The Kronecker-product generators are the Clifford generators as first
 written, one np.kron chain per generator; the library builds them by index
@@ -246,6 +248,23 @@ def stacked_anderson(history):
     f, fx = map(np.stack, zip(*history))
     f = f.reshape(len(history), -1)
     gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    return fx[-1] - np.tensordot(gamma, np.diff(fx, axis=0), axes=1)
+
+
+def normal_anderson(history):
+    """stacked_anderson with gamma from the normal equations (dF dF^T) gamma = dF f_k.
+
+    Returns None where those are singular or gamma is not finite.
+    """
+    f, fx = map(np.stack, zip(*history))
+    f = f.reshape(len(history), -1)
+    df = np.diff(f, axis=0)
+    try:
+        gamma = np.linalg.solve(df @ df.T, df @ f[-1])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(gamma)):
+        return None
     return fx[-1] - np.tensordot(gamma, np.diff(fx, axis=0), axes=1)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,39 @@ def test_observables_match_generator_sum(n):
         assert obs.tobytes() == sum(x[k] * gens[k] for k in range(n)).tobytes()
     for y, obs in zip(v[3:], real.observables_y):
         assert obs.tobytes() == sum(y[k] * gens[k] for k in range(n)).T.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_observables_with_zero_coefficients_match_generator_sum(n):
+    # exact zeros, of either sign, among the coefficients: equal values (a
+    # zero entry may carry the other sign than in the generator sum)
+    v = np.random.default_rng(n).standard_normal((4, n))
+    v[:, ::3] = 0.0
+    v[:, 1::3] = -0.0
+    v[:, 0] += 1.0
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    gens = kron_clifford_generators(n)
+    real = realize(v[:2], v[2:])
+    for x, obs in zip(v[:2], real.observables_x):
+        np.testing.assert_array_equal(obs, sum(x[k] * gens[k] for k in range(n)))
+    for y, obs in zip(v[2:], real.observables_y):
+        np.testing.assert_array_equal(obs, sum(y[k] * gens[k] for k in range(n)).T)
+
+
+def test_realize_allocates_only_its_output():
+    # two settings at N = 18 (d = 512): 8 MiB of observables and a 4 MiB
+    # state; the 72 MiB stack of generators is never formed
+    v = np.random.default_rng(18).standard_normal((2, 18))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        real = realize(v[:1], v[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real.dim == 512
+    out = sum(o.nbytes for o in real.observables_x + real.observables_y) + real.psi.nbytes
+    assert peak <= out + 2**20
 
 
 def test_observable_law_random_unit_vectors():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,9 +22,10 @@ from tsirelson.analytic import (
     chained_quantum_bound,
 )
 from tsirelson import sdp
-from tsirelson.errors import InvalidRank, MaxIterReached, NonFiniteEntry
+from tsirelson.errors import InvalidRank, LengthMismatch, MaxIterReached, NonFiniteEntry
 
 from oracles import (
+    normal_anderson,
     rank2_max,
     rowwise_sweeps,
     rowwise_uncoupled_runs,
@@ -151,8 +155,89 @@ def test_anderson_matches_stacked(monkeypatch, ineq):
     assert len(seen) >= 5 and max(len(h) for h, _ in seen) == sdp._DEPTH
     m = ineq.n_alice + ineq.n_bob
     for history, out in seen:
+        assert out is not None  # no singular system on these two
         pairs = [(f.reshape(m, -1), fx.reshape(m, -1)) for f, fx in history]
-        assert out.tobytes() == stacked_anderson(pairs).tobytes()
+        assert out.tobytes() == normal_anderson(pairs).tobytes()
+        # the same least-squares problem as the lstsq mix, solved another way
+        np.testing.assert_allclose(out, stacked_anderson(pairs).reshape(-1), rtol=0, atol=1e-12)
+
+
+def test_repeated_history_entry_is_rejected(monkeypatch):
+    # a history entry repeated makes the normal equations singular: the mix
+    # is rejected without a warning, and the plain sweep carries the ascent
+    w = build_objective(gisin(4))
+    v = sdp._initial_vectors(8, 4, 0)
+    fv = v.copy()
+    sdp._sweep(w, fv, sdp._uncoupled_runs(w), 1e-14)
+    entry = np.stack((fv - v, fv)).reshape(2, -1)
+    mix = sdp._anderson
+    outs = []
+
+    def repeat_last(history):
+        outs.append(mix(list(history) + [history[-1]]))
+        return outs[-1]
+
+    monkeypatch.setattr(sdp, "_anderson", repeat_last)
+    values = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mix([entry, entry]) is None
+        for k in range(1, 40):
+            try:
+                sol = solve_primal(w, rank=4, seed=5, max_iter=k)
+            except MaxIterReached as exc:
+                sol = exc.solution
+            values.append(sol.value)
+    assert outs and all(out is None for out in outs)
+    assert np.all(np.diff(values) >= -1e-12)
+
+
+def _gate_cases():
+    for n in (8, 16, 32):
+        yield build_objective(chained(n))
+    for n in (8, 16):
+        yield build_objective(gisin(n))
+    rng = np.random.default_rng(2024)
+    for k in range(10):
+        na, nb = rng.integers(2, 13, 2)
+        c = rng.standard_normal((na, nb)) if k % 3 == 0 else rng.integers(-3, 4, (na, nb))
+        yield build_objective(new_inequality(f"rand-{k}", c))
+
+
+def test_cholesky_gate_matches_certify(monkeypatch):
+    # every in-loop gap check decides as the eigenvalue certificate would, at
+    # the gap target and at targets just either side of the check's own gap;
+    # it factors only when the slack sum(lambda) - value is within the target
+    checks = []
+    gate = sdp._gap_proven
+
+    def record(ws, v):
+        checks.append((ws, v.copy(), gate(ws, v)))
+        return checks[-1][2]
+
+    monkeypatch.setattr(sdp, "_gap_proven", record)
+    for w in _gate_cases():
+        m = w.shape[0]
+        try:
+            solve_primal(w, rank=min(m, math.isqrt(2 * m - 1) + 2))
+        except MaxIterReached:
+            pass
+    assert len(checks) >= 30 and 0 < sum(stop for *_, stop in checks) < len(checks)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
+    default = sdp._GAP_TARGET
+    for ws, v, stop in checks:
+        lam = extract_dual(ws, v)
+        slack = float(np.sum(lam)) - sdp._value(ws, v)
+        gap = certify(ws, lam).certified_bound - sdp._value(ws, v)
+        assert stop == (gap <= default)
+        eps = max(1e-3 * gap, 1e-9)
+        for target in (default, gap - eps, gap + eps):
+            monkeypatch.setattr(sdp, "_GAP_TARGET", target)
+            factored.clear()
+            assert gate(ws, v) == (gap <= target)
+            assert bool(factored) == (target >= slack)
 
 
 def test_sweep_monotonicity():
@@ -235,6 +320,15 @@ def test_certify_rejects_non_finite_lambda(bad):
     w = build_objective(chained(2))
     with pytest.raises(NonFiniteEntry):
         certify(w, [bad, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("lam", [[0.1], np.full((4, 4), 0.1), [0.1, 0.1]],
+                         ids=["length-1", "4x4", "length-2"])
+def test_certify_rejects_wrong_shape(lam):
+    # a length-1 or 4x4 lambda used to broadcast against W into a "certificate"
+    w = build_objective(chained(2))
+    with pytest.raises(LengthMismatch):
+        certify(w, lam)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
