@@ -7,7 +7,6 @@ from .analytic import (
     chained_dual_lambda,
     chained_primal_vectors,
     chained_quantum_bound,
-    chsh_known_solution,
 )
 from .classical import ClassicalBound, lhv_bound
 from .inequality import (
@@ -17,12 +16,10 @@ from .inequality import (
     chsh,
     gisin,
     new_inequality,
-    objective_value,
 )
-from .linalg import gram_from_vectors, min_eigenvalue, vectors_from_gram
+from .linalg import min_eigenvalue, vectors_from_gram
 from .realization import (
     QuantumRealization,
-    clifford_generators,
     correlation,
     inequality_value,
     realize,
@@ -55,17 +52,13 @@ __all__ = [
     "chained_primal_vectors",
     "chained_quantum_bound",
     "chsh",
-    "chsh_known_solution",
-    "clifford_generators",
     "correlation",
     "extract_dual",
     "gisin",
-    "gram_from_vectors",
     "inequality_value",
     "lhv_bound",
     "min_eigenvalue",
     "new_inequality",
-    "objective_value",
     "realize",
     "solve",
     "solve_primal",

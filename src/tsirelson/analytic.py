@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import InvalidSize
 from .inequality import chained
-from .linalg import symmetrize
 
 
 def _check_n(n):
@@ -92,19 +91,3 @@ def chained_A_spectrum(n):
         sigmas=sigmas,
         w_max=2.0 * np.cos(np.pi / (2 * n)),
     )
-
-
-def chsh_known_solution():
-    """The textbook optimal CHSH pair: Gram matrix G' and multipliers 1/sqrt(2)."""
-    a = 1.0 / np.sqrt(2.0)
-    g = symmetrize(
-        [
-            [1.0, 0.0, a, a],
-            [0.0, 1.0, a, -a],
-            [a, a, 1.0, 0.0],
-            [a, -a, 0.0, 1.0],
-        ]
-    )
-    lam = np.full(4, a)
-    return g, lam
-

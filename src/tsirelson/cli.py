@@ -7,6 +7,7 @@ configurations (including the seed) produce identical output bytes.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -172,6 +173,9 @@ def build_parser():
     return parser
 
 
+_FAMILIES = {"chained": ineq_mod.chained, "gisin": ineq_mod.gisin}
+
+
 def _load_inequality(args):
     kind = args.inequality
     if kind == "file":
@@ -182,9 +186,7 @@ def _load_inequality(args):
         return ineq_mod.chsh()
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    if kind == "chained":
-        return ineq_mod.chained(args.n)
-    return ineq_mod.gisin(args.n)
+    return _FAMILIES[kind](args.n)
 
 
 def _read_json(path):
@@ -237,7 +239,7 @@ def _config_block(args):
         "command": args.command,
         "inequality": args.inequality,
     }
-    if args.inequality in ("chained", "gisin"):
+    if args.inequality in _FAMILIES:
         cfg["n"] = args.n
     if args.file_path:
         cfg["file"] = args.file_path
@@ -260,12 +262,20 @@ def _solve_options(args):
     )
 
 
-def _analytic_bound(args):
-    if args.inequality == "chained":
-        return analytic.chained_quantum_bound(args.n)
-    if args.inequality == "chsh":
+def _analytic_bound(kind, n):
+    if kind == "chained":
+        return analytic.chained_quantum_bound(n)
+    if kind == "chsh":
         return analytic.chained_quantum_bound(2)
     return None
+
+
+def _dual_fields(cert):
+    return {
+        "lambda": [float(v) for v in cert.lam],
+        "feasibility_margin": cert.feasibility_margin,
+        "certified_bound": cert.certified_bound,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +294,13 @@ def _cmd_bound(args):
             "residual": report.primal.residual,
             "converged": report.primal.converged,
         },
-        "dual": {
-            "lambda": [float(v) for v in report.dual.lam],
-            "feasibility_margin": report.dual.feasibility_margin,
-            "certified_bound": report.dual.certified_bound,
-        },
+        "dual": _dual_fields(report.dual),
         "gap": report.gap,
         "certified_optimal": report.certified_optimal,
         "classical_bound": report.classical_bound,
-        "runs": report.runs,
+        "runs": [vars(run) for run in report.runs],
     }
-    bound = _analytic_bound(args)
+    bound = _analytic_bound(args.inequality, args.n)
     if bound is not None:
         out["analytic_bound"] = bound
     status = EXIT_OK
@@ -311,9 +317,7 @@ def _cmd_certify(args):
     out = {
         "config": _config_block(args),
         "inequality": ineq.name,
-        "lambda": [float(v) for v in cert.lam],
-        "feasibility_margin": cert.feasibility_margin,
-        "certified_bound": cert.certified_bound,
+        **_dual_fields(cert),
     }
     return out, EXIT_OK
 
@@ -334,7 +338,7 @@ def _cmd_classical(args):
 def _cmd_realize(args):
     ineq = _load_inequality(args)
     report = sdp.solve(ineq, _solve_options(args), classical=False)
-    v = np.stack(linalg.vectors_from_gram(report.primal.gram))
+    v = linalg.vectors_from_gram(report.primal.gram)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     xs, ys = v[: ineq.n_alice], v[ineq.n_alice :]
     real = realization.realize(xs, ys)
@@ -380,25 +384,17 @@ def _parse_range(text):
 
 
 def _cmd_table(args):
-    if args.inequality not in ("chained", "gisin"):
+    if args.inequality not in _FAMILIES:
         raise UsageError("table supports the chained and gisin families")
     lo, hi = _parse_range(args.n_range)
-    base_seed = args.seed
+    opts = _solve_options(args)
     rows = []
     for n in range(lo, hi + 1):
-        ineq = (
-            ineq_mod.chained(n) if args.inequality == "chained" else ineq_mod.gisin(n)
-        )
-        opts = sdp.SolveOptions(
-            rank=args.rank, seed=base_seed + n, max_iter=args.max_iter, tol=args.tol
-        )
-        report = sdp.solve(ineq, opts)
-        quantum_analytic = (
-            analytic.chained_quantum_bound(n) if args.inequality == "chained" else None
-        )
+        ineq = _FAMILIES[args.inequality](n)
+        report = sdp.solve(ineq, dataclasses.replace(opts, seed=args.seed + n))
         rows.append(
-            (n, report.classical_bound, quantum_analytic, report.primal.value,
-             report.gap)
+            (n, report.classical_bound, _analytic_bound(args.inequality, n),
+             report.primal.value, report.gap)
         )
     header = ["n", "classical", "quantum_analytic", "quantum_numeric", "gap"]
     if args.format == "json":

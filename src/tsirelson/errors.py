@@ -30,10 +30,11 @@ class InvalidRank(TsirelsonError):
 
 
 class MaxIterReached(TsirelsonError):
-    """Sweep cap hit before the displacement tolerance.
+    """Iteration cap hit before the ascent stopped.
 
-    Carries the partial solution; certification of the dual still yields a
-    valid upper bound, so callers may recover.
+    Each iteration runs at most two sweeps.  Carries the partial solution;
+    certification of the dual still yields a valid upper bound, so callers
+    may recover.
     """
 
     def __init__(self, message, solution):

@@ -84,10 +84,3 @@ def build_objective(ineq):
     w[:na, na:] = ineq.coefficients
     w[na:, :na] = ineq.coefficients.T
     return w
-
-
-def objective_value(ineq, xs, ys):
-    """sum_{s,t} c[s][t] (x_s . y_t), evaluated directly from the vectors."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    return float(np.einsum("st,sk,tk->", ineq.coefficients, xs, ys))

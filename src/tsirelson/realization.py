@@ -34,21 +34,6 @@ class QuantumRealization:
     psi: np.ndarray
 
 
-def clifford_generators(n):
-    """N pairwise anticommuting Hermitian involutions of dimension 2^ceil(N/2).
-
-    Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y,
-    over m = ceil(N/2) qubit factors.
-    """
-    rows, terms = _pauli_terms(n)
-    gens = np.zeros((n, len(rows), len(rows)), dtype=complex)
-    for j, (cols, x_sign, y_sign) in enumerate(terms):
-        gens[2 * j].real[rows, cols] = x_sign
-        if 2 * j + 1 < n:
-            gens[2 * j + 1].imag[rows, cols] = y_sign
-    return list(gens)
-
-
 def _pauli_terms(n):
     """The one nonzero per row of each generator, by index arithmetic.
 

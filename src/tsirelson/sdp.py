@@ -23,7 +23,7 @@ price.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,19 @@ class DualCertificate:
 
 
 @dataclass(frozen=True)
+class Run:
+    """One primal ascent and its certificate, as solve reports it."""
+
+    seed: int
+    rank: int
+    iterations: int
+    converged: bool
+    primal_value: float
+    certified_bound: float
+    gap: float  # certified_bound - primal_value
+
+
+@dataclass(frozen=True)
 class BoundReport:
     name: str
     primal: PrimalSolution
@@ -67,7 +80,7 @@ class BoundReport:
     gap: float
     relative_gap: float  # gap / max(1, max|W|): the solver is accurate to that scale
     classical_bound: float | None = None
-    runs: list = field(default_factory=list)
+    runs: tuple = ()  # one Run, or two after a restart
 
     @property
     def certified_optimal(self):
@@ -303,7 +316,9 @@ def _single_run(w, rank, seed, max_iter, tol):
     except MaxIterReached as exc:
         primal = exc.solution
     dual = certify(w, extract_dual(w, primal.vectors))
-    return primal, dual
+    run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
+              dual.certified_bound, dual.certified_bound - primal.value)
+    return primal, dual, run
 
 
 def solve(ineq, opts=None, classical=True):
@@ -324,13 +339,15 @@ def solve(ineq, opts=None, classical=True):
     w = ineq_mod.build_objective(ineq)
     m = w.shape[0]
     rank = opts.rank if opts.rank is not None else min(m, math.isqrt(2 * m - 1) + 2)
-    primal, dual = _single_run(w, rank, opts.seed, opts.max_iter, opts.tol)
-    runs = [_run_summary(opts.seed, rank, primal, dual)]
+    primal, dual, run = _single_run(w, rank, opts.seed, opts.max_iter, opts.tol)
+    runs = (run,)
     scale = max(1.0, float(np.abs(w).max()))
-    if (dual.certified_bound - primal.value) / scale > RESTART_GAP:
-        primal2, dual2 = _single_run(w, rank + 2, opts.seed + 1, opts.max_iter, opts.tol)
-        runs.append(_run_summary(opts.seed + 1, rank + 2, primal2, dual2))
-        if dual2.certified_bound - primal2.value < dual.certified_bound - primal.value:
+    if run.gap / scale > RESTART_GAP:
+        primal2, dual2, run2 = _single_run(
+            w, rank + 2, opts.seed + 1, opts.max_iter, opts.tol
+        )
+        runs = (run, run2)
+        if run2.gap < run.gap:
             primal, dual = primal2, dual2
     classical_bound = None
     if classical:
@@ -351,15 +368,3 @@ def solve(ineq, opts=None, classical=True):
         classical_bound=classical_bound,
         runs=runs,
     )
-
-
-def _run_summary(seed, rank, primal, dual):
-    return {
-        "seed": seed,
-        "rank": rank,
-        "iterations": primal.iterations,
-        "converged": primal.converged,
-        "primal_value": primal.value,
-        "certified_bound": dual.certified_bound,
-        "gap": dual.certified_bound - primal.value,
-    }

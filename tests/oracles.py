@@ -24,8 +24,11 @@ library's flattened history must give its array byte for byte, and agree with
 the least-squares mix to rounding.
 
 The Kronecker-product generators are the Clifford generators as first
-written, one np.kron chain per generator; the library builds them by index
-arithmetic and must give equal arrays.
+written, one np.kron chain per generator.  The index-arithmetic generators
+are the same matrices formed densely from the library's per-row indices
+(realization._pauli_terms), which realize uses to write its observables
+without forming any generator; they must equal the Kronecker products and
+satisfy the Clifford relations.
 
 The eager parser is the command line's argument parser as first written,
 with every subcommand's arguments added up front; the library adds a
@@ -39,6 +42,16 @@ the tests of min_eigenvalue, compare the library against it.
 The trace correlation is Tr(X Y^T)/d, the correlation on the canonical
 maximally entangled state written without the state; the library contracts
 the state itself and must agree with it.
+
+The Gram matrix of a vector collection, G[i][j] = v_i . v_j, and the
+correlation expression sum c[s][t] x_s . y_t evaluated straight from the
+vectors, are the two sides of the identity (1/2) Tr(G W) = sum c[s][t]
+x_s . y_t that build_objective must satisfy; the Gram matrix also checks
+that vectors_from_gram's factor reproduces its input.
+
+The textbook CHSH optimum, its Gram matrix and the multipliers 1/sqrt(2),
+is a known primal-dual pair: the closed forms and the PSD test must agree
+that it is feasible and optimal at 2 sqrt(2).
 
 The rank-2 oracle maximizes the correlation expression over unit vectors
 confined to a plane: Alice's first vector is pinned at angle 0 (global
@@ -55,8 +68,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tsirelson import sdp
-from tsirelson.errors import DimensionMismatch
+from tsirelson.errors import DimensionMismatch, LengthMismatch
 from tsirelson.linalg import symmetrize
+from tsirelson.realization import _pauli_terms
 
 OFFDIAG_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -274,6 +288,21 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
 
 
+def clifford_generators(n):
+    """N pairwise anticommuting Hermitian involutions of dimension 2^ceil(N/2).
+
+    Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y,
+    over m = ceil(N/2) qubit factors.
+    """
+    rows, terms = _pauli_terms(n)
+    gens = np.zeros((n, len(rows), len(rows)), dtype=complex)
+    for j, (cols, x_sign, y_sign) in enumerate(terms):
+        gens[2 * j].real[rows, cols] = x_sign
+        if 2 * j + 1 < n:
+            gens[2 * j + 1].imag[rows, cols] = y_sign
+    return list(gens)
+
+
 def kron_clifford_generators(n):
     """Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y."""
     qubits = (n + 1) // 2
@@ -405,6 +434,40 @@ def _sorted_spectrum(vals, vecs):
         if nz.size and col[nz[0]] < 0:
             vecs[:, k] = -col
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+
+
+def gram_from_vectors(vectors):
+    """Gram matrix G[i][j] = v_i . v_j of an equal-length vector collection."""
+    vs = [np.asarray(v, dtype=float) for v in vectors]
+    if not vs:
+        raise LengthMismatch("empty vector collection")
+    length = vs[0].shape[0]
+    if any(v.ndim != 1 or v.shape[0] != length for v in vs):
+        raise LengthMismatch("vectors must all have the same length")
+    b = np.stack(vs)
+    return symmetrize(b @ b.T)
+
+
+def objective_value(ineq, xs, ys):
+    """sum_{s,t} c[s][t] (x_s . y_t), evaluated directly from the vectors."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    return float(np.einsum("st,sk,tk->", ineq.coefficients, xs, ys))
+
+
+def chsh_known_solution():
+    """The textbook optimal CHSH pair: Gram matrix G' and multipliers 1/sqrt(2)."""
+    a = 1.0 / np.sqrt(2.0)
+    g = symmetrize(
+        [
+            [1.0, 0.0, a, a],
+            [0.0, 1.0, a, -a],
+            [a, a, 1.0, 0.0],
+            [a, -a, 0.0, 1.0],
+        ]
+    )
+    lam = np.full(4, a)
+    return g, lam
 
 
 def correlation_trace(x, y):

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from tsirelson import build_objective, chained, chsh, objective_value
+from tsirelson import build_objective, chained, chsh
 from tsirelson.analytic import (
     chained_A_spectrum,
     chained_classical_bound,
     chained_dual_lambda,
     chained_primal_vectors,
     chained_quantum_bound,
-    chsh_known_solution,
 )
 from tsirelson.errors import InvalidSize
-from tsirelson.linalg import gram_from_vectors, min_eigenvalue
+from tsirelson.linalg import min_eigenvalue
 from tsirelson.sdp import certify
+
+from oracles import chsh_known_solution, gram_from_vectors, objective_value
 
 from oracles import sym_eigen
 

@@ -333,6 +333,23 @@ def test_bound_restarts_unconverged_run(tmp_path, capsys):
     assert doc["certified_optimal"] is True
 
 
+def test_bound_text_lists_run_fields_in_order(capsys):
+    # JSON sorts the keys; text output keeps the order of sdp.Run's fields
+    assert len(sdp.solve(chained(6), sdp.SolveOptions(max_iter=3)).runs) == 2
+    status, out, _ = run_cli(
+        capsys, "bound", "--inequality", "chained", "--n", "6", "--max-iter", "3",
+        "--seed", "0", "--format", "text",
+    )
+    assert status == 2
+    lines = out.splitlines()
+    block = lines[lines.index("runs:") + 1 :]
+    fields = ["seed", "rank", "iterations", "converged", "primal_value",
+              "certified_bound", "gap"]
+    assert [line for line in block if line.startswith("  -")] == ["  -", "  -"]
+    keys = [line.split(":")[0].strip() for line in block if line.startswith("    ")]
+    assert keys == fields * 2
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_report_is_numerical_failure(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setitem(cli._COMMANDS, "classical", lambda args: ({"value": value}, 0))

@@ -4,14 +4,9 @@ import pytest
 from tsirelson import build_objective, chained, chsh
 from tsirelson.analytic import chained_dual_lambda, chained_primal_vectors
 from tsirelson.errors import LengthMismatch, NonFiniteEntry, NotPSD
-from tsirelson.linalg import (
-    gram_from_vectors,
-    min_eigenvalue,
-    symmetrize,
-    vectors_from_gram,
-)
+from tsirelson.linalg import min_eigenvalue, symmetrize, vectors_from_gram
 
-from oracles import sym_eigen
+from oracles import gram_from_vectors, sym_eigen
 
 
 def test_sym_eigen_identity():
@@ -153,12 +148,12 @@ def test_vectors_from_gram_chsh_optimum():
 def test_vectors_from_gram_rejects_indefinite():
     g = np.diag([1.0, 1.0, -0.1])
     with pytest.raises(NotPSD):
-        vectors_from_gram(g, tol=1e-9)
+        vectors_from_gram(g)
 
 
 def test_vectors_from_gram_clips_tiny_negative():
     g = np.diag([1.0, -1e-12])
-    vs = vectors_from_gram(g, tol=1e-9)
+    vs = vectors_from_gram(g)
     np.testing.assert_allclose(gram_from_vectors(vs), np.diag([1.0, 0.0]), atol=1e-8)
 
 

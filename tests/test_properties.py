@@ -81,7 +81,7 @@ def test_bound_chain(c):
 def test_solve_converges_certified(c):
     report = solve(new_inequality("c", c))
     assert report.primal.converged
-    assert all(run["converged"] for run in report.runs)
+    assert all(run.converged for run in report.runs)
     assert report.gap <= sdp.OPTIMAL_GAP
 
 

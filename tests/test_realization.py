@@ -13,7 +13,6 @@ from tsirelson.errors import (
     TooLarge,
 )
 from tsirelson.realization import (
-    clifford_generators,
     correlation,
     correlation_table,
     inequality_value,
@@ -21,7 +20,7 @@ from tsirelson.realization import (
     realize,
 )
 
-from oracles import correlation_trace, kron_clifford_generators
+from oracles import clifford_generators, correlation_trace, kron_clifford_generators
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -423,9 +423,9 @@ def test_tie_converges():
     # ascent is sublinear: it ran all 10000 sweeps and stopped 1.5e-8 short
     report = solve(TIE)
     (run,) = report.runs
-    assert report.primal.converged is run["converged"] is True
-    assert report.primal.iterations == run["iterations"] < 100
-    assert run["primal_value"] >= 12.0 - 1e-9
+    assert report.primal.converged is run.converged is True
+    assert report.primal.iterations == run.iterations < 100
+    assert run.primal_value >= 12.0 - 1e-9
     assert report.primal.value >= 12.0 - 1e-9
     assert report.gap <= sdp.OPTIMAL_GAP
 
@@ -435,11 +435,11 @@ def test_primal_not_below_classical():
     # classical witness is a feasible point worth 12
     report = solve(TIE, SolveOptions(max_iter=8))
     (run,) = report.runs
-    assert run["primal_value"] < 12.0
+    assert run.primal_value < 12.0
     assert report.classical_bound == 12.0
     assert report.primal.value == 12.0
-    assert report.primal.iterations == run["iterations"] == 8
-    assert report.primal.converged is run["converged"] is False
+    assert report.primal.iterations == run.iterations == 8
+    assert report.primal.converged is run.converged is False
     assert report.gap == report.dual.certified_bound - 12.0
     v = report.primal.vectors
     np.testing.assert_array_equal(np.abs(v[:, 0]), 1.0)
@@ -458,9 +458,9 @@ def test_unconverged_stuck_run_restarts():
     # with seed 1 at rank 8 reaches the optimum
     report = solve(STUCK, SolveOptions(max_iter=200))
     first, second = report.runs
-    assert first["converged"] is False
-    assert first["gap"] > sdp.RESTART_GAP
-    assert (second["seed"], second["rank"]) == (1, first["rank"] + 2)
+    assert first.converged is False
+    assert first.gap > sdp.RESTART_GAP
+    assert (second.seed, second.rank) == (1, first.rank + 2)
     assert report.certified_optimal
 
 
