@@ -107,31 +107,9 @@ def _check_solver_args(args):
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments when it first parses.
-
-    The top-level parser hands a subcommand its arguments through
-    parse_known_args, and its usage, help and errors are printed from there,
-    so a call of main builds the arguments of the one subcommand it runs.
-    """
-
-    def __init__(self, *args, add_arguments, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._pending = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._pending is not None:
-            add_arguments, self._pending = self._pending, None
-            add_arguments(self)
-        return super().parse_known_args(args, namespace)
-
-
 def _add_common(p, solver=True, formats=("text", "json")):
-    p.add_argument(
-        "--inequality",
-        choices=["chained", "chsh", "gisin", "file"],
-        default="chained",
-    )
+    p.add_argument("--inequality", choices=["chained", "chsh", "gisin", "file"],
+                   default="chained")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--file", dest="file_path")
     p.add_argument("--format", choices=formats, default="text")
@@ -153,24 +131,43 @@ def _add_table(p):
     p.add_argument("--n-range", dest="n_range", default="2..8")
 
 
+_add_no_solver = functools.partial(_add_common, solver=False)
+_SUBCOMMANDS = {  # name: (help, add_arguments)
+    "bound": ("primal + certified dual bound", _add_common),
+    "certify": ("certify a lambda vector from file", _add_certify),
+    "classical": ("exact LHV bound with witnesses", _add_no_solver),
+    "realize": ("observables achieving the bound", _add_common),
+    "spectrum": ("closed-form chained spectrum", _add_no_solver),
+    "table": ("bound table over a range of n", _add_table),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tsirelson",
         description="Quantum and classical bounds for two-party correlation "
         "Bell inequalities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    no_solver = functools.partial(_add_common, solver=False)
-    for name, help_text, add_arguments in [
-        ("bound", "primal + certified dual bound", _add_common),
-        ("certify", "certify a lambda vector from file", _add_certify),
-        ("classical", "exact LHV bound with witnesses", no_solver),
-        ("realize", "observables achieving the bound", _add_common),
-        ("spectrum", "closed-form chained spectrum", no_solver),
-        ("table", "bound table over a range of n", _add_table),
-    ]:
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv):
+    """build_parser().parse_args(argv), building only the subcommand argv[0] names.
+
+    The full parser is built for help, an unknown command or the "unrecognized
+    arguments" error it raises when the subcommand leaves arguments over.
+    """
+    name = argv[0] if argv else None
+    if name in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"tsirelson {name}")
+        _SUBCOMMANDS[name][1](parser)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 _FAMILIES = {"chained": ineq_mod.chained, "gisin": ineq_mod.gisin}
@@ -235,19 +232,13 @@ def _read_lambda_file(path, expected_len):
 
 
 def _config_block(args):
-    cfg = {
-        "command": args.command,
-        "inequality": args.inequality,
-    }
+    cfg = {"command": args.command, "inequality": args.inequality}
     if args.inequality in _FAMILIES:
         cfg["n"] = args.n
     if args.file_path:
         cfg["file"] = args.file_path
     if hasattr(args, "seed"):
-        cfg["seed"] = args.seed
-        cfg["rank"] = args.rank
-        cfg["max_iter"] = args.max_iter
-        cfg["tol"] = args.tol
+        cfg.update(seed=args.seed, rank=args.rank, max_iter=args.max_iter, tol=args.tol)
     if getattr(args, "lambda_file", None):
         cfg["lambda_file"] = args.lambda_file
     if getattr(args, "n_range", None):
@@ -440,9 +431,8 @@ def _emit(payload, args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
@@ -460,10 +450,10 @@ def main(argv=None):
     except TsirelsonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    emit_status = _emit(payload, args)
-    if emit_status != EXIT_OK:
-        return emit_status
-    return status
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return _emit(payload, args) or status  # an output failure outranks the command's status
 
 
 if __name__ == "__main__":

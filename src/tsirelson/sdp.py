@@ -22,7 +22,6 @@ price.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,15 +155,16 @@ def _value(ws, v):
 def _anderson(history):
     """Type-II Anderson mix of the points x_i and their sweeps F(x_i), or None.
 
-    Each history entry is the flattened pair (f_i, F(x_i)), a 2 x (m*r)
-    array with f_i = F(x_i) - x_i the residual.  With dF the k <= _DEPTH - 1
-    rows of consecutive residual differences, gamma minimizes
-    ||f_k - dF^T gamma|| through the k x k normal equations
-    (dF dF^T) gamma = dF f_k, and the mix is F(x_k) - dG^T gamma, dG the
-    differences of the F(x_i), flattened.  Returns None, a rejected mix,
-    when the normal equations are singular or gamma is not finite.
+    The history is an array, or a sequence, of entries oldest first, each the
+    flattened pair (f_i, F(x_i)), 2 x (m*r), with f_i = F(x_i) - x_i the
+    residual.  With dF the k <= _DEPTH - 1 rows of consecutive residual
+    differences, gamma minimizes ||f_k - dF^T gamma|| through the k x k
+    normal equations (dF dF^T) gamma = dF f_k, and the mix is
+    F(x_k) - dG^T gamma, dG the differences of the F(x_i), flattened.
+    Returns None, a rejected mix, when the normal equations are singular or
+    gamma is not finite.
     """
-    h = np.stack(history)
+    h = np.asarray(history)
     f, fx = h[:, 0], h[:, 1]
     df = f[1:] - f[:-1]
     try:
@@ -196,22 +196,31 @@ def _gap_proven(ws, v):
     return True
 
 
+def _remember(history, k, f, fx):
+    """Write the pair (f, fx) after the first k history entries; returns the new count."""
+    if k == len(history):  # full: shift down one entry, dropping the oldest
+        history[:-1] = history[1:]
+        k -= 1
+    history[k, 0], history[k, 1] = f.reshape(-1), fx.reshape(-1)
+    return k + 1
+
+
 def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     """Anderson-accelerated block-coordinate ascent over unit vectors v_1..v_m.
 
     The plain map F is one sweep (_sweep).  Each iteration applies it to the
-    iterate v and appends the flattened pair (F(v) - v, F(v)) to the history
-    of the last _DEPTH points, which it then mixes with weights from the
-    normal equations of the residual differences (_anderson); it
-    renormalizes the rows of the mixed point and sweeps once more.  The
-    mixed point is kept, and joins the history, only if its value is not
-    below that of F(v), so values along the iterates never decrease;
-    otherwise, or when the normal equations are singular, F(v) is kept and
-    the history cleared.  Stops when the largest per-vector displacement of
-    the plain sweep falls below tol, or when the certified gap (certify on
-    extract_dual) of the iterate is at most _GAP_TARGET, decided by a
-    Cholesky factorization (_gap_proven) after iterations 4, 8, 16, then
-    every _CHECK_EVERY.  Raises MaxIterReached (carrying the partial solution) if
+    iterate v, writes the flattened pair (F(v) - v, F(v)) into the history of
+    the last _DEPTH points, one preallocated array shifted in place when full
+    (_remember), and mixes them with weights from the normal equations of the
+    residual differences (_anderson); it renormalizes the rows of the mixed
+    point and sweeps once more.  The mixed point is kept, and joins the history,
+    only if its value is not below that of F(v), so values along the iterates
+    never decrease; otherwise, or when the normal equations are singular, F(v)
+    is kept and the history cleared.  Stops when the largest per-vector
+    displacement of the plain sweep falls below tol, or when the certified gap
+    (certify on extract_dual) of the iterate is at most _GAP_TARGET, decided by
+    a Cholesky factorization (_gap_proven) after iterations 4, 8, 16, then every
+    _CHECK_EVERY.  Raises MaxIterReached (carrying the partial solution) if
     max_iter iterations, each of at most two sweeps, come first.  Everything
     runs on W scaled by a power of two, so a scaled W takes the same steps.
     """
@@ -225,7 +234,8 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     runs = _uncoupled_runs(w)
     e = _scale_exponent(w)
     ws, floor = np.ldexp(w, -e), np.ldexp(1e-14, -e)
-    history = deque(maxlen=_DEPTH)
+    history = np.empty((_DEPTH, 2, m * rank))
+    k = 0  # points in the history
     check = 4
     residual = np.inf
     for it in range(1, max_iter + 1):
@@ -233,10 +243,10 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         residual = _sweep(ws, fv, runs, floor)
         if residual < tol:
             return _finish(w, fv, it, residual, converged=True)
-        history.append(np.stack((fv - v, fv)).reshape(2, -1))
+        k = _remember(history, k, fv - v, fv)
         v = fv
-        if len(history) > 1:
-            mixed = _anderson(history)
+        if k > 1:
+            mixed = _anderson(history[:k])
             if mixed is not None:
                 mixed = mixed.reshape(m, rank)
                 mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
@@ -244,9 +254,9 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
                 _sweep(ws, y, runs, floor)
             if mixed is not None and _value(ws, y) >= _value(ws, fv):
                 v = y
-                history.append(np.stack((y - mixed, y)).reshape(2, -1))
+                k = _remember(history, k, y - mixed, y)
             else:
-                history.clear()
+                k = 0
         if it == check:
             check += min(check, _CHECK_EVERY)
             if _gap_proven(ws, v):

@@ -362,6 +362,17 @@ def test_non_finite_report_is_numerical_failure(tmp_path, capsys, monkeypatch, v
     assert not path.exists()
 
 
+def test_request_too_large_to_allocate(capsys, monkeypatch):
+    # bound --n 100000 asks numpy for 74.5 GiB: a numerical failure, not a traceback
+    def too_large(n):
+        raise MemoryError(f"Unable to allocate 74.5 GiB for chained({n})")
+
+    monkeypatch.setitem(cli._FAMILIES, "chained", too_large)
+    status, out, err = run_cli(capsys, "bound", "--n", "100000", "--format", "json")
+    assert (status, out) == (2, "")
+    assert err == "error: Unable to allocate 74.5 GiB for chained(100000)\n"
+
+
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -486,22 +497,57 @@ def _parse(parser, argv, capsys):
     return result, out, err
 
 
+class _Parsed(Exception):
+    pass
+
+
+def _main_parse(argv, capsys, monkeypatch):
+    # main's own parse of argv, stopped before the command runs
+    def stop(args):
+        raise _Parsed(args)
+
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, stop)
+    try:
+        result = main(argv)
+    except _Parsed as parsed:
+        result = parsed.args[0]
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+def _as_main(parsed):
+    # what main makes of a parse: an exit status, or the namespace with the seed set
+    result, out, err = parsed
+    if isinstance(result, int):
+        return {0: cli.EXIT_OK, 2: cli.EXIT_USAGE}[result], out, err
+    if getattr(result, "seed", 0) is None:
+        result.seed = 0
+    return result, out, err
+
+
 @pytest.mark.parametrize(
     "argv",
     [[], ["--help"], ["nope"], ["bound", "--seed", "5", "--format", "json"],
      ["certify"], ["certify", "--lambda-file", "lam.json", "--inequality", "chsh"],
      ["table", "--n-range", "2..4", "--format", "csv"], ["spectrum", "--output", "o"],
-     ["classical", "--format", "csv"], ["realize", "--rank", "3", "--tol", "1e-9"]]
+     ["classical", "--format", "csv"], ["realize", "--rank", "3", "--tol", "1e-9"],
+     ["bound", "bound"], ["bound", "--", "x"], ["-h", "bound"], ["--format", "json", "bound"],
+     ["bound", "--n", "3", "extra", "--bogus"], ["certify", "--n", "3"]]
     + [[cmd, *args] for cmd in ("bound", "certify", "classical", "realize", "spectrum",
                                 "table") for args in (["--help"], ["--n", "two"], ["-x"])],
 )
-def test_parser_matches_eager_parser(capsys, argv):
-    # namespaces, help, usage and errors as with every argument added up front
-    assert _parse(build_parser(), argv, capsys) == _parse(eager_parser(), argv, capsys)
+def test_parser_matches_eager_parser(capsys, monkeypatch, argv):
+    # namespaces, help, usage and errors as with every argument added up front,
+    # from the full parser and from the one subcommand's parser main builds
+    monkeypatch.delenv("TSIRELSON_SEED", raising=False)
+    expected = _parse(eager_parser(), argv, capsys)
+    assert _parse(build_parser(), argv, capsys) == expected
+    assert _main_parse(argv, capsys, monkeypatch) == _as_main(expected)
 
 
 def test_parser_parses_more_than_once():
-    # a subcommand adds its arguments on its first parse only
+    # a parser keeps no state from one parse to the next
     parser = build_parser()
     first = parser.parse_args(["table", "--n", "3"])
     assert parser.parse_args(["table", "--n", "3"]) == first

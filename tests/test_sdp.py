@@ -162,6 +162,17 @@ def test_anderson_matches_stacked(monkeypatch, ineq):
         np.testing.assert_allclose(out, stacked_anderson(pairs).reshape(-1), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "ineq, iterations",
+    [(chained(8), 16), (chained(16), 26), (chained(32), 46), (gisin(16), 6)],
+    ids=["chained-8", "chained-16", "chained-32", "gisin-16"],
+)
+def test_iteration_counts_are_pinned(ineq, iterations):
+    # the solver's trajectory on the default seed and rank; a change to these
+    # counts is a change of the ascent and must be explained in CHANGES.md
+    assert [run.iterations for run in solve(ineq, classical=False).runs] == [iterations]
+
+
 def test_repeated_history_entry_is_rejected(monkeypatch):
     # a history entry repeated makes the normal equations singular: the mix
     # is rejected without a warning, and the plain sweep carries the ascent
