@@ -8,17 +8,19 @@ its closed-form maximizer in a fixed order, so the objective never
 decreases.  Consecutive vectors that W does not couple are updated together
 in one matrix product; for a Bell objective, whose Alice-Alice and Bob-Bob
 blocks are zero, a sweep is two products, and the iterate is the same as
-updating one vector at a time.  The sweep is Anderson-accelerated (Walker &
-Ni, 2011): the mixing weights solve the k x k normal equations of the last
-few residual differences, a singular system is a rejected mix, and a mixed
-step is kept only if it does not lower the objective.  The ascent stops as
-soon as the certificate below would prove its iterate within a small gap of
-optimal, decided inside the loop by one Cholesky factorization instead of
-an eigensolver.  The nonconvexity of the factorization is
-repaired afterwards: any multiplier vector lambda whose diag(lambda) - W/2
-is PSD gives a rigorous upper bound Tr(diag(lambda)) by weak duality, and an
-infeasible lambda can always be shifted onto the PSD cone at a quantified
-price.
+updating one vector at a time.  A sweep also returns the objective of its
+iterate, read off the fields it forms.  The sweep is Anderson-accelerated
+(Walker & Ni, 2011): a ring keeps the last few residual and sweep
+differences with their running normal matrix, the mixing weights solve
+those k x k normal equations, a singular system is a rejected mix, and a
+mixed step is kept only if it does not lower the objective.  The ascent
+stops as soon as the certificate below would prove its iterate within a
+small gap of optimal, decided inside the loop by one Cholesky
+factorization instead of an eigensolver.  The nonconvexity of the
+factorization is repaired afterwards: any multiplier vector lambda whose
+diag(lambda) - W/2 is PSD gives a rigorous upper bound Tr(diag(lambda)) by
+weak duality, and an infeasible lambda can always be shifted onto the PSD
+cone at a quantified price.
 """
 
 import math
@@ -130,50 +132,86 @@ def _scale_exponent(w):
     return int(np.frexp(np.abs(w).max())[1])
 
 
-def _sweep(ws, v, runs, floor):
+def _sweep(ws, v, runs, floor, displacement=True):
     """One Mixing-method sweep over the unit rows v, in place; the plain map.
 
-    Each run [lo, hi) sets its rows to the normalized fields ws[lo:hi] @ v,
-    leaving a row untouched when its field norm is below floor.  Returns the
-    largest per-row displacement.
+    Each run [lo, hi) sets its rows to their normalized fields, leaving a
+    row untouched when its field norm is below floor.  A field has two
+    parts: early = ws[lo:hi, :lo] @ v[:lo], from the runs this sweep has
+    already set, and ws[lo:hi, hi:] @ v[hi:], from the runs after it.  No
+    two rows of a run are coupled, and the diagonal of ws is not read: on
+    unit rows it adds only the constant (1/2) tr(ws), which a Bell objective
+    does not have.  So the objective (1/2) v^T ws v of the swept rows, less
+    that constant, is the sum over runs of <new rows, early>.  Returns it,
+    and the largest per-row displacement, or None in its place when
+    displacement is False.
     """
-    sq = 0.0
+    m = len(v)
+    value = sq = 0.0
     for lo, hi in runs:
-        g = ws[lo:hi] @ v
+        if lo:
+            early = ws[lo:hi, :lo] @ v[:lo]
+            g = early if hi == m else early + ws[lo:hi, hi:] @ v[hi:]
+        else:
+            g = ws[:hi, hi:] @ v[hi:]
         ng = np.linalg.norm(g, axis=1, keepdims=True)
         old = v[lo:hi]  # a view: assigning through it updates v
         new = np.divide(g, ng, out=old.copy(), where=ng >= floor)
-        sq = max(sq, float(((new - old) ** 2).sum(axis=1).max()))
+        if lo:
+            value += float(np.vdot(new, early))
+        if displacement:
+            sq = max(sq, float(((new - old) ** 2).sum(axis=1).max()))
         old[...] = new
-    return math.sqrt(sq)
+    return value, (math.sqrt(sq) if displacement else None)
 
 
-def _value(ws, v):
-    return 0.5 * float(np.vdot(ws @ v, v))
+class _Anderson:
+    """Type-II Anderson mixing (Walker & Ni, 2011) over a ring of differences.
 
-
-def _anderson(history):
-    """Type-II Anderson mix of the points x_i and their sweeps F(x_i), or None.
-
-    The history is an array, or a sequence, of entries oldest first, each the
-    flattened pair (f_i, F(x_i)), 2 x (m*r), with f_i = F(x_i) - x_i the
-    residual.  With dF the k <= _DEPTH - 1 rows of consecutive residual
-    differences, gamma minimizes ||f_k - dF^T gamma|| through the k x k
-    normal equations (dF dF^T) gamma = dF f_k, and the mix is
-    F(x_k) - dG^T gamma, dG the differences of the F(x_i), flattened.
-    Returns None, a rejected mix, when the normal equations are singular or
-    gamma is not finite.
+    The points are flattened pairs (f_i, F(x_i)) of a sweep F(x_i) and its
+    residual f_i = F(x_i) - x_i.  The ring keeps the last point, up to
+    _DEPTH - 1 rows of the differences dF and dG of consecutive residuals
+    and sweeps, and the normal matrix dF dF^T, one row and column of which
+    a new point rewrites.
     """
-    h = np.asarray(history)
-    f, fx = h[:, 0], h[:, 1]
-    df = f[1:] - f[:-1]
-    try:
-        gamma = np.linalg.solve(df @ df.T, df @ f[-1])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(gamma)):
-        return None
-    return fx[-1] - gamma.dot(fx[1:] - fx[:-1])
+
+    def __init__(self, n):
+        self.df = np.empty((_DEPTH - 1, n))
+        self.dg = np.empty((_DEPTH - 1, n))
+        self.normal = np.empty((_DEPTH - 1, _DEPTH - 1))
+        self.clear()
+
+    def clear(self):
+        self.f = self.fx = None
+        self.k = 0  # rows of differences, in slots 0..k-1
+        self.slot = 0  # the slot the next difference overwrites
+
+    def push(self, f, fx):
+        f, fx = f.reshape(-1), fx.reshape(-1)
+        if self.f is not None:
+            s = self.slot
+            np.subtract(f, self.f, out=self.df[s])
+            np.subtract(fx, self.fx, out=self.dg[s])
+            k = self.k = min(self.k + 1, _DEPTH - 1)
+            self.slot = (s + 1) % (_DEPTH - 1)
+            self.normal[s, :k] = self.normal[:k, s] = self.df[:k] @ self.df[s]
+        self.f, self.fx = f, fx
+
+    def mix(self):
+        """F(x_k) - dG^T gamma, flattened, or None: a rejected mix.
+
+        gamma minimizes ||f_k - dF^T gamma|| through the k x k normal
+        equations (dF dF^T) gamma = dF f_k.  The mix is rejected when they
+        are singular or gamma is not finite.
+        """
+        k = self.k
+        try:
+            gamma = np.linalg.solve(self.normal[:k, :k], self.df[:k] @ self.f)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(gamma).all():
+            return None
+        return self.fx - gamma @ self.dg[:k]
 
 
 def _gap_proven(ws, v):
@@ -183,10 +221,13 @@ def _gap_proven(ws, v):
     value)) / m, certify's bound minus the value is at most _GAP_TARGET
     exactly when t >= 0 and diag(lambda + t) - ws/2 is PSD.  A Cholesky
     factorization decides that, up to the boundary where the matrix is
-    singular, without an eigensolver.
+    singular, without an eigensolver.  ws is scaled, so extract_dual's
+    lambda is half the row norms of the fields ws @ v, formed once here for
+    lambda and the value.
     """
-    lam = extract_dual(ws, v)
-    t = (_GAP_TARGET - (float(np.sum(lam)) - _value(ws, v))) / ws.shape[0]
+    g = ws @ v
+    lam = 0.5 * np.linalg.norm(g, axis=1)
+    t = (_GAP_TARGET - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / ws.shape[0]
     if t < 0:
         return False
     try:
@@ -196,67 +237,61 @@ def _gap_proven(ws, v):
     return True
 
 
-def _remember(history, k, f, fx):
-    """Write the pair (f, fx) after the first k history entries; returns the new count."""
-    if k == len(history):  # full: shift down one entry, dropping the oldest
-        history[:-1] = history[1:]
-        k -= 1
-    history[k, 0], history[k, 1] = f.reshape(-1), fx.reshape(-1)
-    return k + 1
-
-
 def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     """Anderson-accelerated block-coordinate ascent over unit vectors v_1..v_m.
 
-    The plain map F is one sweep (_sweep).  Each iteration applies it to the
-    iterate v, writes the flattened pair (F(v) - v, F(v)) into the history of
-    the last _DEPTH points, one preallocated array shifted in place when full
-    (_remember), and mixes them with weights from the normal equations of the
-    residual differences (_anderson); it renormalizes the rows of the mixed
-    point and sweeps once more.  The mixed point is kept, and joins the history,
-    only if its value is not below that of F(v), so values along the iterates
-    never decrease; otherwise, or when the normal equations are singular, F(v)
-    is kept and the history cleared.  Stops when the largest per-vector
-    displacement of the plain sweep falls below tol, or when the certified gap
-    (certify on extract_dual) of the iterate is at most _GAP_TARGET, decided by
-    a Cholesky factorization (_gap_proven) after iterations 4, 8, 16, then every
-    _CHECK_EVERY.  Raises MaxIterReached (carrying the partial solution) if
-    max_iter iterations, each of at most two sweeps, come first.  Everything
-    runs on W scaled by a power of two, so a scaled W takes the same steps.
+    The plain map F is one sweep (_sweep), which also returns the objective
+    of the point it sweeps.  Each iteration applies it to the iterate v,
+    adds the pair (F(v) - v, F(v)) to the ring of the last _DEPTH points
+    (_Anderson), and mixes them with weights from the normal equations of
+    the residual differences; it renormalizes the rows of the mixed point
+    and sweeps once more, without measuring the displacement.  The mixed
+    point is kept, and joins the ring, only if its value is not below that
+    of F(v), so values along the iterates never decrease; otherwise, or
+    when the normal equations are singular, F(v) is kept and the ring
+    cleared.  Stops when the largest per-vector displacement of the plain
+    sweep falls below tol, or when the certified gap (certify on
+    extract_dual) of the iterate is at most _GAP_TARGET, decided by a
+    Cholesky factorization (_gap_proven) after iterations 4, 8, 16, then
+    every _CHECK_EVERY.  Raises InvalidRank unless rank >= 2, max_iter >= 1
+    and 0 < tol < inf, and MaxIterReached (carrying the partial solution)
+    if max_iter iterations, each of at most two sweeps, come first.
+    Everything runs on W scaled by a power of two, so a scaled W takes the
+    same steps.
     """
     w = np.asarray(w, dtype=float)
     m = w.shape[0]
     if rank < 2:
         raise InvalidRank(f"rank must be >= 2, got {rank}")
-    if tol <= 0:
-        raise InvalidRank(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidRank(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise InvalidRank(f"max_iter must be >= 1, got {max_iter}")
     v = _initial_vectors(m, rank, seed)
     runs = _uncoupled_runs(w)
     e = _scale_exponent(w)
     ws, floor = np.ldexp(w, -e), np.ldexp(1e-14, -e)
-    history = np.empty((_DEPTH, 2, m * rank))
-    k = 0  # points in the history
+    ring = _Anderson(m * rank)
     check = 4
-    residual = np.inf
     for it in range(1, max_iter + 1):
         fv = v.copy()
-        residual = _sweep(ws, fv, runs, floor)
+        value, residual = _sweep(ws, fv, runs, floor)
         if residual < tol:
             return _finish(w, fv, it, residual, converged=True)
-        k = _remember(history, k, fv - v, fv)
+        ring.push(fv - v, fv)
         v = fv
-        if k > 1:
-            mixed = _anderson(history[:k])
+        if ring.k:
+            mixed = ring.mix()
             if mixed is not None:
                 mixed = mixed.reshape(m, rank)
                 mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
                 y = mixed.copy()
-                _sweep(ws, y, runs, floor)
-            if mixed is not None and _value(ws, y) >= _value(ws, fv):
+                mixed_value, _ = _sweep(ws, y, runs, floor, displacement=False)
+            if mixed is not None and mixed_value >= value:
                 v = y
-                k = _remember(history, k, y - mixed, y)
+                ring.push(y - mixed, y)
             else:
-                k = 0
+                ring.clear()
         if it == check:
             check += min(check, _CHECK_EVERY)
             if _gap_proven(ws, v):

@@ -19,9 +19,10 @@ one vectorized step and must find the same runs.
 
 The stacked Anderson mix is the least-squares mix as first written, over 3-D
 stacks of the history.  The normal-equation mix solves the same least-squares
-problem through its k x k normal equations, over the same stacks; the
-library's flattened history must give its array byte for byte, and agree with
-the least-squares mix to rounding.
+problem through its k x k normal equations, over the same stacks, differenced
+afresh.  The library keeps a ring of differences and updates its normal
+matrix one row and column at a time; its mix must agree with both to
+rounding.
 
 The Kronecker-product generators are the Clifford generators as first
 written, one np.kron chain per generator.  The index-arithmetic generators
@@ -34,6 +35,11 @@ The eager parser is the command line's argument parser as first written,
 with every subcommand's arguments added up front; the library adds a
 subcommand's arguments when it first parses, and must parse, print help and
 fail the same.
+
+The objective (1/2) v^T W v from the full product W v is the value as first
+written.  The library's sweep reads it off the fields it forms anyway, and
+must agree with it to rounding; the in-loop gap check forms the same product
+once for lambda and the value.
 
 The cyclic Jacobi eigensolver is a symmetric eigensolver that shares no
 code with LAPACK: the spectrum checks against the closed-form results, and
@@ -175,6 +181,11 @@ def rowwise_sweeps(w, v, max_iter, tol):
         if residual < tol:
             return sweep, residual, True
     return max_iter, residual, False
+
+
+def _value(w, v):
+    """The objective (1/2) v^T W v of the rows v."""
+    return 0.5 * float(np.vdot(w @ v, v))
 
 
 def first_max_enumeration(c):

@@ -25,6 +25,7 @@ from tsirelson import sdp
 from tsirelson.errors import InvalidRank, LengthMismatch, MaxIterReached, NonFiniteEntry
 
 from oracles import (
+    _value,
     normal_anderson,
     rank2_max,
     rowwise_sweeps,
@@ -58,6 +59,22 @@ def test_solve_primal_invalid_rank():
     w = build_objective(chained(2))
     with pytest.raises(InvalidRank):
         solve_primal(w, rank=1)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [dict(tol=math.inf), dict(tol=math.nan), dict(tol=0.0), dict(max_iter=0),
+     dict(max_iter=-1)],
+    ids=["tol-inf", "tol-nan", "tol-0", "max-iter-0", "max-iter-neg"],
+)
+def test_iteration_settings_are_validated(setting):
+    # tol=inf used to report converged runs after one iteration with a gap of
+    # 2.78 on chained-8, and max_iter=-1 a run of -1 iterations
+    w = build_objective(chained(8))
+    with pytest.raises(InvalidRank):
+        solve_primal(w, rank=4, **setting)
+    with pytest.raises(InvalidRank):
+        solve(chained(8), SolveOptions(**setting), classical=False)
 
 
 def test_solve_primal_max_iter_carries_partial():
@@ -103,10 +120,24 @@ def test_block_sweep_matches_rowwise(w, max_iter):
     block = v.copy()
     sweeps, _, converged = rowwise_sweeps(w, v, max_iter, sdp.DEFAULT_TOL)
     runs = sdp._uncoupled_runs(w)
-    residuals = [sdp._sweep(w, block, runs, 1e-14) for _ in range(sweeps)]
+    residuals = [sdp._sweep(w, block, runs, 1e-14)[1] for _ in range(sweeps)]
     assert min(residuals[:-1], default=np.inf) >= sdp.DEFAULT_TOL
     assert (residuals[-1] < sdp.DEFAULT_TOL) == converged
     np.testing.assert_allclose(block, v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("w, max_iter", SWEEP_CASES, ids=SWEEP_IDS)
+def test_sweep_value_and_quiet_sweep(w, max_iter):
+    # the value read off the early fields is the objective of the swept rows,
+    # and a sweep that skips the displacement sets the same rows
+    runs = sdp._uncoupled_runs(w)
+    v = sdp._initial_vectors(w.shape[0], 4, 0)
+    for _ in range(min(max_iter, 6)):
+        quiet = v.copy()
+        value, _ = sdp._sweep(w, v, runs, 1e-14)
+        assert sdp._sweep(w, quiet, runs, 1e-14, displacement=False)[1] is None
+        assert quiet.tobytes() == v.tobytes()
+        assert abs(value - _value(w, v)) <= 1e-12 * max(1.0, abs(value))
 
 
 def test_uncoupled_runs():
@@ -141,31 +172,42 @@ def test_uncoupled_runs_match_rowwise(w):
     ids=["chained-16", "random-12"],
 )
 def test_anderson_matches_stacked(monkeypatch, ineq):
-    # every history the solve mixes, with the flat point it returned
-    seen = []
-    mix = sdp._anderson
+    # every mix the solve makes, with the oldest-first history of points
+    # pushed into the ring since it was last cleared
+    points, seen = [], []
+    push, clear, mix = sdp._Anderson.push, sdp._Anderson.clear, sdp._Anderson.mix
 
-    def record(history):
-        out = mix(history)
-        seen.append(([h.copy() for h in history], out.copy()))
+    def record_push(ring, f, fx):
+        push(ring, f, fx)
+        points[:] = points[1 - sdp._DEPTH:] + [(f.copy(), fx.copy())]
+
+    def record_clear(ring):
+        clear(ring)
+        points.clear()
+
+    def record_mix(ring):
+        out = mix(ring)
+        seen.append((list(points), out.copy()))
         return out
 
-    monkeypatch.setattr(sdp, "_anderson", record)
+    monkeypatch.setattr(sdp._Anderson, "push", record_push)
+    monkeypatch.setattr(sdp._Anderson, "clear", record_clear)
+    monkeypatch.setattr(sdp._Anderson, "mix", record_mix)
     solve(ineq, classical=False)
     assert len(seen) >= 5 and max(len(h) for h, _ in seen) == sdp._DEPTH
-    m = ineq.n_alice + ineq.n_bob
     for history, out in seen:
         assert out is not None  # no singular system on these two
-        pairs = [(f.reshape(m, -1), fx.reshape(m, -1)) for f, fx in history]
-        assert out.tobytes() == normal_anderson(pairs).tobytes()
-        # the same least-squares problem as the lstsq mix, solved another way
-        np.testing.assert_allclose(out, stacked_anderson(pairs).reshape(-1), rtol=0, atol=1e-12)
+        # the ring's running normal matrix and differences against the
+        # history differenced afresh, and against the lstsq mix
+        np.testing.assert_allclose(out, normal_anderson(history).reshape(-1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, stacked_anderson(history).reshape(-1), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
     "ineq, iterations",
-    [(chained(8), 16), (chained(16), 26), (chained(32), 46), (gisin(16), 6)],
-    ids=["chained-8", "chained-16", "chained-32", "gisin-16"],
+    [(chained(8), 14), (chained(16), 26), (chained(32), 46), (gisin(16), 6),
+     (new_inequality("random-16", np.random.default_rng(16).integers(-3, 4, (16, 16))), 26)],
+    ids=["chained-8", "chained-16", "chained-32", "gisin-16", "random-16"],
 )
 def test_iteration_counts_are_pinned(ineq, iterations):
     # the solver's trajectory on the default seed and rank; a change to these
@@ -180,19 +222,22 @@ def test_repeated_history_entry_is_rejected(monkeypatch):
     v = sdp._initial_vectors(8, 4, 0)
     fv = v.copy()
     sdp._sweep(w, fv, sdp._uncoupled_runs(w), 1e-14)
-    entry = np.stack((fv - v, fv)).reshape(2, -1)
-    mix = sdp._anderson
+    ring = sdp._Anderson(fv.size)
+    mix = sdp._Anderson.mix
     outs = []
 
-    def repeat_last(history):
-        outs.append(mix(list(history) + [history[-1]]))
+    def repeat_last(self):
+        self.push(self.f, self.fx)
+        outs.append(mix(self))
         return outs[-1]
 
-    monkeypatch.setattr(sdp, "_anderson", repeat_last)
+    monkeypatch.setattr(sdp._Anderson, "mix", repeat_last)
     values = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert mix([entry, entry]) is None
+        ring.push(fv - v, fv)
+        ring.push(fv - v, fv)
+        assert mix(ring) is None
         for k in range(1, 40):
             try:
                 sol = solve_primal(w, rank=4, seed=5, max_iter=k)
@@ -240,8 +285,8 @@ def test_cholesky_gate_matches_certify(monkeypatch):
     default = sdp._GAP_TARGET
     for ws, v, stop in checks:
         lam = extract_dual(ws, v)
-        slack = float(np.sum(lam)) - sdp._value(ws, v)
-        gap = certify(ws, lam).certified_bound - sdp._value(ws, v)
+        slack = float(np.sum(lam)) - _value(ws, v)
+        gap = certify(ws, lam).certified_bound - _value(ws, v)
         assert stop == (gap <= default)
         eps = max(1e-3 * gap, 1e-9)
         for target in (default, gap - eps, gap + eps):
@@ -269,10 +314,11 @@ def test_sweep_monotonicity():
 def test_worse_mixed_point_is_rejected(monkeypatch):
     # a mix that lands on random vectors mostly scores below the plain sweep;
     # only the safeguard keeps the trajectory nondecreasing
-    def scatter(history):
-        return np.random.default_rng(len(history)).standard_normal(history[-1][1].shape)
+    def scatter(ring):
+        # seeded by the number of points in the history
+        return np.random.default_rng(ring.k + 1).standard_normal(ring.fx.shape)
 
-    monkeypatch.setattr(sdp, "_anderson", scatter)
+    monkeypatch.setattr(sdp._Anderson, "mix", scatter)
     w = build_objective(gisin(4))
     values = []
     for k in range(1, 40):
