@@ -16,10 +16,13 @@ x_{k-1} = +1) per block of consecutive high indices, and a block's scores
 are accumulated one column at a time into an array laid out high index by
 low index, so its flat argmax is the block's first maximizer.
 
-float64 is exact for integral c with sum |c| < 2^53 (every partial sum is an
-integer below 2^53).  No score or partial sum exceeds the bound (average over
-the signs it leaves out), so the bound overflows exactly when some score
-does, and then some block's best score is non-finite.
+No score or partial sum exceeds sum |c| in magnitude (average over the
+signs it leaves out).  So for integral c the long scan runs in the narrowest
+dtype that holds sum |c|: int16 below 2^15, int32 below 2^31, where every
+score is exact and a block of the same bytes holds 4 or 2 times as many
+strategies; otherwise float64, which is exact for integral c below 2^53.
+In float64 the bound overflows exactly when some score does, and then some
+block's best score is non-finite.
 """
 
 from dataclasses import dataclass
@@ -28,12 +31,14 @@ import numpy as np
 
 from .errors import NonFiniteEntry, TooLarge
 
-# One lhv_bound call on a random k x k in -3..3, one BLAS thread, 2 vCPUs:
-# k = 24 takes 0.24 s, 26 0.97 s, 28 4.3 s; at 28 ru_maxrss rises 1.2 MiB.
+# One lhv_bound call on a random k x k in -3..3 (int16 scores), one BLAS
+# thread, 2 vCPUs: k = 24 takes 0.05 s, 26 0.2 s, 28 0.8-1.0 s, 30 3.8 s; at
+# 28 ru_maxrss rises 1.3 MiB.  float64 scores take about 4 times as long
+# (Gaussian k = 28: 3.4 s).
 ENUM_LIMIT = 30
 _DIRECT = 1 << 10  # up to this many strategies, one product beats building tables
 _LOW_BITS = 12
-_BLOCK = 1 << 15  # scores per block: 256 KiB, which stays in cache
+_BLOCK_BYTES = 1 << 18  # one block of scores: 256 KiB, which stays in cache
 
 
 @dataclass(frozen=True)
@@ -48,21 +53,36 @@ def _signs(first, count, bits):
     return 1.0 - 2.0 * ((np.arange(first, first + count) >> np.arange(bits)[:, None]) & 1)
 
 
+def _score_dtype(c):
+    """int16 or int32 when c is integral and sum |c| fits, else float64."""
+    total = np.abs(c).sum()
+    if np.all(c == np.round(c)):
+        for dtype in (np.int16, np.int32):
+            if total <= np.iinfo(dtype).max:
+                return dtype
+    return np.float64
+
+
 def _scores(c):
     """Yield (first strategy, scores) block by block, in scan order."""
     k, n = c.shape
     if 1 << (k - 1) <= _DIRECT:
         yield 0, np.abs(_signs(0, 1 << (k - 1), k).T @ c).sum(axis=1)
         return
+    dtype = _score_dtype(c)
+
+    def sums(sub, first, count):  # (n, count) column sums of the rows sub, in dtype
+        return (sub.T @ _signs(first, count, len(sub))).astype(dtype, copy=False)
+
     b = min(k - 1, _LOW_BITS)
     h = b // 2  # two half tables: a 2^b-column sign matrix costs as much as a k = 16 scan
-    low = np.add((c[h:b].T @ _signs(0, 1 << (b - h), b - h))[:, :, None],
-                 (c[:h].T @ _signs(0, 1 << h, h))[:, None, :]).reshape(n, 1 << b)
+    low = np.add(sums(c[h:b], 0, 1 << (b - h))[:, :, None],
+                 sums(c[:h], 0, 1 << h)[:, None, :]).reshape(n, 1 << b)
     highs = 1 << (k - 1 - b)
-    rows = min(highs, _BLOCK >> b)
-    acc, part = np.empty((2, rows, 1 << b))
+    rows = min(highs, _BLOCK_BYTES // (low.itemsize << b))
+    acc, part = np.empty((2, rows, 1 << b), dtype)
     for start in range(0, highs, rows):
-        high = c[b:].T @ _signs(start, rows, k - b)
+        high = sums(c[b:], start, rows)
         np.abs(np.add(high[0, :, None], low[0], out=acc), out=acc)
         for t in range(1, n):
             acc += np.abs(np.add(high[t, :, None], low[t], out=part), out=part)

@@ -132,7 +132,7 @@ def _scale_exponent(w):
     return int(np.frexp(np.abs(w).max())[1])
 
 
-def _sweep(ws, v, runs, floor, displacement=True):
+def _sweep(ws, v, runs, floor):
     """One Mixing-method sweep over the unit rows v, in place; the plain map.
 
     Each run [lo, hi) sets its rows to their normalized fields, leaving a
@@ -142,12 +142,11 @@ def _sweep(ws, v, runs, floor, displacement=True):
     two rows of a run are coupled, and the diagonal of ws is not read: on
     unit rows it adds only the constant (1/2) tr(ws), which a Bell objective
     does not have.  So the objective (1/2) v^T ws v of the swept rows, less
-    that constant, is the sum over runs of <new rows, early>.  Returns it,
-    and the largest per-row displacement, or None in its place when
-    displacement is False.
+    that constant, is the sum over runs of <new rows, early>, which it
+    returns.
     """
     m = len(v)
-    value = sq = 0.0
+    value = 0.0
     for lo, hi in runs:
         if lo:
             early = ws[lo:hi, :lo] @ v[:lo]
@@ -159,10 +158,8 @@ def _sweep(ws, v, runs, floor, displacement=True):
         new = np.divide(g, ng, out=old.copy(), where=ng >= floor)
         if lo:
             value += float(np.vdot(new, early))
-        if displacement:
-            sq = max(sq, float(((new - old) ** 2).sum(axis=1).max()))
         old[...] = new
-    return value, (math.sqrt(sq) if displacement else None)
+    return value
 
 
 class _Anderson:
@@ -245,12 +242,12 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     adds the pair (F(v) - v, F(v)) to the ring of the last _DEPTH points
     (_Anderson), and mixes them with weights from the normal equations of
     the residual differences; it renormalizes the rows of the mixed point
-    and sweeps once more, without measuring the displacement.  The mixed
-    point is kept, and joins the ring, only if its value is not below that
-    of F(v), so values along the iterates never decrease; otherwise, or
-    when the normal equations are singular, F(v) is kept and the ring
-    cleared.  Stops when the largest per-vector displacement of the plain
-    sweep falls below tol, or when the certified gap (certify on
+    and sweeps once more.  The mixed point is kept, and joins the ring,
+    only if its value is not below that of F(v), so values along the
+    iterates never decrease; otherwise, or when the normal equations are
+    singular, F(v) is kept and the ring cleared.  Stops when the residual,
+    the largest row norm of F(v) - v (the plain sweep's largest per-vector
+    displacement), falls below tol, or when the certified gap (certify on
     extract_dual) of the iterate is at most _GAP_TARGET, decided by a
     Cholesky factorization (_gap_proven) after iterations 4, 8, 16, then
     every _CHECK_EVERY.  Raises InvalidRank unless rank >= 2, max_iter >= 1
@@ -275,10 +272,12 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     check = 4
     for it in range(1, max_iter + 1):
         fv = v.copy()
-        value, residual = _sweep(ws, fv, runs, floor)
+        value = _sweep(ws, fv, runs, floor)
+        f = fv - v
+        residual = math.sqrt(float((f**2).sum(axis=1).max()))
         if residual < tol:
             return _finish(w, fv, it, residual, converged=True)
-        ring.push(fv - v, fv)
+        ring.push(f, fv)
         v = fv
         if ring.k:
             mixed = ring.mix()
@@ -286,7 +285,7 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
                 mixed = mixed.reshape(m, rank)
                 mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
                 y = mixed.copy()
-                mixed_value, _ = _sweep(ws, y, runs, floor, displacement=False)
+                mixed_value = _sweep(ws, y, runs, floor)
             if mixed is not None and mixed_value >= value:
                 v = y
                 ring.push(y - mixed, y)

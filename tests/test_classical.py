@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tsirelson import chained, chsh, gisin, lhv_bound, new_inequality, solve
+from tsirelson import chained, chsh, classical, gisin, lhv_bound, new_inequality, solve
 from tsirelson.errors import NonFiniteEntry, TooLarge
 
 from oracles import chunked_enumeration, first_max_lhv
@@ -159,6 +159,20 @@ def test_overflow_in_high_bits_or_later_block():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteEntry):
                 lhv_bound(new_inequality("overflow", c))
+
+
+@pytest.mark.parametrize("total, dtype", [
+    (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.float64),
+])
+def test_integer_scan_at_dtype_thresholds(total, dtype):
+    # integer overflow wraps silently, so the best score sits exactly on each
+    # threshold: ones and one large entry, all signs +1 score sum |c| = total
+    c = np.ones((12, 12))
+    c[0, 5] = total - 143
+    assert classical._score_dtype(c) == dtype
+    for m in (c, c.T):
+        assert lhv_bound(new_inequality("edge", m)).value == total
+        _assert_matches_reference(m, chunked_enumeration)
 
 
 def test_huge_finite_bound_is_reported():

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from tsirelson import chained, lhv_bound, new_inequality, sdp, solve
 
-from oracles import first_max_lhv
+from oracles import chunked_enumeration, first_max_lhv
 
 KRIVINE = 1.7823  # upper bound on Grothendieck's constant
 
@@ -34,6 +34,30 @@ def _signs(data, n):
 def test_lhv_matches_first_max_enumeration(c):
     bound = _bound(c)
     val, x, y = first_max_lhv(c)
+    assert bound.value == val
+    np.testing.assert_array_equal(bound.witness_x, x)
+    np.testing.assert_array_equal(bound.witness_y, y)
+
+
+@st.composite
+def near_int16_limit(draw):
+    """Integral k x n, k in 12..14 and n in 12..20, with sum |c| in about [2^14, 2^16]."""
+    k, n = draw(st.integers(12, 14)), draw(st.integers(12, 20))
+    c = draw(arrays(np.float64, (k, n), elements=st.integers(-3, 3).map(float)))
+    if draw(st.booleans()):  # a rank-one sign pattern: the best score is sum |c|
+        signs = st.sampled_from([-1.0, 1.0])
+        c = np.abs(c) * draw(arrays(np.float64, (k, 1), elements=signs))
+        c *= draw(arrays(np.float64, n, elements=signs))
+    total = max(1, int(np.abs(c).sum()))
+    return c * draw(st.integers(2**14 // total + 1, 2**16 // total))
+
+
+@settings(derandomized, max_examples=40)
+@given(near_int16_limit())
+def test_integer_scan_matches_chunked_enumeration(c):
+    # the long scan runs in int16 below sum |c| = 2^15 and in int32 above
+    bound = _bound(c)
+    val, x, y = chunked_enumeration(c)
     assert bound.value == val
     np.testing.assert_array_equal(bound.witness_x, x)
     np.testing.assert_array_equal(bound.witness_y, y)

@@ -120,7 +120,11 @@ def test_block_sweep_matches_rowwise(w, max_iter):
     block = v.copy()
     sweeps, _, converged = rowwise_sweeps(w, v, max_iter, sdp.DEFAULT_TOL)
     runs = sdp._uncoupled_runs(w)
-    residuals = [sdp._sweep(w, block, runs, 1e-14)[1] for _ in range(sweeps)]
+    residuals = []
+    for _ in range(sweeps):
+        before = block.copy()
+        sdp._sweep(w, block, runs, 1e-14)
+        residuals.append(np.linalg.norm(block - before, axis=1).max())
     assert min(residuals[:-1], default=np.inf) >= sdp.DEFAULT_TOL
     assert (residuals[-1] < sdp.DEFAULT_TOL) == converged
     np.testing.assert_allclose(block, v, rtol=0, atol=1e-12)
@@ -128,16 +132,19 @@ def test_block_sweep_matches_rowwise(w, max_iter):
 
 @pytest.mark.parametrize("w, max_iter", SWEEP_CASES, ids=SWEEP_IDS)
 def test_sweep_value_and_quiet_sweep(w, max_iter):
-    # the value read off the early fields is the objective of the swept rows,
-    # and a sweep that skips the displacement sets the same rows
+    # the value read off the early fields is the objective of the swept rows
     runs = sdp._uncoupled_runs(w)
     v = sdp._initial_vectors(w.shape[0], 4, 0)
     for _ in range(min(max_iter, 6)):
-        quiet = v.copy()
-        value, _ = sdp._sweep(w, v, runs, 1e-14)
-        assert sdp._sweep(w, quiet, runs, 1e-14, displacement=False)[1] is None
-        assert quiet.tobytes() == v.tobytes()
+        value = sdp._sweep(w, v, runs, 1e-14)
         assert abs(value - _value(w, v)) <= 1e-12 * max(1.0, abs(value))
+    # solve_primal's residual, read off F(v) - v, is the first sweep's
+    # largest displacement, as the row-by-row ascent measures it
+    with pytest.raises(MaxIterReached) as exc:
+        solve_primal(w, rank=4, max_iter=1)
+    v = sdp._initial_vectors(w.shape[0], 4, 0)
+    _, residual, _ = rowwise_sweeps(w, v, 1, sdp.DEFAULT_TOL)
+    assert abs(exc.value.solution.residual - residual) <= 1e-12
 
 
 def test_uncoupled_runs():
