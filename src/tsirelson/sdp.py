@@ -96,10 +96,19 @@ class SolveOptions:
     tol: float = DEFAULT_TOL
 
 
+def _row_norms(x, keepdims=False):
+    """np.linalg.norm(x, axis=1, keepdims=keepdims) of a real x, bit for bit.
+
+    It is the expression norm evaluates for ord=None along one axis, without
+    norm's argument handling.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=keepdims))
+
+
 def _initial_vectors(m, rank, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((m, rank))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= _row_norms(v, keepdims=True)
     return v
 
 
@@ -126,7 +135,7 @@ def _uncoupled_runs(w):
 def _scale_exponent(w):
     """e with max|W| * 2^-e in [0.5, 1) (0 when W == 0).
 
-    Scaling by 2^-e is exact, and keeps the squares inside np.linalg.norm from
+    Scaling by 2^-e is exact, and keeps the squares inside _row_norms from
     overflowing for entries above ~1e154.
     """
     return int(np.frexp(np.abs(w).max())[1])
@@ -153,12 +162,10 @@ def _sweep(ws, v, runs, floor):
             g = early if hi == m else early + ws[lo:hi, hi:] @ v[hi:]
         else:
             g = ws[:hi, hi:] @ v[hi:]
-        ng = np.linalg.norm(g, axis=1, keepdims=True)
-        old = v[lo:hi]  # a view: assigning through it updates v
-        new = np.divide(g, ng, out=old.copy(), where=ng >= floor)
+        ng = _row_norms(g, keepdims=True)
+        new = np.divide(g, ng, out=v[lo:hi], where=ng >= floor)
         if lo:
             value += float(np.vdot(new, early))
-        old[...] = new
     return value
 
 
@@ -223,9 +230,9 @@ def _gap_proven(ws, v):
     lambda and the value.
     """
     g = ws @ v
-    lam = 0.5 * np.linalg.norm(g, axis=1)
+    lam = 0.5 * _row_norms(g)
     t = (_GAP_TARGET - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / ws.shape[0]
-    if t < 0:
+    if not t >= 0:  # a NaN slack proves nothing
         return False
     try:
         np.linalg.cholesky(np.diag(lam + t) - ws / 2.0)
@@ -251,8 +258,9 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     extract_dual) of the iterate is at most _GAP_TARGET, decided by a
     Cholesky factorization (_gap_proven) after iterations 4, 8, 16, then
     every _CHECK_EVERY.  Raises InvalidRank unless rank >= 2, max_iter >= 1
-    and 0 < tol < inf, and MaxIterReached (carrying the partial solution)
-    if max_iter iterations, each of at most two sweeps, come first.
+    and 0 < tol < inf, NonFiniteEntry when W has a NaN or infinite entry,
+    and MaxIterReached (carrying the partial solution) if max_iter
+    iterations, each of at most two sweeps, come first.
     Everything runs on W scaled by a power of two, so a scaled W takes the
     same steps.
     """
@@ -264,6 +272,8 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         raise InvalidRank(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InvalidRank(f"max_iter must be >= 1, got {max_iter}")
+    if not np.isfinite(w).all():
+        raise NonFiniteEntry("W contains a non-finite entry")
     v = _initial_vectors(m, rank, seed)
     runs = _uncoupled_runs(w)
     e = _scale_exponent(w)
@@ -283,7 +293,7 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
             mixed = ring.mix()
             if mixed is not None:
                 mixed = mixed.reshape(m, rank)
-                mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
+                mixed /= _row_norms(mixed, keepdims=True)
                 y = mixed.copy()
                 mixed_value = _sweep(ws, y, runs, floor)
             if mixed is not None and mixed_value >= value:
@@ -322,7 +332,7 @@ def extract_dual(w, vectors):
     w = np.asarray(w, dtype=float)
     v = np.asarray(vectors, dtype=float)
     e = _scale_exponent(w)
-    return 0.5 * np.ldexp(np.linalg.norm(np.ldexp(w, -e) @ v, axis=1), e)
+    return 0.5 * np.ldexp(_row_norms(np.ldexp(w, -e) @ v), e)
 
 
 def certify(w, lam):

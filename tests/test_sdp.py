@@ -147,6 +147,53 @@ def test_sweep_value_and_quiet_sweep(w, max_iter):
     assert abs(exc.value.solution.residual - residual) <= 1e-12
 
 
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_row_norms_match_numpy_norm(keepdims):
+    # the helper is the expression np.linalg.norm evaluates for a real x and
+    # ord=None along one axis; a numpy release that changes it fails here
+    rng = np.random.default_rng(7)
+    for rows in range(1, 65):
+        for cols in range(1, 34):
+            x = rng.standard_normal((rows, cols))
+            x *= np.ldexp(1.0, rng.choice([-500, 0, 500], (rows, 1)))
+            x[rng.random(rows) < 0.2] = 0.0
+            ours = sdp._row_norms(x, keepdims=keepdims)
+            ref = np.linalg.norm(x, axis=1, keepdims=keepdims)
+            assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
+
+def test_sweep_leaves_zero_field_row_bitwise():
+    # Alice's setting 1 has no coefficients, so its field is zero: the masked
+    # divide writes straight into v and must leave that row as it was
+    w = build_objective(new_inequality("zero-row", [[1, 1], [0, 0], [1, -1]]))
+    v = sdp._initial_vectors(5, 4, 0)
+    before = v.copy()
+    sdp._sweep(w, v, sdp._uncoupled_runs(w), 1e-14)
+    assert v[1].tobytes() == before[1].tobytes()
+    assert not np.array_equal(np.delete(v, 1, 0), np.delete(before, 1, 0))
+    sol = solve_primal(w, 4)
+    assert sol.vectors[1].tobytes() == before[1].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_primal_rejects_non_finite_w(bad):
+    # a non-finite W is refused before the ascent, whose Cholesky gate
+    # cannot tell a NaN matrix from a PSD one
+    w = build_objective(chained(3))
+    w[0, 4] = w[4, 0] = bad
+    with pytest.raises(NonFiniteEntry):
+        solve_primal(w, rank=4)
+
+
+def test_gap_gate_rejects_nan_slack():
+    # np.linalg.cholesky factors a NaN matrix without raising, so a NaN
+    # slack must be refused before it
+    w = build_objective(chained(3))
+    v = sdp._initial_vectors(6, 4, 0)
+    v[2, 1] = np.nan
+    assert not sdp._gap_proven(np.ldexp(w, -sdp._scale_exponent(w)), v)
+
+
 def test_uncoupled_runs():
     w = build_objective(new_inequality("3x5", np.ones((3, 5))))
     assert sdp._uncoupled_runs(w) == [(0, 3), (3, 8)]
