@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSize
-from .inequality import chained
 
 
 def _check_n(n):
@@ -59,7 +58,6 @@ def chained_dual_lambda(n):
 class ChainedSpectrum:
     n: int
     gammas: np.ndarray  # complex eigenvalues of the coefficient block A
-    eigenvectors: np.ndarray  # column s is the (unnormalized) eigenvector for gamma_s
     sigmas: np.ndarray  # singular values of A
     w_max: float  # largest eigenvalue of the objective matrix W
 
@@ -68,7 +66,7 @@ def chained_A_spectrum(n):
     """Spectrum of the chained coefficient block and of the objective matrix.
 
     gamma_s = 1 + exp(i pi (2s+1)/n) with eigenvector (rho^{n-1},...,rho^0),
-    rho = exp(-i pi (2s+1)/n); the eigen-identity is verified numerically.
+    rho = exp(-i pi (2s+1)/n).
     The objective matrix's eigenvalues are {+-sigma_s}, so its largest is
     max_s sigma_s = 2 cos(pi/2n).
     """
@@ -76,18 +74,10 @@ def chained_A_spectrum(n):
     s = np.arange(n)
     phase = np.pi * (2 * s + 1) / n
     gammas = 1.0 + np.exp(1j * phase)
-    rho = np.exp(-1j * phase)
-    powers = np.arange(n - 1, -1, -1)
-    vecs = rho[None, :] ** powers[:, None]
-    a = chained(n).coefficients.T  # Bob x Alice block of W
-    resid = np.abs(a @ vecs - gammas[None, :] * vecs).max()
-    if resid > 1e-10:
-        raise AssertionError(f"eigenvector identity violated, residual {resid:.3e}")
     sigmas = np.sqrt(np.maximum(0.0, 2.0 + 2.0 * np.cos(phase)))
     return ChainedSpectrum(
         n=n,
         gammas=gammas,
-        eigenvectors=vecs,
         sigmas=sigmas,
         w_max=2.0 * np.cos(np.pi / (2 * n)),
     )

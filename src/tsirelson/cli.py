@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -85,26 +84,12 @@ def _render_csv(rows, header):
 # argument handling
 
 
-def _default_seed():
-    env = os.environ.get("TSIRELSON_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise UsageError(f"TSIRELSON_SEED must be an integer, got {env!r}") from exc
-
-
 def _check_solver_args(args):
     """Reject solver settings the library would refuse, as usage errors."""
     if args.seed < 0:
         raise UsageError(f"seed must be >= 0, got {args.seed}")
-    if args.rank is not None and args.rank < 2:
-        raise UsageError(f"--rank must be >= 2, got {args.rank}")
     if args.max_iter < 1:
         raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
-    if not (0.0 < args.tol < float("inf")):
-        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
 
 
 def _add_common(p, solver=True, formats=("text", "json")):
@@ -115,10 +100,8 @@ def _add_common(p, solver=True, formats=("text", "json")):
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--output", dest="output_path")
     if solver:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rank", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
-        p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
 
 
 def _add_certify(p):
@@ -238,7 +221,7 @@ def _config_block(args):
     if args.file_path:
         cfg["file"] = args.file_path
     if hasattr(args, "seed"):
-        cfg.update(seed=args.seed, rank=args.rank, max_iter=args.max_iter, tol=args.tol)
+        cfg.update(seed=args.seed, max_iter=args.max_iter)
     if getattr(args, "lambda_file", None):
         cfg["lambda_file"] = args.lambda_file
     if getattr(args, "n_range", None):
@@ -248,9 +231,7 @@ def _config_block(args):
 
 
 def _solve_options(args):
-    return sdp.SolveOptions(
-        rank=args.rank, seed=args.seed, max_iter=args.max_iter, tol=args.tol
-    )
+    return sdp.SolveOptions(seed=args.seed, max_iter=args.max_iter)
 
 
 def _analytic_bound(kind, n):
@@ -329,7 +310,8 @@ def _cmd_classical(args):
 def _cmd_realize(args):
     ineq = _load_inequality(args)
     report = sdp.solve(ineq, _solve_options(args), classical=False)
-    v = linalg.vectors_from_gram(report.primal.gram)
+    u = report.primal.vectors
+    v = linalg.vectors_from_gram(u @ u.T)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     xs, ys = v[: ineq.n_alice], v[ineq.n_alice :]
     real = realization.realize(xs, ys)
@@ -437,8 +419,6 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         if hasattr(args, "seed"):
-            if args.seed is None:
-                args.seed = _default_seed()
             _check_solver_args(args)
         payload, status = _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -1,8 +1,8 @@
 """Unit-diagonal SDP solver with dual certification.
 
 The primal "maximize (1/2) Tr(G W) s.t. G >= 0, g_ii = 1" is attacked in the
-low-rank factorized form: m unit vectors of length rank, by default
-min(m, ceil(sqrt(2m)) + 1), the Barvinok-Pataki bound.  The plain map is a
+low-rank factorized form: m unit vectors of length rank, which solve sets
+to min(m, ceil(sqrt(2m)) + 1), the Barvinok-Pataki bound.  The plain map is a
 sweep of block-coordinate ascent, the Mixing method: each vector is set to
 its closed-form maximizer in a fixed order, so the objective never
 decreases.  Consecutive vectors that W does not couple are updated together
@@ -34,19 +34,18 @@ from .errors import InvalidRank, LengthMismatch, MaxIterReached, NonFiniteEntry
 from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
-DEFAULT_TOL = 1e-10
 OPTIMAL_GAP = 1e-5  # thresholds on the gap relative to max(1, max|W|)
 RESTART_GAP = 1e-4
 
 _DEPTH = 5  # Anderson history: the last _DEPTH points and their sweeps
 _GAP_TARGET = 1e-8  # certified gap, in the scaled W, that stops the ascent
+_RESIDUAL_TOL = 1e-10  # largest per-vector move of a sweep that stops it
 _CHECK_EVERY = 10  # largest step between gap checks
 
 
 @dataclass(frozen=True)
 class PrimalSolution:
     vectors: np.ndarray  # m x r, unit rows
-    gram: np.ndarray
     value: float
     iterations: int
     residual: float
@@ -90,10 +89,8 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    rank: int | None = None  # default min(m, ceil(sqrt(2m)) + 1), m = nA + nB
     seed: int = 0
     max_iter: int = DEFAULT_MAX_ITER
-    tol: float = DEFAULT_TOL
 
 
 def _row_norms(x, keepdims=False):
@@ -241,7 +238,7 @@ def _gap_proven(ws, v):
     return True
 
 
-def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER):
     """Anderson-accelerated block-coordinate ascent over unit vectors v_1..v_m.
 
     The plain map F is one sweep (_sweep), which also returns the objective
@@ -254,12 +251,12 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     iterates never decrease; otherwise, or when the normal equations are
     singular, F(v) is kept and the ring cleared.  Stops when the residual,
     the largest row norm of F(v) - v (the plain sweep's largest per-vector
-    displacement), falls below tol, or when the certified gap (certify on
-    extract_dual) of the iterate is at most _GAP_TARGET, decided by a
-    Cholesky factorization (_gap_proven) after iterations 4, 8, 16, then
-    every _CHECK_EVERY.  Raises InvalidRank unless rank >= 2, max_iter >= 1
-    and 0 < tol < inf, NonFiniteEntry when W has a NaN or infinite entry,
-    and MaxIterReached (carrying the partial solution) if max_iter
+    displacement), falls below _RESIDUAL_TOL, or when the certified gap
+    (certify on extract_dual) of the iterate is at most _GAP_TARGET, decided
+    by a Cholesky factorization (_gap_proven) after iterations 4, 8, 16,
+    then every _CHECK_EVERY.  Raises InvalidRank unless rank >= 2 and
+    max_iter >= 1, NonFiniteEntry when W has a NaN or infinite entry, and
+    MaxIterReached (carrying the partial solution) if max_iter
     iterations, each of at most two sweeps, come first.
     Everything runs on W scaled by a power of two, so a scaled W takes the
     same steps.
@@ -268,8 +265,6 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     m = w.shape[0]
     if rank < 2:
         raise InvalidRank(f"rank must be >= 2, got {rank}")
-    if not 0 < tol < math.inf:
-        raise InvalidRank(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InvalidRank(f"max_iter must be >= 1, got {max_iter}")
     if not np.isfinite(w).all():
@@ -285,7 +280,7 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
         value = _sweep(ws, fv, runs, floor)
         f = fv - v
         residual = math.sqrt(float((f**2).sum(axis=1).max()))
-        if residual < tol:
+        if residual < _RESIDUAL_TOL:
             return _finish(w, fv, it, residual, converged=True)
         ring.push(f, fv)
         v = fv
@@ -312,11 +307,9 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
 
 
 def _finish(w, v, iterations, residual, converged):
-    gram = v @ v.T
     return PrimalSolution(
         vectors=v,
-        gram=gram,
-        value=0.5 * float(np.sum(gram * w)),
+        value=0.5 * float(np.sum((v @ v.T) * w)),
         iterations=iterations,
         residual=float(residual),
         converged=converged,
@@ -364,9 +357,9 @@ def certify(w, lam):
     )
 
 
-def _single_run(w, rank, seed, max_iter, tol):
+def _single_run(w, rank, seed, max_iter):
     try:
-        primal = solve_primal(w, rank, seed=seed, max_iter=max_iter, tol=tol)
+        primal = solve_primal(w, rank, seed=seed, max_iter=max_iter)
     except MaxIterReached as exc:
         primal = exc.solution
     dual = certify(w, extract_dual(w, primal.vectors))
@@ -378,7 +371,7 @@ def _single_run(w, rank, seed, max_iter, tol):
 def solve(ineq, opts=None, classical=True):
     """Full pipeline: objective, primal ascent, dual extraction, certification.
 
-    The rank defaults to min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the
+    The rank is min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the
     first run's gap over max(1, max|W|) exceeds RESTART_GAP, whether it
     converged or hit max_iter (both happen at a stuck rank-deficient saddle),
     one restart with seed+1 and rank+2 is attempted and both runs are
@@ -392,14 +385,12 @@ def solve(ineq, opts=None, classical=True):
     opts = opts or SolveOptions()
     w = ineq_mod.build_objective(ineq)
     m = w.shape[0]
-    rank = opts.rank if opts.rank is not None else min(m, math.isqrt(2 * m - 1) + 2)
-    primal, dual, run = _single_run(w, rank, opts.seed, opts.max_iter, opts.tol)
+    rank = min(m, math.isqrt(2 * m - 1) + 2)
+    primal, dual, run = _single_run(w, rank, opts.seed, opts.max_iter)
     runs = (run,)
     scale = max(1.0, float(np.abs(w).max()))
     if run.gap / scale > RESTART_GAP:
-        primal2, dual2, run2 = _single_run(
-            w, rank + 2, opts.seed + 1, opts.max_iter, opts.tol
-        )
+        primal2, dual2, run2 = _single_run(w, rank + 2, opts.seed + 1, opts.max_iter)
         runs = (run, run2)
         if run2.gap < run.gap:
             primal, dual = primal2, dual2

@@ -349,10 +349,8 @@ def eager_parser():
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", dest="output_path")
         if solver:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--rank", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
-            p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
 
     add_common(sub.add_parser("bound", help="primal + certified dual bound"))
     p_cert = sub.add_parser("certify", help="certify a lambda vector from file")

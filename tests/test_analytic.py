@@ -108,6 +108,17 @@ def test_spectrum_matches_numerical_eigensolver(n):
     assert abs(numeric[-1] - spec.w_max) <= 1e-9
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_spectrum_eigenvectors(n):
+    # A u_s = gamma_s u_s for u_s = (rho^{n-1}, ..., rho^0), rho = exp(-i pi (2s+1)/n),
+    # A the Bob x Alice block of W
+    gammas = chained_A_spectrum(n).gammas
+    rho = np.exp(-1j * np.pi * (2 * np.arange(n) + 1) / n)
+    u = rho[None, :] ** np.arange(n - 1, -1, -1)[:, None]  # column s is u_s
+    a = chained(n).coefficients.T
+    np.testing.assert_allclose(a @ u, u * gammas[None, :], rtol=0, atol=1e-10)
+
+
 def test_spectrum_n1_degenerate():
     spec = chained_A_spectrum(1)
     np.testing.assert_allclose(np.abs(spec.gammas), 0.0, atol=1e-12)

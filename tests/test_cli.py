@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,28 +56,24 @@ def test_bound_json_roundtrip_and_determinism(capsys):
 def test_bound_embeds_config(capsys):
     _, out, _ = run_cli(
         capsys, "bound", "--inequality", "chained", "--n", "3", "--format", "json",
-        "--seed", "4", "--rank", "6",
+        "--seed", "4",
     )
     cfg = json.loads(out)["config"]
     assert cfg["command"] == "bound"
     assert cfg["inequality"] == "chained"
     assert cfg["n"] == 3
     assert cfg["seed"] == 4
-    assert cfg["rank"] == 6
+    assert "rank" not in cfg and "tol" not in cfg
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("TSIRELSON_SEED", "17")
-    _, out, _ = run_cli(
-        capsys, "bound", "--inequality", "chained", "--n", "2", "--format", "json"
-    )
-    assert json.loads(out)["config"]["seed"] == 17
-    # explicit flag wins
-    _, out, _ = run_cli(
-        capsys, "bound", "--inequality", "chained", "--n", "2", "--format", "json",
-        "--seed", "3",
-    )
-    assert json.loads(out)["config"]["seed"] == 3
+@pytest.mark.parametrize("value", ["17", "abc"])
+def test_seed_env_is_ignored(capsys, monkeypatch, value):
+    # the output depends on the arguments alone, whatever the environment holds
+    argv = ("bound", "--inequality", "gisin", "--n", "3", "--format", "json")
+    monkeypatch.delenv("TSIRELSON_SEED", raising=False)
+    unset = run_cli(capsys, *argv)
+    monkeypatch.setenv("TSIRELSON_SEED", value)
+    assert run_cli(capsys, *argv) == unset
 
 
 def test_table_chained(capsys):
@@ -477,17 +475,6 @@ def test_bad_solver_settings_are_usage_errors(capsys, flag, value):
         assert flag.lstrip("-") in err
 
 
-def test_bad_seed_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("TSIRELSON_SEED", "abc")
-    status, out, err = run_cli(capsys, "bound", "--inequality", "chsh")
-    assert status == 1
-    assert out == ""
-    assert "TSIRELSON_SEED" in err
-    # an explicit flag wins, and commands without a solver never read it
-    assert run_cli(capsys, "bound", "--inequality", "chsh", "--seed", "1")[0] == 0
-    assert run_cli(capsys, "classical", "--inequality", "chsh")[0] == 0
-
-
 def _parse(parser, argv, capsys):
     try:
         result = parser.parse_args(argv)
@@ -517,12 +504,10 @@ def _main_parse(argv, capsys, monkeypatch):
 
 
 def _as_main(parsed):
-    # what main makes of a parse: an exit status, or the namespace with the seed set
+    # what main makes of a parse: its exit status in place of argparse's, or the namespace
     result, out, err = parsed
     if isinstance(result, int):
-        return {0: cli.EXIT_OK, 2: cli.EXIT_USAGE}[result], out, err
-    if getattr(result, "seed", 0) is None:
-        result.seed = 0
+        result = {0: cli.EXIT_OK, 2: cli.EXIT_USAGE}[result]
     return result, out, err
 
 
@@ -540,10 +525,23 @@ def _as_main(parsed):
 def test_parser_matches_eager_parser(capsys, monkeypatch, argv):
     # namespaces, help, usage and errors as with every argument added up front,
     # from the full parser and from the one subcommand's parser main builds
-    monkeypatch.delenv("TSIRELSON_SEED", raising=False)
     expected = _parse(eager_parser(), argv, capsys)
     assert _parse(build_parser(), argv, capsys) == expected
     assert _main_parse(argv, capsys, monkeypatch) == _as_main(expected)
+
+
+def test_readme_flags_exist():
+    # every --flag the README shows, outside its install commands, is an option
+    # of some subcommand
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in sub.choices.values() for opt in p._option_string_actions}
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sections = re.split(r"^(?=## )", text, flags=re.MULTILINE)
+    shown = {flag for section in sections if not section.startswith("## Install\n")
+             for flag in re.findall(r"--[a-z][a-z-]*", section)}
+    assert "--seed" in shown and "--help" in options
+    assert shown <= options, shown - options
 
 
 def test_parser_parses_more_than_once():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -62,14 +63,10 @@ def test_solve_primal_invalid_rank():
 
 
 @pytest.mark.parametrize(
-    "setting",
-    [dict(tol=math.inf), dict(tol=math.nan), dict(tol=0.0), dict(max_iter=0),
-     dict(max_iter=-1)],
-    ids=["tol-inf", "tol-nan", "tol-0", "max-iter-0", "max-iter-neg"],
+    "setting", [dict(max_iter=0), dict(max_iter=-1)], ids=["max-iter-0", "max-iter-neg"]
 )
 def test_iteration_settings_are_validated(setting):
-    # tol=inf used to report converged runs after one iteration with a gap of
-    # 2.78 on chained-8, and max_iter=-1 a run of -1 iterations
+    # max_iter=-1 used to report a run of -1 iterations
     w = build_objective(chained(8))
     with pytest.raises(InvalidRank):
         solve_primal(w, rank=4, **setting)
@@ -118,15 +115,15 @@ def test_block_sweep_matches_rowwise(w, max_iter):
     m = w.shape[0]
     v = sdp._initial_vectors(m, m, 0)
     block = v.copy()
-    sweeps, _, converged = rowwise_sweeps(w, v, max_iter, sdp.DEFAULT_TOL)
+    sweeps, _, converged = rowwise_sweeps(w, v, max_iter, sdp._RESIDUAL_TOL)
     runs = sdp._uncoupled_runs(w)
     residuals = []
     for _ in range(sweeps):
         before = block.copy()
         sdp._sweep(w, block, runs, 1e-14)
         residuals.append(np.linalg.norm(block - before, axis=1).max())
-    assert min(residuals[:-1], default=np.inf) >= sdp.DEFAULT_TOL
-    assert (residuals[-1] < sdp.DEFAULT_TOL) == converged
+    assert min(residuals[:-1], default=np.inf) >= sdp._RESIDUAL_TOL
+    assert (residuals[-1] < sdp._RESIDUAL_TOL) == converged
     np.testing.assert_allclose(block, v, rtol=0, atol=1e-12)
 
 
@@ -143,7 +140,7 @@ def test_sweep_value_and_quiet_sweep(w, max_iter):
     with pytest.raises(MaxIterReached) as exc:
         solve_primal(w, rank=4, max_iter=1)
     v = sdp._initial_vectors(w.shape[0], 4, 0)
-    _, residual, _ = rowwise_sweeps(w, v, 1, sdp.DEFAULT_TOL)
+    _, residual, _ = rowwise_sweeps(w, v, 1, sdp._RESIDUAL_TOL)
     assert abs(exc.value.solution.residual - residual) <= 1e-12
 
 
@@ -387,10 +384,10 @@ def test_worse_mixed_point_is_rejected(monkeypatch):
 
 def test_gap_stop():
     # chained-16 is proven within the gap target before any sweep moves a
-    # vector by less than tol
+    # vector by less than _RESIDUAL_TOL
     w = build_objective(chained(16))
     sol = solve_primal(w, rank=9)
-    assert sol.converged and sol.residual >= sdp.DEFAULT_TOL
+    assert sol.converged and sol.residual >= sdp._RESIDUAL_TOL
     gap = certify(w, extract_dual(w, sol.vectors)).certified_bound - sol.value
     assert 0.0 <= gap <= 2 * sdp._GAP_TARGET  # max|W| = 1, scaled by 1/2
 
@@ -522,8 +519,23 @@ def test_weak_duality_random_sign_matrices():
 
 def test_rank_sufficiency_chained():
     for n in (2, 5, 10):
-        report = solve(chained(n), SolveOptions(rank=2 * n))
-        assert report.gap <= 1e-6
+        w = build_objective(chained(n))
+        sol = solve_primal(w, rank=2 * n)
+        cert = certify(w, extract_dual(w, sol.vectors))
+        assert cert.certified_bound - sol.value <= 1e-6
+
+
+@pytest.mark.parametrize("ineq", [chained(2), chained(8), chained(32), gisin(5)],
+                         ids=lambda ineq: ineq.name)
+def test_solve_rank_is_barvinok_pataki(ineq):
+    # the one run is at min(m, ceil(sqrt(2m)) + 1); STUCK pins a restart's rank + 2
+    m = ineq.n_alice + ineq.n_bob
+    report = solve(ineq, classical=False)
+    assert [run.rank for run in report.runs] == [min(m, math.ceil(math.sqrt(2 * m)) + 1)]
+
+
+def test_solve_options_fields():
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["seed", "max_iter"]
 
 
 TIE = new_inequality("tie", [[-3, 2, 1], [1, 0, 3], [-1, 0, -3]])
