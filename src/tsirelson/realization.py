@@ -2,7 +2,7 @@
 
 Given real unit vectors x_s, y_t of length N, pairwise anticommuting
 generators C_1..C_N (tensor-product Pauli construction, dimension
-d = 2^ceil(N/2)) turn each vector into a +-1-eigenvalue observable
+d = 2^floor(N/2), Tsirelson 1987) turn each vector into a +-1-eigenvalue observable
 sum_k v[k] C_k.  On the canonical maximally entangled state the correlation
 <Psi| X (x) Y |Psi> then reproduces the inner product x . y exactly, because
 <Psi| X (x) Y |Psi> = Tr(X Y^T)/d and Tr(C_k C_l) = d delta_kl.
@@ -41,12 +41,14 @@ def _pauli_terms(n):
     from 0, generators 2j (X) and 2j+1 (Y) have it in row i at column i XOR b,
     b the bit of qubit j.  Its value is (-1)^(parity of i's bits on qubits
     0..j-1, the Z factors), times 1 for X, or times -i or +i for Y as i's bit
-    on qubit j is 0 or 1.  Returns the rows 0..d-1 and, per qubit j, the
-    columns and the real sign of X and imaginary sign of Y in each row.
+    on qubit j is 0 or 1.  For odd n the last generator is the parity string,
+    Z on every qubit: real, diagonal, and anticommuting with every X and Y
+    string.  Returns the rows 0..d-1 and, per qubit j (then the parity, with
+    no Y), the columns and the real sign of X and imaginary sign of Y.
     """
     if n < 1 or n > MAX_GENERATORS:
         raise TooLarge(f"need 1 <= N <= {MAX_GENERATORS}, got {n}")
-    qubits = (n + 1) // 2
+    qubits = n // 2
     rows = np.arange(1 << qubits)
     terms = []
     sign = np.ones(len(rows))  # (-1)^(parity of the bits on qubits 0..j-1)
@@ -55,6 +57,8 @@ def _pauli_terms(n):
         bit = (rows & b) != 0
         terms.append((rows ^ b, sign, np.where(bit, sign, -sign)))
         sign = np.where(bit, -sign, sign)
+    if n % 2:
+        terms.append((rows, sign, None))
     return rows, terms
 
 

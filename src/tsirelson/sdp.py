@@ -1,5 +1,10 @@
 """Unit-diagonal SDP solver with dual certification.
 
+solve first tries the paper's proof (_spectral): constant multipliers from
+the top singular value of the coefficient block, and a linear test of whether
+its singular vectors carry a primal attaining that bound.  If so, solve
+reports one run of method "spectral"; if not, the ascent below ("mixing").
+
 The primal "maximize (1/2) Tr(G W) s.t. G >= 0, g_ii = 1" is attacked in the
 low-rank factorized form: m unit vectors of length rank, which solve sets
 to min(m, ceil(sqrt(2m)) + 1), the Barvinok-Pataki bound.  The plain map is a
@@ -41,6 +46,7 @@ _DEPTH = 5  # Anderson history: the last _DEPTH points and their sweeps
 _GAP_TARGET = 1e-8  # certified gap, in the scaled W, that stops the ascent
 _RESIDUAL_TOL = 1e-10  # largest per-vector move of a sweep that stops it
 _CHECK_EVERY = 10  # largest step between gap checks
+_TIGHT_TOL = 1e-9  # relative: sigma_1's multiplicity, and the spectral test's residual
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,7 @@ class Run:
     primal_value: float
     certified_bound: float
     gap: float  # certified_bound - primal_value
+    method: str  # "spectral" or "mixing"
 
 
 @dataclass(frozen=True)
@@ -364,29 +371,78 @@ def _single_run(w, rank, seed, max_iter):
         primal = exc.solution
     dual = certify(w, extract_dual(w, primal.vectors))
     run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
-              dual.certified_bound, dual.certified_bound - primal.value)
+              dual.certified_bound, dual.certified_bound - primal.value, "mixing")
     return primal, dual, run
+
+
+def _spectral(c, w, rank, seed):
+    """The paper's bound, certified, and a rank-d primal attaining it; or None.
+
+    lambda = sigma_1 sqrt(nB/nA)/2 on Alice's side and sigma_1 sqrt(nA/nB)/2
+    on Bob's, sigma_1 the largest singular value of c, makes diag(lambda) -
+    W/2 PSD.  A Gram matrix attains sum(lambda) iff it is K M K^T with M PSD,
+    diag(K M K^T) = 1 and K = [U_1; sqrt(nB/nA) V_1], the d top singular
+    pairs (Epping, Kampermann & Bruss, 2013).  M is solved for by least
+    squares, in closed form when d = 1, where the test is that |K| is
+    constant; the rows of K M^(1/2), normalized, are the primal.  One eigh
+    of the smaller side's Gram matrix of c / 2^e gives the pairs.  None when
+    c is zero, d > rank, the residual exceeds _TIGHT_TOL, or the certified
+    gap exceeds the ascent's own stop, _GAP_TARGET * 2^e.
+    """
+    na, nb = c.shape
+    e = _scale_exponent(c)
+    a = np.ldexp(c.T if nb < na else c, -e)  # rows: the smaller side
+    vals, vecs = np.linalg.eigh(a @ a.T)
+    top = vals[-1]
+    d = int(np.count_nonzero(vals >= top * (1 - _TIGHT_TOL)))
+    if not (top > 0 and d <= rank):
+        return None
+    sigma = math.sqrt(top)
+    near, far = vecs[:, -d:], a.T @ vecs[:, -d:] / sigma
+    u, v = (far, near) if nb < na else (near, far)
+    k = np.vstack([u, math.sqrt(nb / na) * v])
+    eqs = (k[:, :, None] * k[:, None, :]).reshape(len(k), d * d)  # row r: k_r k_r^T
+    # least squares; a least-norm M is symmetric, in the span of the k_r k_r^T
+    x = (eqs.sum(axis=0) / np.vdot(eqs, eqs) if d == 1
+         else np.linalg.lstsq(eqs, np.ones(len(k)))[0])
+    if not np.abs(eqs @ x - 1.0).max() <= _TIGHT_TOL:
+        return None
+    ev, q = np.linalg.eigh(x.reshape(d, d))
+    rows = k @ ((q * np.sqrt(np.maximum(ev, 0.0))) @ q.T)
+    rows /= _row_norms(rows, keepdims=True)
+    primal = _finish(w, rows, 0, 0.0, converged=True)
+    lam = np.ldexp(sigma, e) / 2 * np.sqrt([nb / na, na / nb])  # Alice's, Bob's
+    cert = certify(w, np.repeat(lam, [na, nb]))
+    gap = cert.certified_bound - primal.value
+    if not gap <= np.ldexp(_GAP_TARGET, e):
+        return None
+    return primal, cert, Run(seed, d, 0, True, primal.value, cert.certified_bound, gap, "spectral")
 
 
 def solve(ineq, opts=None, classical=True):
     """Full pipeline: objective, primal ascent, dual extraction, certification.
 
-    The rank is min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the
-    first run's gap over max(1, max|W|) exceeds RESTART_GAP, whether it
-    converged or hit max_iter (both happen at a stuck rank-deficient saddle),
-    one restart with seed+1 and rank+2 is attempted and both runs are
-    reported; the report carries the better
-    run, and its gap also over max(1, max|W|) as relative_gap.  When the
-    classical witness scores above that run's primal value (a slow run can
-    stop just short of a classical optimum), the witness, as the feasible
-    point x_s, y_t = +-e_1, becomes the reported primal; the run's iteration
-    count, residual and convergence flag are kept, and runs is unchanged.
+    Raises InvalidRank unless opts.max_iter >= 1.  A spectral run
+    (_spectral), where taken, is the only one; otherwise the ascent runs at
+    rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the first run's gap
+    over max(1, max|W|) exceeds RESTART_GAP, whether it converged or hit
+    max_iter (both happen at a stuck rank-deficient saddle), one restart
+    with seed+1 and rank+2 is attempted and both runs are reported; the
+    report carries the better run, and its gap also over max(1, max|W|) as
+    relative_gap.  When the classical witness scores above that run's primal
+    value (a slow run can stop just short of a classical optimum), the
+    witness, as the feasible point x_s, y_t = +-e_1, becomes the reported
+    primal; the run's iteration count, residual and convergence flag are
+    kept, and runs is unchanged.
     """
     opts = opts or SolveOptions()
+    if opts.max_iter < 1:
+        raise InvalidRank(f"max_iter must be >= 1, got {opts.max_iter}")
     w = ineq_mod.build_objective(ineq)
     m = w.shape[0]
     rank = min(m, math.isqrt(2 * m - 1) + 2)
-    primal, dual, run = _single_run(w, rank, opts.seed, opts.max_iter)
+    primal, dual, run = (_spectral(ineq.coefficients, w, rank, opts.seed)
+                         or _single_run(w, rank, opts.seed, opts.max_iter))
     runs = (run,)
     scale = max(1.0, float(np.abs(w).max()))
     if run.gap / scale > RESTART_GAP:

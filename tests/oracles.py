@@ -41,6 +41,11 @@ written.  The library's sweep reads it off the fields it forms anyway, and
 must agree with it to rounding; the in-loop gap check forms the same product
 once for lambda and the value.
 
+Gisin's n-setting inequality has the Tsirelson bound n / sin(pi/2n): reversing
+Bob's settings makes its coefficient block skew-circulant, whose largest
+singular value is 1 / sin(pi/2n), and the multipliers are constant as in the
+chained proof.  The spectral path must reach it.
+
 The cyclic Jacobi eigensolver is a symmetric eigensolver that shares no
 code with LAPACK: the spectrum checks against the closed-form results, and
 the tests of min_eigenvalue, compare the library against it.
@@ -293,6 +298,11 @@ def normal_anderson(history):
     return fx[-1] - np.tensordot(gamma, np.diff(fx, axis=0), axes=1)
 
 
+def gisin_quantum_bound(n):
+    """Tsirelson bound n / sin(pi/2n) of Gisin's n-setting inequality."""
+    return n / np.sin(np.pi / (2 * n))
+
+
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -300,10 +310,10 @@ _ID2 = np.eye(2, dtype=complex)
 
 
 def clifford_generators(n):
-    """N pairwise anticommuting Hermitian involutions of dimension 2^ceil(N/2).
+    """N pairwise anticommuting Hermitian involutions of dimension 2^floor(N/2).
 
     Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y,
-    over m = ceil(N/2) qubit factors.
+    over m = floor(N/2) qubit factors; for odd N the last is Z on every qubit.
     """
     rows, terms = _pauli_terms(n)
     gens = np.zeros((n, len(rows), len(rows)), dtype=complex)
@@ -315,16 +325,23 @@ def clifford_generators(n):
 
 
 def kron_clifford_generators(n):
-    """Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y."""
-    qubits = (n + 1) // 2
+    """Generator 2j-1 is Z^{(j-1)} (x) X (x) I..., generator 2j the same with Y.
+
+    Over floor(N/2) qubit factors; for odd N the last generator is Z on every
+    qubit (the 1 x 1 identity when N = 1).
+    """
+    qubits = n // 2
     gens = []
     for k in range(n):
         j = k // 2  # qubit carrying the X/Y factor
-        factors = [_PAULI_Z] * j
-        factors.append(_PAULI_X if k % 2 == 0 else _PAULI_Y)
-        factors.extend([_ID2] * (qubits - j - 1))
-        mat = factors[0]
-        for f in factors[1:]:
+        if j == qubits:  # the parity string
+            factors = [_PAULI_Z] * qubits
+        else:
+            factors = [_PAULI_Z] * j
+            factors.append(_PAULI_X if k % 2 == 0 else _PAULI_Y)
+            factors.extend([_ID2] * (qubits - j - 1))
+        mat = np.eye(1, dtype=complex)
+        for f in factors:
             mat = np.kron(mat, f)
         gens.append(mat)
     return gens

@@ -13,7 +13,7 @@ import tsirelson
 from tsirelson import chained, cli, realization, sdp
 from tsirelson.cli import build_parser, canonical_json, main
 
-from oracles import eager_parser
+from oracles import eager_parser, gisin_quantum_bound
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +51,20 @@ def test_bound_json_roundtrip_and_determinism(capsys):
     assert out1 == out2
     reserialized = canonical_json(json.loads(out1)) + "\n"
     assert reserialized == out1
+
+
+def test_bound_reports_spectral_run(capsys):
+    # gisin-4 is tight: one spectral run of rank 2, with no iteration
+    status, out, _ = run_cli(capsys, "bound", "--inequality", "gisin", "--n", "4",
+                             "--format", "json")
+    assert status == 0
+    doc = json.loads(out)
+    (run,) = doc["runs"]
+    assert (run["method"], run["rank"], run["iterations"], run["converged"]) == (
+        "spectral", 2, 0, True)
+    assert (doc["primal"]["iterations"], doc["primal"]["residual"]) == (0, 0.0)
+    assert doc["certified_optimal"] is True
+    assert doc["dual"]["certified_bound"] == pytest.approx(gisin_quantum_bound(4), abs=1e-12)
 
 
 def test_bound_embeds_config(capsys):
@@ -314,15 +328,21 @@ def test_bound_scaled_coefficients(tmp_path, capsys, scale):
     assert doc["gap"] / scale <= sdp.OPTIMAL_GAP
 
 
+STUCK = [[-1, -3, 2, 2, -1, 2], [-1, 2, -2, -2, -1, 0], [-1, -3, 0, 2, 2, 2],
+         [-3, 2, 2, -1, 3, 1], [1, -1, 0, -2, 3, -1], [-1, 2, 2, -1, -3, -1]]
+
+
+def _stuck_file(tmp_path):
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps({"name": "rand-6", "coefficients": STUCK}))
+    return str(path)
+
+
 def test_bound_restarts_unconverged_run(tmp_path, capsys):
     # the first run stalls at a saddle for all 200 iterations; it used to
     # exit 2 because only converged runs were restarted
-    path = tmp_path / "stuck.json"
-    path.write_text(json.dumps({"name": "rand-6", "coefficients": [
-        [-1, -3, 2, 2, -1, 2], [-1, 2, -2, -2, -1, 0], [-1, -3, 0, 2, 2, 2],
-        [-3, 2, 2, -1, 3, 1], [1, -1, 0, -2, 3, -1], [-1, 2, 2, -1, -3, -1]]}))
     status, out, _ = run_cli(
-        capsys, "bound", "--inequality", "file", "--file", str(path),
+        capsys, "bound", "--inequality", "file", "--file", _stuck_file(tmp_path),
         "--max-iter", "200", "--format", "json",
     )
     assert status == 0
@@ -331,18 +351,20 @@ def test_bound_restarts_unconverged_run(tmp_path, capsys):
     assert doc["certified_optimal"] is True
 
 
-def test_bound_text_lists_run_fields_in_order(capsys):
-    # JSON sorts the keys; text output keeps the order of sdp.Run's fields
-    assert len(sdp.solve(chained(6), sdp.SolveOptions(max_iter=3)).runs) == 2
+def test_bound_text_lists_run_fields_in_order(tmp_path, capsys):
+    # JSON sorts the keys; text output keeps the order of sdp.Run's fields.
+    # STUCK is not tight, so it takes the mixing path and restarts
+    stuck = tsirelson.new_inequality("rand-6", STUCK)
+    assert len(sdp.solve(stuck, sdp.SolveOptions(max_iter=3)).runs) == 2
     status, out, _ = run_cli(
-        capsys, "bound", "--inequality", "chained", "--n", "6", "--max-iter", "3",
-        "--seed", "0", "--format", "text",
+        capsys, "bound", "--inequality", "file", "--file", _stuck_file(tmp_path),
+        "--max-iter", "3", "--seed", "0", "--format", "text",
     )
     assert status == 2
     lines = out.splitlines()
     block = lines[lines.index("runs:") + 1 :]
     fields = ["seed", "rank", "iterations", "converged", "primal_value",
-              "certified_bound", "gap"]
+              "certified_bound", "gap", "method"]
     assert [line for line in block if line.startswith("  -")] == ["  -", "  -"]
     keys = [line.split(":")[0].strip() for line in block if line.startswith("    ")]
     assert keys == fields * 2

@@ -3,11 +3,14 @@
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tsirelson import chained, lhv_bound, new_inequality, sdp, solve
+from tsirelson import build_objective, chained, gisin, lhv_bound, new_inequality, sdp, solve
+from tsirelson.errors import MaxIterReached
 
 from oracles import chunked_enumeration, first_max_lhv
 
@@ -109,10 +112,47 @@ def test_solve_converges_certified(c):
     assert report.gap <= sdp.OPTIMAL_GAP
 
 
+def _bp_rank(m):
+    """The Barvinok-Pataki rank of solve's mixing run."""
+    return min(m, math.isqrt(2 * m - 1) + 2)
+
+
 def test_chained_iteration_count():
-    # a deterministic guard on the accelerated ascent: the plain sweep took
-    # 6260 sweeps at n = 64, growing like n^2
+    # a deterministic guard on the accelerated ascent, run as solve's first
+    # mixing run would be (solve takes the spectral path on chained): the
+    # plain sweep took 6260 sweeps at n = 64, growing like n^2
     for n in range(2, 65):
-        report = solve(chained(n), classical=False)
-        assert abs(report.primal.value - 2 * n * np.cos(np.pi / (2 * n))) <= 1e-7
-    assert report.primal.iterations <= 400  # n = 64
+        sol = sdp.solve_primal(build_objective(chained(n)), _bp_rank(2 * n))
+        assert abs(sol.value - 2 * n * np.cos(np.pi / (2 * n))) <= 1e-7
+    assert sol.iterations <= 400  # n = 64
+
+
+@st.composite
+def tight_families(draw):
+    """chained or gisin, n in 1..6, with settings permuted, signs flipped, times 1..3."""
+    n = draw(st.integers(1, 6))
+    c = draw(st.sampled_from([chained, gisin]))(n).coefficients
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    signs = draw(arrays(np.float64, (2, n), elements=st.sampled_from([-1.0, 1.0])))
+    return (signs[0][:, None] * c * signs[1])[rows][:, cols] * draw(st.integers(1, 3))
+
+
+@settings(derandomized, max_examples=120)
+@given(st.one_of(matrices, tight_families()))
+def test_spectral_path_is_a_true_optimum(c):
+    # where solve takes the spectral path, its bound is not below the mixing
+    # primal's value, and its primal is not below the mixing certificate
+    ineq = new_inequality("c", c)
+    report = solve(ineq, classical=False)
+    (run,) = report.runs
+    if run.method != "spectral":
+        return
+    w = build_objective(ineq)
+    try:
+        sol = sdp.solve_primal(w, _bp_rank(w.shape[0]))
+    except MaxIterReached as exc:
+        sol = exc.solution
+    certified = sdp.certify(w, sdp.extract_dual(w, sol.vectors)).certified_bound
+    scale = max(1.0, float(np.abs(c).max()))
+    assert report.dual.certified_bound >= sol.value - 1e-9 * scale
+    assert report.primal.value >= certified - 1e-7 * scale

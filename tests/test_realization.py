@@ -35,7 +35,7 @@ def test_generators_base_case():
 
 def test_generators_n3_anticommute():
     gens = clifford_generators(3)
-    assert all(g.shape == (4, 4) for g in gens)
+    assert all(g.shape == (2, 2) for g in gens)  # X, Y and the parity string Z
     for k in range(3):
         for l in range(k + 1, 3):
             anti = gens[k] @ gens[l] + gens[l] @ gens[k]
@@ -46,7 +46,7 @@ def test_generators_n3_anticommute():
 def test_generators_clifford_relations(n):
     gens = clifford_generators(n)
     d = gens[0].shape[0]
-    assert d == 2 ** ((n + 1) // 2)
+    assert d == 2 ** (n // 2)
     eye = np.eye(d)
     for k in range(n):
         assert np.abs(gens[k] - gens[k].conj().T).max() <= 1e-12
@@ -54,6 +54,17 @@ def test_generators_clifford_relations(n):
             anti = gens[k] @ gens[l] + gens[l] @ gens[k]
             expected = 2 * eye if k == l else 0 * eye
             assert np.linalg.norm(anti - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("r", range(1, 20, 2))
+def test_realize_odd_rank_on_half_the_dimension(r):
+    # r real vectors need 2^floor(r/2) dimensions: for odd r the parity
+    # string Z (x) ... (x) Z is the last generator
+    v = np.random.default_rng(r).standard_normal((6, r))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    real = realize(v[:3], v[3:])
+    assert real.dim == 2 ** (r // 2)
+    assert np.abs(correlation_table(real) - v[:3] @ v[3:].T).max() <= 1e-12
 
 
 def test_generators_size_limits():

@@ -27,6 +27,7 @@ from tsirelson.errors import InvalidRank, LengthMismatch, MaxIterReached, NonFin
 
 from oracles import (
     _value,
+    gisin_quantum_bound,
     normal_anderson,
     rank2_max,
     rowwise_sweeps,
@@ -34,6 +35,11 @@ from oracles import (
     stacked_anderson,
     sym_eigen,
 )
+
+
+def _bp_rank(m):
+    """The Barvinok-Pataki rank min(m, ceil(sqrt(2m)) + 1) of solve's mixing run."""
+    return min(m, math.ceil(math.sqrt(2 * m)) + 1)
 
 
 def test_solve_primal_chsh_optimum():
@@ -244,7 +250,9 @@ def test_anderson_matches_stacked(monkeypatch, ineq):
     monkeypatch.setattr(sdp._Anderson, "push", record_push)
     monkeypatch.setattr(sdp._Anderson, "clear", record_clear)
     monkeypatch.setattr(sdp._Anderson, "mix", record_mix)
-    solve(ineq, classical=False)
+    # solve's first run; solve itself takes the spectral path on chained-16
+    w = build_objective(ineq)
+    solve_primal(w, _bp_rank(w.shape[0]))
     assert len(seen) >= 5 and max(len(h) for h, _ in seen) == sdp._DEPTH
     for history, out in seen:
         assert out is not None  # no singular system on these two
@@ -261,9 +269,12 @@ def test_anderson_matches_stacked(monkeypatch, ineq):
     ids=["chained-8", "chained-16", "chained-32", "gisin-16", "random-16"],
 )
 def test_iteration_counts_are_pinned(ineq, iterations):
-    # the solver's trajectory on the default seed and rank; a change to these
-    # counts is a change of the ascent and must be explained in CHANGES.md
-    assert [run.iterations for run in solve(ineq, classical=False).runs] == [iterations]
+    # the mixing trajectory of solve's first run, on the default seed at the
+    # Barvinok-Pataki rank (solve takes the spectral path on chained and
+    # gisin); a change to these counts is a change of the ascent and must be
+    # explained in CHANGES.md
+    w = build_objective(ineq)
+    assert solve_primal(w, _bp_rank(w.shape[0])).iterations == iterations
 
 
 def test_repeated_history_entry_is_rejected(monkeypatch):
@@ -527,11 +538,15 @@ def test_rank_sufficiency_chained():
 
 @pytest.mark.parametrize("ineq", [chained(2), chained(8), chained(32), gisin(5)],
                          ids=lambda ineq: ineq.name)
-def test_solve_rank_is_barvinok_pataki(ineq):
-    # the one run is at min(m, ceil(sqrt(2m)) + 1); STUCK pins a restart's rank + 2
+def test_solve_rank_is_barvinok_pataki(monkeypatch, ineq):
+    # the one mixing run is at min(m, ceil(sqrt(2m)) + 1); STUCK pins a
+    # restart's rank + 2.  These inputs take the spectral path unless it is
+    # patched out
+    monkeypatch.setattr(sdp, "_spectral", lambda *args: None)
     m = ineq.n_alice + ineq.n_bob
     report = solve(ineq, classical=False)
-    assert [run.rank for run in report.runs] == [min(m, math.ceil(math.sqrt(2 * m)) + 1)]
+    assert [run.rank for run in report.runs] == [_bp_rank(m)]
+    assert [run.method for run in report.runs] == ["mixing"]
 
 
 def test_solve_options_fields():
@@ -615,3 +630,122 @@ def test_relative_gap_is_over_max_coefficient():
     assert half.relative_gap == half.gap
     report = solve(new_inequality("neg", -3.0 * chained(3).coefficients))
     assert report.relative_gap == report.gap / 3.0
+
+
+def test_run_fields():
+    assert [f.name for f in dataclasses.fields(sdp.Run)] == [
+        "seed", "rank", "iterations", "converged", "primal_value", "certified_bound",
+        "gap", "method",
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, closed_form", [(chained, chained_quantum_bound), (gisin, gisin_quantum_bound)],
+    ids=["chained", "gisin"],
+)
+def test_spectral_path_reaches_closed_forms(family, closed_form):
+    # the paper's lambda-constant bound, attained in rank 2 with no sweep
+    for n in range(2, 65):
+        report = solve(family(n), classical=False)
+        bound = closed_form(n)
+        (run,) = report.runs
+        assert (run.method, run.rank, run.iterations, run.converged) == ("spectral", 2, 0, True)
+        assert (report.primal.iterations, report.primal.residual) == (0, 0.0)
+        for value in (report.dual.certified_bound, report.primal.value):
+            assert abs(value - bound) <= 1e-9 * max(1.0, bound)
+        assert run.gap == report.gap <= sdp._GAP_TARGET * 2
+        v = report.primal.vectors
+        assert v.shape == (2 * n, 2)
+        np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "c, bound",
+    [(np.ones((3, 5)), 15.0),
+     (np.hstack([chained(4).coefficients] * 2), 2 * chained_quantum_bound(4)),
+     (np.vstack([gisin(3).coefficients] * 3), 3 * gisin_quantum_bound(3))],
+    ids=["ones-3x5", "chained-4-twice", "gisin-3-thrice"],
+)
+def test_spectral_path_on_rectangular_inputs(c, bound):
+    # nA != nB: K scales Bob's singular vectors by sqrt(nB/nA).  Repeating a
+    # side's settings repeats its optimal vectors, so the bound scales
+    report = solve(new_inequality("rect", c), classical=False)
+    assert [run.method for run in report.runs] == ["spectral"]
+    assert abs(report.dual.certified_bound - bound) <= 1e-9 * bound
+    assert abs(report.primal.value - bound) <= 1e-9 * bound
+
+
+FALL_THROUGH = [
+    TIE,
+    STUCK,
+    new_inequality("zero-row", [[1, 1], [0, 0], [1, -1]]),
+    new_inequality("2x3", [[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]),
+    chained(1),
+    new_inequality("big", [[1e300, 1.0], [1.0, -1.0]]),
+    new_inequality("random-16", np.random.default_rng(16).integers(-3, 4, (16, 16))),
+    new_inequality("random-18", np.random.default_rng(18).integers(-3, 4, (18, 18))),
+    new_inequality("identity-8", np.eye(8)),  # tight, but d = 8 exceeds the rank 7
+]
+
+
+def _count_certify(monkeypatch):
+    calls = []
+    certify = sdp.certify
+    monkeypatch.setattr(sdp, "certify", lambda w, lam: calls.append(1) or certify(w, lam))
+    return calls
+
+
+@pytest.mark.parametrize("ineq", FALL_THROUGH, ids=lambda ineq: ineq.name)
+def test_non_tight_inputs_fall_through(monkeypatch, ineq):
+    # the spectral bound is not attained (or c is zero): solve runs the
+    # mixing ascent, whose first run is solve_primal's at seed 0.  The
+    # tightness test refuses before any certificate: each one is a run's
+    certified = _count_certify(monkeypatch)
+    report = solve(ineq, SolveOptions(max_iter=200), classical=False)
+    assert {run.method for run in report.runs} == {"mixing"}
+    assert len(certified) == len(report.runs)
+    w = build_objective(ineq)
+    try:
+        sol = solve_primal(w, _bp_rank(w.shape[0]), max_iter=200)
+    except MaxIterReached as exc:
+        sol = exc.solution
+    first = report.runs[0]
+    assert (first.rank, first.iterations, first.primal_value) == (
+        _bp_rank(w.shape[0]), sol.iterations, sol.value)
+
+
+def test_certified_gap_refuses_what_a_loose_test_passes(monkeypatch):
+    # chained-8 with one coefficient moved by 1e-4 passes a tightness test
+    # loosened to 1e-2; the certified gap still refuses the spectral path,
+    # and solve runs the ascent as with the test at its own tolerance
+    c = chained(8).coefficients.copy()
+    c[0, 0] += 1e-4
+    ineq = new_inequality("moved", c)
+    ref = solve(ineq, classical=False)
+    certified = _count_certify(monkeypatch)
+    monkeypatch.setattr(sdp, "_TIGHT_TOL", 1e-2)
+    report = solve(ineq, classical=False)
+    assert len(certified) == 2  # the spectral attempt, then the mixing run
+    assert report.runs == ref.runs
+    assert [run.method for run in report.runs] == ["mixing"]
+
+
+@pytest.mark.parametrize(
+    "ineq, scale",
+    [(chained(8), 2.0**1000), (chained(8), 2.0**-1000), (gisin(8), 1e200)],
+    ids=["chained-8-2^1000", "chained-8-2^-1000", "gisin-8-1e200"],
+)
+def test_spectral_path_on_scaled_inputs(ineq, scale):
+    # the path runs on c scaled by a power of two, so a power-of-two scale
+    # leaves every step unchanged; certify's eigensolver rescales a tiny
+    # matrix by a factor that is not one, which moves the bound by rounding
+    ref = solve(ineq, classical=False)
+    report = solve(new_inequality("scaled", scale * ineq.coefficients), classical=False)
+    assert [run.method for run in report.runs] == ["spectral"]
+    if math.frexp(scale)[0] == 0.5:
+        assert report.primal.value == scale * ref.primal.value
+        np.testing.assert_array_equal(report.primal.vectors, ref.primal.vectors)
+    assert report.primal.value == pytest.approx(scale * ref.primal.value, rel=1e-14)
+    assert report.dual.certified_bound == pytest.approx(
+        scale * ref.dual.certified_bound, rel=1e-14)
+    assert report.relative_gap <= sdp._GAP_TARGET
