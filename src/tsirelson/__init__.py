@@ -28,7 +28,6 @@ from .sdp import (
     BoundReport,
     DualCertificate,
     PrimalSolution,
-    SolveOptions,
     certify,
     extract_dual,
     solve,
@@ -42,7 +41,6 @@ __all__ = [
     "DualCertificate",
     "PrimalSolution",
     "QuantumRealization",
-    "SolveOptions",
     "build_objective",
     "certify",
     "chained",

@@ -3,12 +3,10 @@
 Subcommands: bound, certify, classical, realize, spectrum, table.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O error.
 All reports embed the configuration that produced them; identical
-configurations (including the seed) produce identical output bytes.
+configurations produce identical output bytes.
 """
 
 import argparse
-import dataclasses
-import functools
 import json
 import sys
 
@@ -84,28 +82,17 @@ def _render_csv(rows, header):
 # argument handling
 
 
-def _check_solver_args(args):
-    """Reject solver settings the library would refuse, as usage errors."""
-    if args.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {args.seed}")
-    if args.max_iter < 1:
-        raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
-
-
-def _add_common(p, solver=True, formats=("text", "json")):
+def _add_common(p, formats=("text", "json")):
     p.add_argument("--inequality", choices=["chained", "chsh", "gisin", "file"],
                    default="chained")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--file", dest="file_path")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--output", dest="output_path")
-    if solver:
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
 
 
 def _add_certify(p):
-    _add_common(p, solver=False)
+    _add_common(p)
     p.add_argument("--lambda-file", dest="lambda_file", required=True)
 
 
@@ -114,13 +101,12 @@ def _add_table(p):
     p.add_argument("--n-range", dest="n_range", default="2..8")
 
 
-_add_no_solver = functools.partial(_add_common, solver=False)
 _SUBCOMMANDS = {  # name: (help, add_arguments)
     "bound": ("primal + certified dual bound", _add_common),
     "certify": ("certify a lambda vector from file", _add_certify),
-    "classical": ("exact LHV bound with witnesses", _add_no_solver),
+    "classical": ("exact LHV bound with witnesses", _add_common),
     "realize": ("observables achieving the bound", _add_common),
-    "spectrum": ("closed-form chained spectrum", _add_no_solver),
+    "spectrum": ("closed-form chained spectrum", _add_common),
     "table": ("bound table over a range of n", _add_table),
 }
 
@@ -220,18 +206,12 @@ def _config_block(args):
         cfg["n"] = args.n
     if args.file_path:
         cfg["file"] = args.file_path
-    if hasattr(args, "seed"):
-        cfg.update(seed=args.seed, max_iter=args.max_iter)
     if getattr(args, "lambda_file", None):
         cfg["lambda_file"] = args.lambda_file
     if getattr(args, "n_range", None):
         cfg["n_range"] = args.n_range
     cfg["format"] = args.format
     return cfg
-
-
-def _solve_options(args):
-    return sdp.SolveOptions(seed=args.seed, max_iter=args.max_iter)
 
 
 def _analytic_bound(kind, n):
@@ -256,7 +236,7 @@ def _dual_fields(cert):
 
 def _cmd_bound(args):
     ineq = _load_inequality(args)
-    report = sdp.solve(ineq, _solve_options(args))
+    report = sdp.solve(ineq)
     out = {
         "config": _config_block(args),
         "inequality": ineq.name,
@@ -309,7 +289,7 @@ def _cmd_classical(args):
 
 def _cmd_realize(args):
     ineq = _load_inequality(args)
-    report = sdp.solve(ineq, _solve_options(args), classical=False)
+    report = sdp.solve(ineq, classical=False)
     u = report.primal.vectors
     v = linalg.vectors_from_gram(u @ u.T)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -360,11 +340,10 @@ def _cmd_table(args):
     if args.inequality not in _FAMILIES:
         raise UsageError("table supports the chained and gisin families")
     lo, hi = _parse_range(args.n_range)
-    opts = _solve_options(args)
     rows = []
     for n in range(lo, hi + 1):
         ineq = _FAMILIES[args.inequality](n)
-        report = sdp.solve(ineq, dataclasses.replace(opts, seed=args.seed + n))
+        report = sdp.solve(ineq)
         rows.append(
             (n, report.classical_bound, _analytic_bound(args.inequality, n),
              report.primal.value, report.gap)
@@ -418,8 +397,6 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        if hasattr(args, "seed"):
-            _check_solver_args(args)
         payload, status = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,12 +94,6 @@ class BoundReport:
         return self.relative_gap <= OPTIMAL_GAP
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    seed: int = 0
-    max_iter: int = DEFAULT_MAX_ITER
-
-
 def _row_norms(x, keepdims=False):
     """np.linalg.norm(x, axis=1, keepdims=keepdims) of a real x, bit for bit.
 
@@ -364,9 +358,9 @@ def certify(w, lam):
     )
 
 
-def _single_run(w, rank, seed, max_iter):
+def _single_run(w, rank, seed):
     try:
-        primal = solve_primal(w, rank, seed=seed, max_iter=max_iter)
+        primal = solve_primal(w, rank, seed=seed, max_iter=DEFAULT_MAX_ITER)
     except MaxIterReached as exc:
         primal = exc.solution
     dual = certify(w, extract_dual(w, primal.vectors))
@@ -375,7 +369,7 @@ def _single_run(w, rank, seed, max_iter):
     return primal, dual, run
 
 
-def _spectral(c, w, rank, seed):
+def _spectral(c, w, rank):
     """The paper's bound, certified, and a rank-d primal attaining it; or None.
 
     lambda = sigma_1 sqrt(nB/nA)/2 on Alice's side and sigma_1 sqrt(nA/nB)/2
@@ -416,44 +410,40 @@ def _spectral(c, w, rank, seed):
     gap = cert.certified_bound - primal.value
     if not gap <= np.ldexp(_GAP_TARGET, e):
         return None
-    return primal, cert, Run(seed, d, 0, True, primal.value, cert.certified_bound, gap, "spectral")
+    return primal, cert, Run(0, d, 0, True, primal.value, cert.certified_bound, gap, "spectral")
 
 
-def solve(ineq, opts=None, classical=True):
+def solve(ineq, classical=True):
     """Full pipeline: objective, primal ascent, dual extraction, certification.
 
-    Raises InvalidRank unless opts.max_iter >= 1.  A spectral run
-    (_spectral), where taken, is the only one; otherwise the ascent runs at
-    rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB.  If the first run's gap
-    over max(1, max|W|) exceeds RESTART_GAP, whether it converged or hit
-    max_iter (both happen at a stuck rank-deficient saddle), one restart
-    with seed+1 and rank+2 is attempted and both runs are reported; the
-    report carries the better run, and its gap also over max(1, max|W|) as
-    relative_gap.  When the classical witness scores above that run's primal
-    value (a slow run can stop just short of a classical optimum), the
-    witness, as the feasible point x_s, y_t = +-e_1, becomes the reported
-    primal; the run's iteration count, residual and convergence flag are
-    kept, and runs is unchanged.
+    With classical, the exact classical bound comes first, so an input too
+    large to enumerate raises TooLarge before any quantum work.  A spectral
+    run (_spectral), where taken, is the only one; otherwise the ascent runs
+    at seed 0 and rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB, for at most
+    DEFAULT_MAX_ITER iterations.  If the first run's gap over max(1, max|W|)
+    exceeds RESTART_GAP, whether it converged or hit the cap (both happen at
+    a stuck rank-deficient saddle), one restart at seed 1 and rank + 2 is
+    attempted and both runs are reported; the report carries the better
+    run, and its gap also over max(1, max|W|) as relative_gap.  When the
+    classical witness scores above that run's primal value (a slow run can
+    stop just short of a classical optimum), the witness, as the feasible
+    point x_s, y_t = +-e_1, becomes the reported primal; the run's
+    iteration count, residual and convergence flag are kept, and runs is
+    unchanged.
     """
-    opts = opts or SolveOptions()
-    if opts.max_iter < 1:
-        raise InvalidRank(f"max_iter must be >= 1, got {opts.max_iter}")
+    lhv = lhv_bound(ineq) if classical else None
     w = ineq_mod.build_objective(ineq)
     m = w.shape[0]
     rank = min(m, math.isqrt(2 * m - 1) + 2)
-    primal, dual, run = (_spectral(ineq.coefficients, w, rank, opts.seed)
-                         or _single_run(w, rank, opts.seed, opts.max_iter))
+    primal, dual, run = _spectral(ineq.coefficients, w, rank) or _single_run(w, rank, 0)
     runs = (run,)
     scale = max(1.0, float(np.abs(w).max()))
     if run.gap / scale > RESTART_GAP:
-        primal2, dual2, run2 = _single_run(w, rank + 2, opts.seed + 1, opts.max_iter)
+        primal2, dual2, run2 = _single_run(w, rank + 2, 1)
         runs = (run, run2)
         if run2.gap < run.gap:
             primal, dual = primal2, dual2
-    classical_bound = None
-    if classical:
-        lhv = lhv_bound(ineq)
-        classical_bound = lhv.value
+    if lhv is not None:
         v = np.zeros_like(primal.vectors)
         v[:, 0] = np.concatenate([lhv.witness_x, lhv.witness_y])
         witness = _finish(w, v, primal.iterations, primal.residual, primal.converged)
@@ -466,6 +456,6 @@ def solve(ineq, opts=None, classical=True):
         dual=dual,
         gap=gap,
         relative_gap=gap / scale,
-        classical_bound=classical_bound,
+        classical_bound=None if lhv is None else lhv.value,
         runs=runs,
     )

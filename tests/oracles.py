@@ -78,7 +78,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tsirelson import sdp
 from tsirelson.errors import DimensionMismatch, LengthMismatch
 from tsirelson.linalg import symmetrize
 from tsirelson.realization import _pauli_terms
@@ -355,7 +354,7 @@ def eager_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, solver=True, formats=("text", "json")):
+    def add_common(p, formats=("text", "json")):
         p.add_argument(
             "--inequality",
             choices=["chained", "chsh", "gisin", "file"],
@@ -365,19 +364,14 @@ def eager_parser():
         p.add_argument("--file", dest="file_path")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", dest="output_path")
-        if solver:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--max-iter", type=int, default=sdp.DEFAULT_MAX_ITER)
 
     add_common(sub.add_parser("bound", help="primal + certified dual bound"))
     p_cert = sub.add_parser("certify", help="certify a lambda vector from file")
-    add_common(p_cert, solver=False)
+    add_common(p_cert)
     p_cert.add_argument("--lambda-file", dest="lambda_file", required=True)
-    add_common(sub.add_parser("classical", help="exact LHV bound with witnesses"),
-               solver=False)
+    add_common(sub.add_parser("classical", help="exact LHV bound with witnesses"))
     add_common(sub.add_parser("realize", help="observables achieving the bound"))
-    add_common(sub.add_parser("spectrum", help="closed-form chained spectrum"),
-               solver=False)
+    add_common(sub.add_parser("spectrum", help="closed-form chained spectrum"))
     p_table = sub.add_parser("table", help="bound table over a range of n")
     add_common(p_table, formats=("text", "json", "csv"))
     p_table.add_argument("--n-range", dest="n_range", default="2..8")

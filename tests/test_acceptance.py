@@ -1,19 +1,23 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with pytest -s to see them as they complete)."""
 
+import math
 import time
 
 import numpy as np
 import pytest
 
 from tsirelson import (
-    SolveOptions,
     build_objective,
+    certify,
     chained,
+    extract_dual,
     gisin,
     lhv_bound,
     new_inequality,
+    sdp,
     solve,
+    solve_primal,
 )
 from tsirelson.analytic import chained_primal_vectors, chained_quantum_bound
 from tsirelson.linalg import min_eigenvalue
@@ -143,13 +147,26 @@ def test_08_weak_duality_suite():
         if not c.any():
             c[0, 0] = 1.0
         ineq = new_inequality(f"acc8-{k}", c)
-        report = solve(ineq, SolveOptions(seed=k))
+        report = solve(ineq)
         classical = lhv_bound(ineq).value
         if report.dual.certified_bound < report.primal.value - 1e-8:
             ok = False
         if report.primal.value < classical - 1e-8:
             ok = False
         if report.dual.certified_bound < classical - 1e-8:
+            ok = False
+        # the ascent itself, from a different start on each input.  It stops
+        # within _GAP_TARGET of optimal on W / 2 (max|W| = 1), so without the
+        # classical witness its value may sit up to 2 * _GAP_TARGET below
+        w = build_objective(ineq)
+        m = w.shape[0]
+        sol = solve_primal(w, min(m, math.ceil(math.sqrt(2 * m)) + 1), seed=k)
+        cert = certify(w, extract_dual(w, sol.vectors))
+        if cert.certified_bound < sol.value - 1e-8:
+            ok = False
+        if sol.value < classical - 2 * sdp._GAP_TARGET:
+            ok = False
+        if cert.certified_bound < classical - 1e-8:
             ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0

@@ -43,8 +43,7 @@ def test_bound_chained_n1_zero(capsys):
 
 
 def test_bound_json_roundtrip_and_determinism(capsys):
-    args = ("bound", "--inequality", "gisin", "--n", "3", "--format", "json",
-            "--seed", "2")
+    args = ("bound", "--inequality", "gisin", "--n", "3", "--format", "json")
     status, out1, _ = run_cli(capsys, *args)
     assert status == 0
     _, out2, _ = run_cli(capsys, *args)
@@ -70,13 +69,12 @@ def test_bound_reports_spectral_run(capsys):
 def test_bound_embeds_config(capsys):
     _, out, _ = run_cli(
         capsys, "bound", "--inequality", "chained", "--n", "3", "--format", "json",
-        "--seed", "4",
     )
     cfg = json.loads(out)["config"]
     assert cfg["command"] == "bound"
     assert cfg["inequality"] == "chained"
     assert cfg["n"] == 3
-    assert cfg["seed"] == 4
+    assert "seed" not in cfg and "max_iter" not in cfg
     assert "rank" not in cfg and "tol" not in cfg
 
 
@@ -338,12 +336,13 @@ def _stuck_file(tmp_path):
     return str(path)
 
 
-def test_bound_restarts_unconverged_run(tmp_path, capsys):
+def test_bound_restarts_unconverged_run(tmp_path, capsys, monkeypatch):
     # the first run stalls at a saddle for all 200 iterations; it used to
     # exit 2 because only converged runs were restarted
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
     status, out, _ = run_cli(
         capsys, "bound", "--inequality", "file", "--file", _stuck_file(tmp_path),
-        "--max-iter", "200", "--format", "json",
+        "--format", "json",
     )
     assert status == 0
     doc = json.loads(out)
@@ -351,14 +350,15 @@ def test_bound_restarts_unconverged_run(tmp_path, capsys):
     assert doc["certified_optimal"] is True
 
 
-def test_bound_text_lists_run_fields_in_order(tmp_path, capsys):
+def test_bound_text_lists_run_fields_in_order(tmp_path, capsys, monkeypatch):
     # JSON sorts the keys; text output keeps the order of sdp.Run's fields.
     # STUCK is not tight, so it takes the mixing path and restarts
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 3)
     stuck = tsirelson.new_inequality("rand-6", STUCK)
-    assert len(sdp.solve(stuck, sdp.SolveOptions(max_iter=3)).runs) == 2
+    assert len(sdp.solve(stuck).runs) == 2
     status, out, _ = run_cli(
         capsys, "bound", "--inequality", "file", "--file", _stuck_file(tmp_path),
-        "--max-iter", "3", "--seed", "0", "--format", "text",
+        "--format", "text",
     )
     assert status == 2
     lines = out.splitlines()
@@ -488,6 +488,7 @@ def test_certify_rejects_non_finite_lambda(tmp_path, capsys, entry):
      ("--max-iter", "0"), ("--seed", "-1")],
 )
 def test_bad_solver_settings_are_usage_errors(capsys, flag, value):
+    # the solver takes none of these settings: each flag is unknown, a usage error
     for command in ("bound", "realize", "table"):
         status, out, err = run_cli(
             capsys, command, "--inequality", "gisin", "--n", "2", flag, value
@@ -554,16 +555,23 @@ def test_parser_matches_eager_parser(capsys, monkeypatch, argv):
 
 def test_readme_flags_exist():
     # every --flag the README shows, outside its install commands, is an option
-    # of some subcommand
+    # of some subcommand, and every flag of its "Common flags" sentence is an
+    # option of every subcommand
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {opt for p in sub.choices.values() for opt in p._option_string_actions}
+    per_command = [set(p._option_string_actions) for p in sub.choices.values()]
+    options = set().union(*per_command)
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sections = re.split(r"^(?=## )", text, flags=re.MULTILINE)
     shown = {flag for section in sections if not section.startswith("## Install\n")
              for flag in re.findall(r"--[a-z][a-z-]*", section)}
-    assert "--seed" in shown and "--help" in options
+    assert "--n-range" in shown and "--help" in options
     assert shown <= options, shown - options
+    (sentence,) = re.findall(r"^Common flags:.*?\.\s", text, flags=re.MULTILINE | re.DOTALL)
+    common = set(re.findall(r"--[a-z][a-z-]*", sentence))
+    everywhere = set.intersection(*per_command)
+    assert "--inequality" in common and "--output" in common
+    assert common <= everywhere, common - everywhere
 
 
 def test_parser_parses_more_than_once():

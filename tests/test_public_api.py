@@ -11,7 +11,6 @@ PUBLIC = [
     "DualCertificate",
     "PrimalSolution",
     "QuantumRealization",
-    "SolveOptions",
     "build_objective",
     "certify",
     "chained",

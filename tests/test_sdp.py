@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from tsirelson import (
-    SolveOptions,
     build_objective,
     certify,
     chained,
@@ -23,7 +23,13 @@ from tsirelson.analytic import (
     chained_quantum_bound,
 )
 from tsirelson import sdp
-from tsirelson.errors import InvalidRank, LengthMismatch, MaxIterReached, NonFiniteEntry
+from tsirelson.errors import (
+    InvalidRank,
+    LengthMismatch,
+    MaxIterReached,
+    NonFiniteEntry,
+    TooLarge,
+)
 
 from oracles import (
     _value,
@@ -76,8 +82,6 @@ def test_iteration_settings_are_validated(setting):
     w = build_objective(chained(8))
     with pytest.raises(InvalidRank):
         solve_primal(w, rank=4, **setting)
-    with pytest.raises(InvalidRank):
-        solve(chained(8), SolveOptions(**setting), classical=False)
 
 
 def test_solve_primal_max_iter_carries_partial():
@@ -505,9 +509,8 @@ def test_solve_chained_1_degenerate():
 
 
 def test_solve_seed_determinism():
-    opts = SolveOptions(seed=9)
-    r1 = solve(gisin(4), opts)
-    r2 = solve(gisin(4), opts)
+    r1 = solve(gisin(4))
+    r2 = solve(gisin(4))
     assert r1.primal.value == r2.primal.value
     assert r1.dual.certified_bound == r2.dual.certified_bound
     np.testing.assert_array_equal(r1.primal.vectors, r2.primal.vectors)
@@ -523,9 +526,16 @@ def test_weak_duality_random_sign_matrices():
         if not c.any():
             c[0, 0] = 1.0
         ineq = new_inequality(f"rand-{k}", c)
-        report = solve(ineq, SolveOptions(seed=k))
+        report = solve(ineq)
+        classical = lhv_bound(ineq).value
         assert report.dual.certified_bound >= report.primal.value - 1e-8
-        assert report.primal.value >= lhv_bound(ineq).value - 1e-8
+        assert report.primal.value >= classical - 1e-8
+        # the ascent itself, from a different start on each input
+        w = build_objective(ineq)
+        sol = solve_primal(w, _bp_rank(w.shape[0]), seed=k)
+        cert = certify(w, extract_dual(w, sol.vectors))
+        assert cert.certified_bound >= sol.value - 1e-8
+        assert sol.value >= classical - 1e-8
 
 
 def test_rank_sufficiency_chained():
@@ -549,8 +559,21 @@ def test_solve_rank_is_barvinok_pataki(monkeypatch, ineq):
     assert [run.method for run in report.runs] == ["mixing"]
 
 
-def test_solve_options_fields():
-    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["seed", "max_iter"]
+def test_solve_takes_only_the_inequality():
+    assert list(inspect.signature(sdp.solve).parameters) == ["ineq", "classical"]
+
+
+def test_too_large_fails_before_the_quantum_solve(monkeypatch):
+    # 31 settings on each side exceed ENUM_LIMIT: the classical enumeration
+    # refuses before any spectral test or ascent runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("quantum solve ran before the classical check")
+
+    monkeypatch.setattr(sdp, "_spectral", refuse)
+    monkeypatch.setattr(sdp, "solve_primal", refuse)
+    c = np.random.default_rng(31).integers(-3, 4, (31, 31))
+    with pytest.raises(TooLarge):
+        solve(new_inequality("random-31", c))
 
 
 TIE = new_inequality("tie", [[-3, 2, 1], [1, 0, 3], [-1, 0, -3]])
@@ -568,10 +591,11 @@ def test_tie_converges():
     assert report.gap <= sdp.OPTIMAL_GAP
 
 
-def test_primal_not_below_classical():
+def test_primal_not_below_classical(monkeypatch):
     # stopped after 8 iterations the ascent is 2e-6 short of 12; the
     # classical witness is a feasible point worth 12
-    report = solve(TIE, SolveOptions(max_iter=8))
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 8)
+    report = solve(TIE)
     (run,) = report.runs
     assert run.primal_value < 12.0
     assert report.classical_bound == 12.0
@@ -591,10 +615,11 @@ STUCK = new_inequality(
 )
 
 
-def test_unconverged_stuck_run_restarts():
+def test_unconverged_stuck_run_restarts(monkeypatch):
     # seed 0 at rank 6 stalls near a saddle and never converges; the restart
     # with seed 1 at rank 8 reaches the optimum
-    report = solve(STUCK, SolveOptions(max_iter=200))
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
+    report = solve(STUCK)
     first, second = report.runs
     assert first.converged is False
     assert first.gap > sdp.RESTART_GAP
@@ -701,7 +726,8 @@ def test_non_tight_inputs_fall_through(monkeypatch, ineq):
     # mixing ascent, whose first run is solve_primal's at seed 0.  The
     # tightness test refuses before any certificate: each one is a run's
     certified = _count_certify(monkeypatch)
-    report = solve(ineq, SolveOptions(max_iter=200), classical=False)
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
+    report = solve(ineq, classical=False)
     assert {run.method for run in report.runs} == {"mixing"}
     assert len(certified) == len(report.runs)
     w = build_objective(ineq)
