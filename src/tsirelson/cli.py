@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analytic, inequality as ineq_mod, linalg, realization, sdp
 from .classical import lhv_bound
-from .errors import TsirelsonError
+from .errors import TooLarge, TsirelsonError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,6 +142,14 @@ def _parse_args(argv):
 _FAMILIES = {"chained": ineq_mod.chained, "gisin": ineq_mod.gisin}
 
 
+def _sized(build, n):
+    """build(n), where numpy's refusal to size an array that large is TooLarge."""
+    try:
+        return build(n)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded", "array is too big"
+        raise TooLarge(f"--n {n} is too large: {exc}") from exc
+
+
 def _load_inequality(args):
     kind = args.inequality
     if kind == "file":
@@ -152,7 +160,7 @@ def _load_inequality(args):
         return ineq_mod.chsh()
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    return _FAMILIES[kind](args.n)
+    return _sized(_FAMILIES[kind], args.n)
 
 
 def _read_json(path):
@@ -312,7 +320,7 @@ def _cmd_spectrum(args):
         raise UsageError("spectrum is defined for the chained family only")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    spec = analytic.chained_A_spectrum(args.n)
+    spec = _sized(analytic.chained_A_spectrum, args.n)
     out = {
         "config": _config_block(args),
         "n": spec.n,

@@ -30,16 +30,7 @@ class InvalidRank(TsirelsonError):
 
 
 class MaxIterReached(TsirelsonError):
-    """Iteration cap hit before the ascent stopped.
-
-    Each iteration runs at most two sweeps.  Carries the partial solution;
-    certification of the dual still yields a valid upper bound, so callers
-    may recover.
-    """
-
-    def __init__(self, message, solution):
-        super().__init__(message)
-        self.solution = solution
+    """Not raised: a capped ascent returns converged=False; kept for perfbench's import."""
 
 
 class TooLarge(TsirelsonError):

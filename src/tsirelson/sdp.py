@@ -35,7 +35,7 @@ import numpy as np
 
 from . import inequality as ineq_mod
 from .classical import lhv_bound
-from .errors import InvalidRank, LengthMismatch, MaxIterReached, NonFiniteEntry
+from .errors import InvalidRank, LengthMismatch, NonFiniteEntry
 from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
@@ -239,7 +239,7 @@ def _gap_proven(ws, v):
     return True
 
 
-def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER):
+def solve_primal(w, rank, seed=0):
     """Anderson-accelerated block-coordinate ascent over unit vectors v_1..v_m.
 
     The plain map F is one sweep (_sweep), which also returns the objective
@@ -255,10 +255,10 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER):
     displacement), falls below _RESIDUAL_TOL, or when the certified gap
     (certify on extract_dual) of the iterate is at most _GAP_TARGET, decided
     by a Cholesky factorization (_gap_proven) after iterations 4, 8, 16,
-    then every _CHECK_EVERY.  Raises InvalidRank unless rank >= 2 and
-    max_iter >= 1, NonFiniteEntry when W has a NaN or infinite entry, and
-    MaxIterReached (carrying the partial solution) if max_iter
-    iterations, each of at most two sweeps, come first.
+    then every _CHECK_EVERY.  After DEFAULT_MAX_ITER iterations, each of at
+    most two sweeps, it returns the last iterate and residual with
+    converged=False.  Raises InvalidRank unless rank >= 2, and
+    NonFiniteEntry when W has a NaN or infinite entry.
     Everything runs on W scaled by a power of two, so a scaled W takes the
     same steps.
     """
@@ -266,8 +266,6 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER):
     m = w.shape[0]
     if rank < 2:
         raise InvalidRank(f"rank must be >= 2, got {rank}")
-    if max_iter < 1:
-        raise InvalidRank(f"max_iter must be >= 1, got {max_iter}")
     if not np.isfinite(w).all():
         raise NonFiniteEntry("W contains a non-finite entry")
     v = _initial_vectors(m, rank, seed)
@@ -276,7 +274,7 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER):
     ws, floor = np.ldexp(w, -e), np.ldexp(1e-14, -e)
     ring = _Anderson(m * rank)
     check = 4
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         fv = v.copy()
         value = _sweep(ws, fv, runs, floor)
         f = fv - v
@@ -301,10 +299,7 @@ def solve_primal(w, rank, seed=0, max_iter=DEFAULT_MAX_ITER):
             check += min(check, _CHECK_EVERY)
             if _gap_proven(ws, v):
                 return _finish(w, v, it, residual, converged=True)
-    partial = _finish(w, v, max_iter, residual, converged=False)
-    raise MaxIterReached(
-        f"no convergence after {max_iter} iterations (residual {residual:.3e})", partial
-    )
+    return _finish(w, v, it, residual, converged=False)
 
 
 def _finish(w, v, iterations, residual, converged):
@@ -359,10 +354,7 @@ def certify(w, lam):
 
 
 def _single_run(w, rank, seed):
-    try:
-        primal = solve_primal(w, rank, seed=seed, max_iter=DEFAULT_MAX_ITER)
-    except MaxIterReached as exc:
-        primal = exc.solution
+    primal = solve_primal(w, rank, seed=seed)
     dual = certify(w, extract_dual(w, primal.vectors))
     run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
               dual.certified_bound, dual.certified_bound - primal.value, "mixing")

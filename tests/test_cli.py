@@ -394,6 +394,56 @@ def test_request_too_large_to_allocate(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--n", "100000000000000000000"],
+        ["spectrum", "--n", "100000000000000000000"],
+        ["realize", "--n", "4000000000"],
+        ["classical", "--inequality", "gisin", "--n", "3000000000"],
+    ],
+    ids=["bound", "spectrum", "realize", "classical-gisin"],
+)
+def test_n_too_large_to_size(capsys, argv):
+    # numpy refuses to size these arrays before it allocates anything; the
+    # refusal used to escape as a ValueError traceback
+    status, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: --n {argv[-1]} is too large: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--n", "0"], "--n must be >= 1, got 0"),
+        (["spectrum", "--n", "0"], "--n must be >= 1, got 0"),
+        (["table", "--n-range", "2-8"], "bad --n-range '2-8', expected A..B"),
+        (["table", "--n-range", "a..b"], "bad --n-range 'a..b', expected integers"),
+        (["table", "--inequality", "chsh"], "table supports the chained and gisin families"),
+    ],
+    ids=["n-0", "spectrum-n-0", "range-dash", "range-letters", "table-chsh"],
+)
+def test_usage_error_messages(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_file_inequality_without_coefficients(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text('{"name": "x"}')
+    status, out, err = run_cli(capsys, "bound", "--inequality", "file", "--file", str(path))
+    assert (status, out) == (1, "")
+    assert err == f'error: {path}: expected {{"name": ..., "coefficients": [[...]]}}\n'
+
+
+def test_bound_chsh_reports_analytic_bound(capsys):
+    status, out, err = run_cli(capsys, "bound", "--inequality", "chsh", "--format", "json")
+    assert (status, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["analytic_bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-15)
+    assert doc["dual"]["certified_bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-9)
+
+
+@pytest.mark.parametrize(
     "command, content",
     [
         ("certify", "[true, 1, 1, 1]"),

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -34,8 +36,41 @@ PUBLIC = [
 ]
 
 
+# every public parameter list: a new setting has to edit these tables
+SIGNATURES = {
+    "build_objective": "(ineq)",
+    "certify": "(w, lam)",
+    "chained": "(n)",
+    "chained_A_spectrum": "(n)",
+    "chained_classical_bound": "(n)",
+    "chained_dual_lambda": "(n)",
+    "chained_primal_vectors": "(n)",
+    "chained_quantum_bound": "(n)",
+    "chsh": "()",
+    "correlation": "(x, y, psi)",
+    "extract_dual": "(w, vectors)",
+    "gisin": "(n)",
+    "inequality_value": "(ineq, realization)",
+    "lhv_bound": "(ineq)",
+    "min_eigenvalue": "(s)",
+    "new_inequality": "(name, coefficients)",
+    "realize": "(xs, ys)",
+    "solve": "(ineq, classical=True)",
+    "solve_primal": "(w, rank, seed=0)",
+    "vectors_from_gram": "(g)",
+}
+FIELDS = {
+    "BoundReport": ("name", "primal", "dual", "gap", "relative_gap", "classical_bound", "runs"),
+    "ClassicalBound": ("value", "witness_x", "witness_y"),
+    "CorrelationInequality": ("name", "coefficients"),
+    "DualCertificate": ("lam", "feasibility_margin", "certified_bound"),
+    "PrimalSolution": ("vectors", "value", "iterations", "residual", "converged"),
+    "QuantumRealization": ("dim", "observables_x", "observables_y", "psi"),
+}
+
+
 def test_public_names_are_pinned_and_resolve():
-    assert sorted(tsirelson.__all__) == PUBLIC
+    assert sorted(tsirelson.__all__) == PUBLIC == sorted([*SIGNATURES, *FIELDS])
     for name in PUBLIC:
         assert hasattr(tsirelson, name), name
 
@@ -53,3 +88,12 @@ def test_test_only_helpers_are_not_in_the_library(module, name):
     # they live in tests/oracles.py
     assert not hasattr(importlib.import_module(f"tsirelson.{module}"), name)
     assert not hasattr(tsirelson, name)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_parameter_lists_are_pinned(name):
+    obj = getattr(tsirelson, name)
+    if dataclasses.is_dataclass(obj):
+        assert tuple(f.name for f in dataclasses.fields(obj)) == FIELDS[name]
+    else:
+        assert str(inspect.signature(obj)) == SIGNATURES[name]

@@ -13,6 +13,7 @@ from tsirelson.errors import (
     TooLarge,
 )
 from tsirelson.realization import (
+    QuantumRealization,
     correlation,
     correlation_table,
     inequality_value,
@@ -232,6 +233,18 @@ def test_correlation_dimension_mismatch():
     psi = maximally_entangled_state(2)
     with pytest.raises(DimensionMismatch):
         correlation(np.eye(2, dtype=complex), np.eye(4, dtype=complex), psi)
+
+
+def test_correlation_table_dimension_mismatch():
+    # a 3x3 Bob observable against a qubit pair
+    real = QuantumRealization(
+        dim=2,
+        observables_x=[np.eye(2, dtype=complex)],
+        observables_y=[np.eye(3, dtype=complex)],
+        psi=maximally_entangled_state(2),
+    )
+    with pytest.raises(DimensionMismatch):
+        correlation_table(real)
 
 
 def test_roundtrip_random_families():
