@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analytic, inequality as ineq_mod, linalg, realization, sdp
-from .classical import lhv_bound
+from .classical import ENUM_LIMIT, lhv_bound
 from .errors import TooLarge, TsirelsonError
 
 EXIT_OK = 0
@@ -348,6 +348,8 @@ def _cmd_table(args):
     if args.inequality not in _FAMILIES:
         raise UsageError("table supports the chained and gisin families")
     lo, hi = _parse_range(args.n_range)
+    if hi > ENUM_LIMIT:  # row n enumerates n settings a side: fail before the first row
+        raise TooLarge(f"enumeration limited to {ENUM_LIMIT} settings per side")
     rows = []
     for n in range(lo, hi + 1):
         ineq = _FAMILIES[args.inequality](n)

@@ -1,9 +1,11 @@
 """Dense symmetric linear algebra: eigenvalues and Gram factorization.
 
-Both eigen computations call LAPACK: min_eigenvalue, the PSD test on the
-certification path, through numpy.linalg.eigvalsh, and vectors_from_gram,
-which factors an m x m Gram matrix at its numerical rank r (eigenvalues above
-PSD_TOL) through numpy.linalg.eigh and returns the factor as an (m, r) array.
+Both eigen computations call LAPACK: min_eigenvalue through
+numpy.linalg.eigvalsh, which sdp.certify calls only to pick a shift where
+its verified Cholesky test fails (the proof itself is the factorization),
+and vectors_from_gram, which factors an m x m Gram matrix at its numerical
+rank r (eigenvalues above PSD_TOL) through numpy.linalg.eigh and returns the
+factor as an (m, r) array.
 """
 
 import numpy as np
@@ -15,8 +17,8 @@ PSD_TOL = 1e-9
 
 def symmetrize(m):
     """Return (M + M^T)/2 as a float array, as M/2 + M^T/2 so it cannot overflow."""
-    m = np.asarray(m, dtype=float)
-    return m / 2.0 + m.T / 2.0
+    half = np.asarray(m, dtype=float) * 0.5
+    return half + half.T
 
 
 def min_eigenvalue(s):
@@ -27,7 +29,7 @@ def min_eigenvalue(s):
     propagate into the result.
     """
     a = symmetrize(s)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteEntry("matrix contains a non-finite entry")
     return float(np.linalg.eigvalsh(a)[0])
 

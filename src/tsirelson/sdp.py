@@ -25,7 +25,9 @@ factorization instead of an eigensolver.  The nonconvexity of the
 factorization is repaired afterwards: any multiplier vector lambda whose
 diag(lambda) - W/2 is PSD gives a rigorous upper bound Tr(diag(lambda)) by
 weak duality, and an infeasible lambda can always be shifted onto the PSD
-cone at a quantified price.
+cone at a quantified price.  certify proves PSD in floating point by one
+Cholesky factorization with an a-priori rounding allowance (Rump, BIT 46,
+2006); an eigensolver only picks the shift, where that factorization fails.
 """
 
 import math
@@ -47,6 +49,7 @@ _GAP_TARGET = 1e-8  # certified gap, in the scaled W, that stops the ascent
 _RESIDUAL_TOL = 1e-10  # largest per-vector move of a sweep that stops it
 _CHECK_EVERY = 10  # largest step between gap checks
 _TIGHT_TOL = 1e-9  # relative: sigma_1's multiplicity, and the spectral test's residual
+_U = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ class PrimalSolution:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    lam: np.ndarray  # feasible multipliers (shifted if needed)
-    feasibility_margin: float  # min eigenvalue of diag(input lambda) - W/2
+    lam: np.ndarray  # multipliers with diag(lam) - W/2 PSD in exact arithmetic
+    feasibility_margin: float  # minus the shift applied to the input: 0.0, or min eig < 0
     certified_bound: float
 
 
@@ -216,27 +219,31 @@ class _Anderson:
         return self.fx - gamma @ self.dg[:k]
 
 
+def _factors(a):
+    """True iff LAPACK's Cholesky factorization of a (its lower triangle) completes."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _gap_proven(ws, v):
     """True iff certify(ws, extract_dual(ws, v)) proves v within _GAP_TARGET of optimal.
 
     With lambda = extract_dual(ws, v) and t = (_GAP_TARGET - (sum(lambda) -
-    value)) / m, certify's bound minus the value is at most _GAP_TARGET
-    exactly when t >= 0 and diag(lambda + t) - ws/2 is PSD.  A Cholesky
-    factorization decides that, up to the boundary where the matrix is
-    singular, without an eigensolver.  ws is scaled, so extract_dual's
+    value)) / m, certify's bound minus the value is at most _GAP_TARGET,
+    less certify's rounding allowance, exactly when t >= 0 and diag(lambda +
+    t) - ws/2 is PSD.  A Cholesky factorization decides that, up to the
+    boundary where the matrix is singular, without an eigensolver.  ws is scaled, so extract_dual's
     lambda is half the row norms of the fields ws @ v, formed once here for
     lambda and the value.
     """
     g = ws @ v
     lam = 0.5 * _row_norms(g)
     t = (_GAP_TARGET - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / ws.shape[0]
-    if not t >= 0:  # a NaN slack proves nothing
-        return False
-    try:
-        np.linalg.cholesky(np.diag(lam + t) - ws / 2.0)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    # a NaN slack proves nothing
+    return t >= 0 and _factors(np.diag(lam + t) - ws / 2.0)
 
 
 def solve_primal(w, rank, seed=0):
@@ -324,38 +331,105 @@ def extract_dual(w, vectors):
     return 0.5 * np.ldexp(_row_norms(np.ldexp(w, -e) @ v), e)
 
 
+def _sum_up(x):
+    """sum(x) rounded upward; NonFiniteEntry when it overflows.
+
+    math.fsum rounds the exact sum to nearest; the sign of the exact
+    remainder says whether that fell below it.
+    """
+    x = x.tolist()
+    try:
+        s = math.fsum(x)
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise NonFiniteEntry("certified bound overflows")
+    return math.nextafter(s, math.inf) if math.fsum(x + [-s]) > 0 else s
+
+
 def certify(w, lam):
     """Rigorous upper bound from any multiplier vector.
 
-    mu = min_eig(diag(lam) - W/2); when mu < 0 every entry is shifted by -mu
-    (adding c*I keeps the matrix moving toward the PSD cone and adds m*c to
-    the trace), so the certified bound sum(lam) + m*max(0, -mu) holds no
-    matter where lam came from.  Raises LengthMismatch unless lam has one
-    entry per row of W, and NonFiniteEntry when lam has a NaN or infinite
-    entry, or when the bound overflows.
+    Returns multipliers lam' >= lam whose diag(lam') - W/2 is PSD in exact
+    arithmetic, for the symmetric part (W + W^T)/2 of W, and their sum
+    rounded upward as the certified bound: by weak duality it bounds the
+    inequality for every state and every set of +-1 observables, no matter
+    where lam came from.  One Cholesky factorization proves it (_certify):
+    lam' = lam + 2c, c a rounding allowance of about (m+2)^2 u lam per
+    entry, and feasibility_margin is 0.0.  Where that factorization fails,
+    lam is first shifted by -mu, mu = min_eig(diag(lam) - W/2) < 0, which
+    feasibility_margin reports.  A zero W needs no allowance: lam' is lam
+    shifted up to a least entry of 0.  Raises LengthMismatch unless lam has
+    one entry per row of W, and NonFiniteEntry when W or lam has a NaN or
+    infinite entry, or when the bound overflows.
+    """
+    return _certify(w, lam, shift_first=False)
+
+
+def _certify(w, lam, shift_first):
+    """certify; shift_first takes the shift before the first factorization.
+
+    W and lam are scaled by 2^-e, which keeps max|W| * 2^-e below 1 and
+    every lambda * 2^-e below 2^1000.  With x = lam, a floating-point
+    Cholesky factorization of A = diag(x + c) - W/2 that runs to completion
+    proves A + diag(c) PSD (Demmel's backward error |dA| <= g d d^T, d_i^2 =
+    a_ii, g = gamma_{m+1}/(1 - gamma_{m+1}) and gamma_k = k u/(1 - k u),
+    bounds -dA by g m diag(a_ii); summed over the rows that is Rump's
+    allowance g m tr(A)).  So c_i = (m+2)^2 u (|x_i| + |w_ii|/2) + m u
+    suffices: the room above g m a_ii covers the roundings in forming A and
+    c, and m u those of (W + W^T)/4 where W is not symmetric, and of
+    underflow.  lam' = x + 2c, rounded upward.  Only when that factorization
+    fails is x = lam - mu, mu = min(0, min_eig(diag(lam) - W/2)), and c
+    doubled until diag(x + c) - W/2 factors.
     """
     w = np.asarray(w, dtype=float)
     lam = np.asarray(lam, dtype=float)
     m = w.shape[0]
     if lam.shape != (m,):
         raise LengthMismatch(f"lambda has shape {lam.shape}, expected ({m},)")
-    if not np.all(np.isfinite(lam)):
+    top = float(np.abs(lam).max())
+    if not math.isfinite(top):
         raise NonFiniteEntry("lambda contains a non-finite entry")
-    mu = min_eigenvalue(np.diag(lam) - w / 2.0)
-    shift = max(0.0, -mu)
-    bound = float(np.sum(lam) + m * shift)
-    if not np.isfinite(bound):
-        raise NonFiniteEntry("certified bound overflows")
-    return DualCertificate(
-        lam=lam + shift,
-        feasibility_margin=float(mu),
-        certified_bound=bound,
-    )
+    big = float(np.abs(w).max())
+    if not math.isfinite(big):
+        raise NonFiniteEntry("W contains a non-finite entry")
+    if not big:
+        mu = min(0.0, float(lam.min()))
+        lam = lam - mu
+        return DualCertificate(lam=lam, feasibility_margin=mu, certified_bound=_sum_up(lam))
+    e = max(math.frexp(big)[1], math.frexp(top)[1] - 1000)
+    t = np.ldexp(w, -e - 2)
+    mat = -t - t.T  # -(W + W^T)/4, scaled: exact where W is symmetric
+    diag = mat.reshape(-1)[:: m + 1]  # a view of mat's diagonal
+    neg = diag.copy()
+
+    def allowance(x):
+        return (m + 2) ** 2 * _U * (np.abs(x) + np.abs(neg)) + m * _U
+
+    def factors(x, c):
+        np.add(x + c, neg, out=diag)
+        return _factors(mat)
+
+    x = np.ldexp(lam, -e)
+    mu = 0.0
+    if shift_first or not factors(x, c := allowance(x)):
+        np.add(x, neg, out=diag)
+        mu = min(0.0, min_eigenvalue(mat))
+        x = x - mu
+        c = allowance(x)
+        while not factors(x, c):
+            c *= 2.0
+            if not np.isfinite(c).all():
+                raise NonFiniteEntry("certified bound overflows")
+    lam = np.nextafter(np.ldexp(x + c + c, e), np.inf)
+    return DualCertificate(lam=lam, feasibility_margin=math.ldexp(mu, e),
+                           certified_bound=_sum_up(lam))
 
 
 def _single_run(w, rank, seed):
     primal = solve_primal(w, rank, seed=seed)
-    dual = certify(w, extract_dual(w, primal.vectors))
+    # an ascent stops where its lambda sits just outside the PSD cone: shift first
+    dual = _certify(w, extract_dual(w, primal.vectors), shift_first=True)
     run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
               dual.certified_bound, dual.certified_bound - primal.value, "mixing")
     return primal, dual, run
@@ -372,8 +446,9 @@ def _spectral(c, w, rank):
     squares, in closed form when d = 1, where the test is that |K| is
     constant; the rows of K M^(1/2), normalized, are the primal.  One eigh
     of the smaller side's Gram matrix of c / 2^e gives the pairs.  None when
-    c is zero, d > rank, the residual exceeds _TIGHT_TOL, or the certified
-    gap exceeds the ascent's own stop, _GAP_TARGET * 2^e.
+    c is zero, d > rank, the residual exceeds _TIGHT_TOL, or the gap before
+    certify's rounding allowance exceeds the ascent's own stop,
+    _GAP_TARGET * 2^e.
     """
     na, nb = c.shape
     e = _scale_exponent(c)
@@ -397,11 +472,14 @@ def _spectral(c, w, rank):
     rows = k @ ((q * np.sqrt(np.maximum(ev, 0.0))) @ q.T)
     rows /= _row_norms(rows, keepdims=True)
     primal = _finish(w, rows, 0, 0.0, converged=True)
-    lam = np.ldexp(sigma, e) / 2 * np.sqrt([nb / na, na / nb])  # Alice's, Bob's
-    cert = certify(w, np.repeat(lam, [na, nb]))
-    gap = cert.certified_bound - primal.value
-    if not gap <= np.ldexp(_GAP_TARGET, e):
+    half = math.ldexp(sigma, e) / 2
+    la, lb = half * math.sqrt(nb / na), half * math.sqrt(na / nb)  # Alice's, Bob's
+    cert = certify(w, np.repeat([la, lb], [na, nb]))
+    # judged before certify's rounding allowance, which grows like m^2 u sum(lambda)
+    slack = na * la + nb * lb - (na + nb) * cert.feasibility_margin - primal.value
+    if not slack <= np.ldexp(_GAP_TARGET, e):
         return None
+    gap = cert.certified_bound - primal.value
     return primal, cert, Run(0, d, 0, True, primal.value, cert.certified_bound, gap, "spectral")
 
 

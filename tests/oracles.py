@@ -64,6 +64,11 @@ The textbook CHSH optimum, its Gram matrix and the multipliers 1/sqrt(2),
 is a known primal-dual pair: the closed forms and the PSD test must agree
 that it is feasible and optimal at 2 sqrt(2).
 
+The exact PSD test reads a matrix of floats as the rationals they are and
+runs an LDL^T elimination in fractions.Fraction, so it decides PSD with no
+rounding at all.  A certificate's multipliers must pass it: diag(lambda) -
+(W + W^T)/4, formed exactly, is PSD.
+
 The rank-2 oracle maximizes the correlation expression over unit vectors
 confined to a plane: Alice's first vector is pinned at angle 0 (global
 rotations cancel), the remaining Alice angles are scanned on a grid, and
@@ -75,6 +80,7 @@ solver.
 
 import argparse
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -496,3 +502,37 @@ def correlation_trace(x, y):
     if y.shape != (d, d):
         raise DimensionMismatch("observable dimensions disagree")
     return float(np.trace(x @ y.T).real / d)
+
+
+def exact_slack(w, lam):
+    """diag(lam) - (W + W^T)/4 as a list of rows of Fractions, formed exactly."""
+    w = [[Fraction(v) for v in row] for row in np.asarray(w, dtype=float).tolist()]
+    lam = [Fraction(v) for v in np.asarray(lam, dtype=float).tolist()]
+    m = len(w)
+    return [[(lam[i] if i == j else 0) - (w[i][j] + w[j][i]) / 4 for j in range(m)]
+            for i in range(m)]
+
+
+def exact_psd(a):
+    """True iff the symmetric matrix a, read exactly as rationals, is PSD.
+
+    LDL^T elimination in index order: a negative pivot fails, and a zero
+    pivot needs the rest of its row to be zero; otherwise its Schur
+    complement is eliminated, and a is PSD iff every pivot passes.
+    """
+    a = [[Fraction(v) for v in row] for row in a]
+    m = len(a)
+    for k in range(m):
+        d = a[k][k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(a[k][k + 1:]):
+                return False
+            continue
+        for i in range(k + 1, m):
+            f = a[i][k] / d
+            if f:
+                for j in range(k + 1, m):
+                    a[i][j] -= f * a[k][j]
+    return True

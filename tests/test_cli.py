@@ -118,6 +118,20 @@ def test_table_bad_range(capsys):
     assert "n-range" in err
 
 
+@pytest.mark.parametrize("family", ["chained", "gisin"])
+def test_table_range_past_the_enumeration_limit(monkeypatch, capsys, family):
+    # the range is checked before the first row: no row is solved, then dropped
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(sdp, "solve", refuse)
+    status, out, err = run_cli(
+        capsys, "table", "--inequality", family, "--n-range", "29..31"
+    )
+    assert (status, out) == (2, "")
+    assert err == "error: enumeration limited to 30 settings per side\n"
+
+
 def test_classical_command(capsys):
     status, out, _ = run_cli(
         capsys, "classical", "--inequality", "chsh", "--format", "json"
@@ -268,7 +282,8 @@ def _reject_constant(name):
 
 
 def test_certify_huge_lambda_is_finite(tmp_path, capsys):
-    # (M + M^T)/2 used to overflow on the 1e308 diagonal entry
+    # (M + M^T)/2 used to overflow on the 1e308 diagonal entry; the exact bound
+    # is 1e308 + 4/sqrt(2), so 1e308 itself is not one
     lam_path = tmp_path / "lam.json"
     lam_path.write_text("[1e308, 0, 0, 0]")
     status, out, _ = run_cli(
@@ -277,7 +292,7 @@ def test_certify_huge_lambda_is_finite(tmp_path, capsys):
     )
     assert status == 0
     doc = json.loads(out, parse_constant=_reject_constant)
-    assert doc["certified_bound"] == 1e308
+    assert 1e308 < doc["certified_bound"] <= 1e308 * (1 + 1e-12)
     assert doc["feasibility_margin"] == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
 
 

@@ -4,14 +4,16 @@ Examples are derandomized, so every run checks the same inputs.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tsirelson import build_objective, chained, gisin, lhv_bound, new_inequality, sdp, solve
 
-from oracles import chunked_enumeration, first_max_lhv
+from oracles import chunked_enumeration, exact_psd, exact_slack, first_max_lhv
 
 KRIVINE = 1.7823  # upper bound on Grothendieck's constant
 
@@ -152,3 +154,55 @@ def test_spectral_path_is_a_true_optimum(c):
     scale = max(1.0, float(np.abs(c).max()))
     assert report.dual.certified_bound >= sol.value - 1e-9 * scale
     assert report.primal.value >= certified - 1e-7 * scale
+
+
+def _assert_exactly_certified(w, cert):
+    # diag(lambda') - W/2 is PSD with no rounding, and the bound is not below sum(lambda')
+    assert exact_psd(exact_slack(w, cert.lam))
+    assert Fraction(cert.certified_bound) >= sum(map(Fraction, cert.lam.tolist()))
+
+
+@settings(derandomized, max_examples=60)
+@given(matrices)
+def test_certificates_are_exactly_psd(c):
+    # m <= 12: solve's certificate (spectral, or the mixing run's shift-first
+    # one) and certify's Cholesky-first one on the mixing lambda
+    ineq = new_inequality("c", c)
+    w = build_objective(ineq)
+    report = solve(ineq, classical=False)
+    _assert_exactly_certified(w, report.dual)
+    _assert_exactly_certified(w, sdp.certify(w, sdp.extract_dual(w, report.primal.vectors)))
+
+
+@settings(derandomized, max_examples=60)
+@given(matrices, st.integers(0, 8))
+def test_boundary_certificates_are_exactly_psd(c, k):
+    # constant lambda k ulps below lambda_max(W/2), the PSD boundary, where a
+    # floating-point factorization cannot tell the two sides apart
+    w = build_objective(new_inequality("c", c))
+    lam = np.full(len(w), np.linalg.eigvalsh(w / 2)[-1])
+    for _ in range(k):
+        lam = np.nextafter(lam, 0)
+    _assert_exactly_certified(w, sdp.certify(w, lam))
+
+
+@settings(derandomized, max_examples=200)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1))
+def test_graded_gram_certificates_are_exactly_psd(m, seed):
+    # diag(lambda) - W/2 = B B^T, B with one column fewer than rows and rows
+    # scaled by 1, 10 or 1000: singular but for the rounding in forming it,
+    # which can leave it indefinite and still factorable in floating point
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((m, m - 1)) * rng.choice([1.0, 10.0, 1000.0], size=(m, 1))
+    a = b @ b.T
+    a = (a + a.T) / 2
+    w = -2 * (a - np.diag(np.diag(a)))
+    _assert_exactly_certified(w, sdp.certify(w, np.diag(a).copy()))
+
+
+@pytest.mark.parametrize("family", [chained, gisin])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_spectral_certificates_are_exactly_psd(family, n):
+    # the spectral lambda sit on the PSD boundary
+    ineq = family(n)
+    _assert_exactly_certified(build_objective(ineq), solve(ineq, classical=False).dual)

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from tsirelson.errors import (
 
 from oracles import (
     _value,
+    exact_psd,
+    exact_slack,
     gisin_quantum_bound,
     normal_anderson,
     rank2_max,
@@ -460,6 +463,86 @@ def test_certify_zero():
     assert cert.certified_bound == 0.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_certify_adversarial_chsh_lambda(k):
+    # every lambda k ulps below 1/sqrt(2): diag(lambda) - W/2 is not PSD, by
+    # less than an eigensolver resolves; at k = 1 the bound used to come out
+    # below 2 sqrt(2)
+    w = build_objective(chained(2))
+    lam = np.full(4, 1 / np.sqrt(2))
+    for _ in range(k):
+        lam = np.nextafter(lam, 0)
+    cert = certify(w, lam)
+    bound = Fraction(cert.certified_bound)
+    assert bound > 0 and bound * bound >= 8
+    assert exact_psd(exact_slack(w, cert.lam))
+
+
+@pytest.mark.parametrize("coefficient, lam", [
+    (2.2916796125437937, [0.9257781740313129, 1.4182110774117358]),
+    (-4.856073150846181, [7.824228012791714, 0.753475180165257]),
+    (5.10944759761186, [1.9393116086079498, 3.3654280514879424]),
+])
+def test_certify_lambda_a_factorization_accepts(coefficient, lam):
+    # one setting a side, lambda_2 about 2 ulps below c^2 / 4 lambda_1: diag(lambda)
+    # - W/2 is indefinite, yet OpenBLAS's Cholesky factors it as certify scales
+    # it, by 2^-e with max|W| 2^-e in [1/2, 1); found by a random search, these
+    # are bounds that a certificate without a rounding allowance gets wrong
+    w = build_objective(new_inequality("one", [[coefficient]]))
+    assert Fraction(lam[0]) * Fraction(lam[1]) < Fraction(coefficient) ** 2 / 4
+    cert = certify(w, lam)
+    assert exact_psd(exact_slack(w, cert.lam))
+    assert Fraction(cert.certified_bound) >= sum(map(Fraction, cert.lam.tolist()))
+
+
+def test_certify_uses_the_symmetric_part():
+    # W = 2 triu(chsh W) has chsh's symmetric part and a zero lower triangle,
+    # the only one a factorization reads; lambda = 0 must not pass as PSD
+    w = build_objective(chained(2))
+    cert = certify(2 * np.triu(w), np.zeros(4))
+    assert cert.feasibility_margin == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
+    assert Fraction(cert.certified_bound) ** 2 >= 8
+    assert exact_psd(exact_slack(2 * np.triu(w), cert.lam))
+    assert cert.certified_bound == pytest.approx(certify(w, np.zeros(4)).certified_bound,
+                                                 rel=1e-13)
+
+
+@pytest.mark.parametrize("family", [chained, gisin])
+def test_spectral_gap_is_not_negative(family):
+    # the spectral lambda sit on the PSD boundary; before the rounding
+    # allowance 16 of these inputs reported a certified bound below the primal
+    for n in range(2, 65):
+        report = solve(family(n), classical=False)
+        assert report.runs[0].method == "spectral"
+        assert report.gap >= 0
+
+
+@pytest.mark.parametrize("family, exact", [(chained, chained_quantum_bound),
+                                           (gisin, gisin_quantum_bound)])
+@pytest.mark.parametrize("n", [96, 128, 256])
+def test_spectral_path_at_large_n(family, exact, n):
+    # tightness is judged before the allowance, which grows like m^2 u sum(lambda)
+    # and here stays inside OPTIMAL_GAP
+    report = solve(family(n), classical=False)
+    assert [run.method for run in report.runs] == ["spectral"]
+    assert report.dual.feasibility_margin == 0.0
+    assert report.relative_gap <= sdp.OPTIMAL_GAP
+    assert report.dual.certified_bound >= exact(n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+def test_certify_allowance_size(n):
+    # the paper's lambda factor at once, and certify adds 2 c_i to each, c_i =
+    # (m+2)^2 u lambda_i + m u 2^e with max|W| 2^-e in [1/2, 1), rounded up
+    m, u = 2 * n, 2.0**-53
+    lam = chained_dual_lambda(n)
+    cert = certify(build_objective(chained(n)), lam)
+    assert cert.feasibility_margin == 0.0
+    allowance = 2 * ((m + 2) ** 2 * u * lam.sum() + m * m * u * 2)
+    rounding = 4 * m * np.spacing(lam.max())
+    assert 0 < cert.certified_bound - math.fsum(lam) <= allowance + rounding
+
+
 def test_certify_corrupted_lambda_still_bounds():
     # the shift rule makes ANY lambda produce a valid upper bound; compare
     # against the independent planar-angle oracle
@@ -707,9 +790,10 @@ FALL_THROUGH = [
 
 
 def _count_certify(monkeypatch):
+    # certify and the mixing run's shift-first certificate both go through _certify
     calls = []
-    certify = sdp.certify
-    monkeypatch.setattr(sdp, "certify", lambda w, lam: calls.append(1) or certify(w, lam))
+    certify = sdp._certify
+    monkeypatch.setattr(sdp, "_certify", lambda *a, **k: calls.append(1) or certify(*a, **k))
     return calls
 
 
@@ -753,8 +837,8 @@ def test_certified_gap_refuses_what_a_loose_test_passes(monkeypatch):
 )
 def test_spectral_path_on_scaled_inputs(ineq, scale):
     # the path runs on c scaled by a power of two, so a power-of-two scale
-    # leaves every step unchanged; certify's eigensolver rescales a tiny
-    # matrix by a factor that is not one, which moves the bound by rounding
+    # leaves every step unchanged; a scale that is not one moves the bound
+    # by rounding
     ref = solve(ineq, classical=False)
     report = solve(new_inequality("scaled", scale * ineq.coefficients), classical=False)
     assert [run.method for run in report.runs] == ["spectral"]
