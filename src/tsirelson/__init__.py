@@ -1,13 +1,7 @@
 """Certified quantum (Tsirelson) and classical bounds for two-party
 two-outcome correlation Bell inequalities."""
 
-from .analytic import (
-    chained_A_spectrum,
-    chained_classical_bound,
-    chained_dual_lambda,
-    chained_primal_vectors,
-    chained_quantum_bound,
-)
+from .analytic import chained_A_spectrum, chained_quantum_bound
 from .classical import ClassicalBound, lhv_bound
 from .inequality import (
     CorrelationInequality,
@@ -17,7 +11,7 @@ from .inequality import (
     gisin,
     new_inequality,
 )
-from .linalg import min_eigenvalue, vectors_from_gram
+from .linalg import min_eigenvalue
 from .realization import (
     QuantumRealization,
     correlation,
@@ -45,9 +39,6 @@ __all__ = [
     "certify",
     "chained",
     "chained_A_spectrum",
-    "chained_classical_bound",
-    "chained_dual_lambda",
-    "chained_primal_vectors",
     "chained_quantum_bound",
     "chsh",
     "correlation",
@@ -60,5 +51,4 @@ __all__ = [
     "realize",
     "solve",
     "solve_primal",
-    "vectors_from_gram",
 ]

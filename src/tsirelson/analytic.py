@@ -1,11 +1,10 @@
-"""Closed-form bounds, optimal vectors, and spectra for the chained CHSH family.
+"""Closed forms for the chained CHSH family that the CLI reports.
 
-Everything here is independent of the numerical solver and serves as its
-oracle: the quantum bound 2n cos(pi/2n), the classical bound 2n-2, explicit
-optimal angle vectors, the all-equal dual multipliers, and the eigenvalues
-gamma_s = 1 + exp(i pi (2s+1)/n) of the chained coefficient block (a
-circulant-like matrix whose sign-flipped corner twists the usual roots of
-unity by a half step).
+The quantum bound 2n cos(pi/2n) is bound's and table's analytic_bound; the
+eigenvalues gamma_s = 1 + exp(i pi (2s+1)/n) of the chained coefficient block
+(a circulant-like matrix whose sign-flipped corner twists the usual roots of
+unity by a half step) are what spectrum prints.  Both are independent of the
+numerical solver.
 """
 
 from dataclasses import dataclass
@@ -24,34 +23,6 @@ def chained_quantum_bound(n):
     """Tsirelson bound 2n cos(pi/2n) of the chained inequality."""
     _check_n(n)
     return 2.0 * n * np.cos(np.pi / (2 * n))
-
-
-def chained_classical_bound(n):
-    """Local-hidden-variable bound 2n - 2 of the chained inequality."""
-    _check_n(n)
-    return float(2 * n - 2)
-
-
-def chained_primal_vectors(n):
-    """Optimal unit vectors in R^{2n}: x_k at angle pi(2k-2)/2n, y_k at pi(2k-1)/2n.
-
-    Every term of the chained expression then contributes cos(pi/2n).
-    """
-    _check_n(n)
-    xs = np.zeros((n, 2 * n))
-    ys = np.zeros((n, 2 * n))
-    for k in range(1, n + 1):
-        phi = np.pi / (2 * n) * (2 * k - 2)
-        psi = np.pi / (2 * n) * (2 * k - 1)
-        xs[k - 1, :2] = (np.cos(phi), np.sin(phi))
-        ys[k - 1, :2] = (np.cos(psi), np.sin(psi))
-    return xs, ys
-
-
-def chained_dual_lambda(n):
-    """Feasible dual multipliers cos(pi/2n) * (1,...,1), length 2n."""
-    _check_n(n)
-    return np.full(2 * n, np.cos(np.pi / (2 * n)))
 
 
 @dataclass(frozen=True)

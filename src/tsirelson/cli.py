@@ -299,7 +299,8 @@ def _cmd_realize(args):
     ineq = _load_inequality(args)
     report = sdp.solve(ineq, classical=False)
     u = report.primal.vectors
-    v = linalg.vectors_from_gram(u @ u.T)
+    _, s, vt = np.linalg.svd(u, full_matrices=False)
+    v = u @ vt[s * s > linalg.PSD_TOL].T
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     xs, ys = v[: ineq.n_alice], v[ineq.n_alice :]
     real = realization.realize(xs, ys)

@@ -21,10 +21,6 @@ class LengthMismatch(TsirelsonError):
     pass
 
 
-class NotPSD(TsirelsonError):
-    pass
-
-
 class InvalidRank(TsirelsonError):
     pass
 

@@ -46,6 +46,11 @@ Bob's settings makes its coefficient block skew-circulant, whose largest
 singular value is 1 / sin(pi/2n), and the multipliers are constant as in the
 chained proof.  The spectral path must reach it.
 
+The chained inequality's closed forms from the paper: its classical bound
+2n - 2, explicit optimal angle vectors in a plane, and the all-equal dual
+multipliers cos(pi/2n).  The solver, the certificate and the realization
+must reproduce them; no library path needs them.
+
 The cyclic Jacobi eigensolver is a symmetric eigensolver that shares no
 code with LAPACK: the spectrum checks against the closed-form results, and
 the tests of min_eigenvalue, compare the library against it.
@@ -57,8 +62,7 @@ the state itself and must agree with it.
 The Gram matrix of a vector collection, G[i][j] = v_i . v_j, and the
 correlation expression sum c[s][t] x_s . y_t evaluated straight from the
 vectors, are the two sides of the identity (1/2) Tr(G W) = sum c[s][t]
-x_s . y_t that build_objective must satisfy; the Gram matrix also checks
-that vectors_from_gram's factor reproduces its input.
+x_s . y_t that build_objective must satisfy.
 
 The textbook CHSH optimum, its Gram matrix and the multipliers 1/sqrt(2),
 is a known primal-dual pair: the closed forms and the PSD test must agree
@@ -84,6 +88,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from tsirelson.analytic import _check_n
 from tsirelson.errors import DimensionMismatch, LengthMismatch
 from tsirelson.linalg import symmetrize
 from tsirelson.realization import _pauli_terms
@@ -306,6 +311,34 @@ def normal_anderson(history):
 def gisin_quantum_bound(n):
     """Tsirelson bound n / sin(pi/2n) of Gisin's n-setting inequality."""
     return n / np.sin(np.pi / (2 * n))
+
+
+def chained_classical_bound(n):
+    """Local-hidden-variable bound 2n - 2 of the chained inequality."""
+    _check_n(n)
+    return float(2 * n - 2)
+
+
+def chained_primal_vectors(n):
+    """Optimal unit vectors in R^{2n}: x_k at angle pi(2k-2)/2n, y_k at pi(2k-1)/2n.
+
+    Every term of the chained expression then contributes cos(pi/2n).
+    """
+    _check_n(n)
+    xs = np.zeros((n, 2 * n))
+    ys = np.zeros((n, 2 * n))
+    for k in range(1, n + 1):
+        phi = np.pi / (2 * n) * (2 * k - 2)
+        psi = np.pi / (2 * n) * (2 * k - 1)
+        xs[k - 1, :2] = (np.cos(phi), np.sin(phi))
+        ys[k - 1, :2] = (np.cos(psi), np.sin(psi))
+    return xs, ys
+
+
+def chained_dual_lambda(n):
+    """Feasible dual multipliers cos(pi/2n) * (1,...,1), length 2n."""
+    _check_n(n)
+    return np.full(2 * n, np.cos(np.pi / (2 * n)))
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -19,11 +19,11 @@ from tsirelson import (
     solve,
     solve_primal,
 )
-from tsirelson.analytic import chained_primal_vectors, chained_quantum_bound
+from tsirelson.analytic import chained_quantum_bound
 from tsirelson.linalg import min_eigenvalue
 from tsirelson.realization import correlation, inequality_value, realize
 
-from oracles import rank2_max, sym_eigen
+from oracles import chained_primal_vectors, rank2_max, sym_eigen
 
 
 def _report(name, ok, detail=""):

@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from tsirelson import build_objective, chained, chsh
-from tsirelson.analytic import (
-    chained_A_spectrum,
-    chained_classical_bound,
-    chained_dual_lambda,
-    chained_primal_vectors,
-    chained_quantum_bound,
-)
+from tsirelson.analytic import chained_A_spectrum, chained_quantum_bound
 from tsirelson.errors import InvalidSize
 from tsirelson.linalg import min_eigenvalue
 from tsirelson.sdp import certify
 
-from oracles import chsh_known_solution, gram_from_vectors, objective_value
+from oracles import (
+    chained_classical_bound,
+    chained_dual_lambda,
+    chained_primal_vectors,
+    chsh_known_solution,
+    gram_from_vectors,
+    objective_value,
+)
 
 from oracles import sym_eigen
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 import tsirelson
-from tsirelson import chained, cli, realization, sdp
+from tsirelson import chained, cli, linalg, realization, sdp
 from tsirelson.cli import build_parser, canonical_json, main
 
-from oracles import eager_parser, gisin_quantum_bound
+from oracles import chained_primal_vectors, eager_parser, gisin_quantum_bound
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +202,53 @@ def test_realize_chained_certified(capsys, n):
     assert doc["certified_bound"] == pytest.approx(2 * n * np.cos(np.pi / (2 * n)),
                                                    abs=1e-6)
     assert doc["achieved_value"] == pytest.approx(doc["certified_bound"], abs=1e-6)
+
+
+def test_realize_compresses_a_rotated_primal_to_its_rank(capsys, monkeypatch):
+    # the chained optimum spans a plane: rotated into R^30, it realizes in R^2
+    xs, ys = chained_primal_vectors(100)
+    v = np.zeros((200, 30))
+    v[:, :2] = np.concatenate([xs, ys])[:, :2]
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((30, 30)))
+    report = sdp.solve(chained(100), classical=False)
+    rotated = dataclasses.replace(report.primal, vectors=v @ q)
+    monkeypatch.setattr(sdp, "solve", lambda ineq, classical=True:
+                        dataclasses.replace(report, primal=rotated))
+    status, out, _ = run_cli(
+        capsys, "realize", "--inequality", "chained", "--n", "100", "--format", "json"
+    )
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["dimension"] == 2
+    assert doc["max_correlation_error"] <= 1e-12
+
+
+def test_realize_keeps_the_gram_of_a_mixing_primal(tmp_path, capsys, monkeypatch):
+    # seeded 4x4 in -3..3: the mixing run returns 8 x 5 vectors of rank 2
+    c = np.random.default_rng(2).integers(-3, 4, (4, 4))
+    path = tmp_path / "ineq.json"
+    path.write_text(json.dumps({"name": "rand", "coefficients": c.tolist()}))
+    seen = {}
+    solve, realize = sdp.solve, realization.realize
+
+    def spy_solve(ineq, classical=True):
+        seen["report"] = solve(ineq, classical)
+        return seen["report"]
+
+    def spy_realize(xs, ys):
+        seen["v"] = np.concatenate([xs, ys])
+        return realize(xs, ys)
+
+    monkeypatch.setattr(sdp, "solve", spy_solve)
+    monkeypatch.setattr(realization, "realize", spy_realize)
+    status, _, _ = run_cli(capsys, "realize", "--inequality", "file", "--file",
+                           str(path), "--format", "json")
+    assert status == 0
+    assert seen["report"].runs[0].method == "mixing"
+    u, v = seen["report"].primal.vectors, seen["v"]
+    rank = int(np.sum(np.linalg.eigvalsh(u @ u.T) > linalg.PSD_TOL))
+    assert (u.shape, rank, v.shape) == ((8, 5), 2, (8, 2))
+    assert np.abs(v @ v.T - u @ u.T).max() <= 1e-12
 
 
 def test_file_inequality(tmp_path, capsys):

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from tsirelson import build_objective, chained, chsh
-from tsirelson.analytic import chained_dual_lambda, chained_primal_vectors
-from tsirelson.errors import LengthMismatch, NonFiniteEntry, NotPSD
-from tsirelson.linalg import min_eigenvalue, symmetrize, vectors_from_gram
+from tsirelson.errors import LengthMismatch, NonFiniteEntry
+from tsirelson.linalg import min_eigenvalue, symmetrize
 
-from oracles import gram_from_vectors, sym_eigen
+from oracles import (
+    chained_dual_lambda,
+    chained_primal_vectors,
+    gram_from_vectors,
+    sym_eigen,
+)
 
 
 def test_sym_eigen_identity():
@@ -126,65 +130,3 @@ def test_gram_from_vectors_length_mismatch():
         gram_from_vectors([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
     with pytest.raises(LengthMismatch):
         gram_from_vectors([])
-
-
-def test_vectors_from_gram_identity():
-    vs = vectors_from_gram(np.eye(4))
-    g = gram_from_vectors(vs)
-    np.testing.assert_allclose(g, np.eye(4), atol=1e-10)
-
-
-def test_vectors_from_gram_chsh_optimum():
-    a = 1.0 / np.sqrt(2.0)
-    g = np.array(
-        [[1, 0, a, a], [0, 1, a, -a], [a, a, 1, 0], [a, -a, 0, 1]], dtype=float
-    )
-    vs = vectors_from_gram(g)
-    for v in vs:
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-8)
-    np.testing.assert_allclose(gram_from_vectors(vs), g, atol=1e-8)
-
-
-def test_vectors_from_gram_rejects_indefinite():
-    g = np.diag([1.0, 1.0, -0.1])
-    with pytest.raises(NotPSD):
-        vectors_from_gram(g)
-
-
-def test_vectors_from_gram_clips_tiny_negative():
-    g = np.diag([1.0, -1e-12])
-    vs = vectors_from_gram(g)
-    np.testing.assert_allclose(gram_from_vectors(vs), np.diag([1.0, 0.0]), atol=1e-8)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_vectors_from_gram_rejects_non_finite(bad):
-    # LAPACK returns a NaN eigenvalue, which no comparison with tol would catch
-    g = np.eye(3)
-    g[1, 1] = bad
-    with pytest.raises(NonFiniteEntry):
-        vectors_from_gram(g)
-
-
-def test_gram_roundtrip_random():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        m, length = rng.integers(2, 7), rng.integers(2, 7)
-        vecs = rng.standard_normal((m, length))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        g = gram_from_vectors(list(vecs))
-        back = vectors_from_gram(g)
-        np.testing.assert_allclose(gram_from_vectors(back), g, atol=1e-8)
-
-
-def test_vectors_from_gram_compresses_to_numerical_rank():
-    # the chained optimum spans a plane: rotated into R^30, it factors in R^2
-    xs, ys = chained_primal_vectors(100)
-    v = np.zeros((200, 30))
-    v[:, :2] = np.concatenate([xs, ys])[:, :2]
-    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((30, 30)))
-    g = gram_from_vectors(list(v @ q))
-    back = vectors_from_gram(g)
-    assert len(back) == 200
-    assert {b.shape for b in back} == {(2,)}
-    assert np.abs(gram_from_vectors(back) - g).max() <= 1e-12

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +19,6 @@ PUBLIC = [
     "certify",
     "chained",
     "chained_A_spectrum",
-    "chained_classical_bound",
-    "chained_dual_lambda",
-    "chained_primal_vectors",
     "chained_quantum_bound",
     "chsh",
     "correlation",
@@ -32,7 +31,6 @@ PUBLIC = [
     "realize",
     "solve",
     "solve_primal",
-    "vectors_from_gram",
 ]
 
 
@@ -42,9 +40,6 @@ SIGNATURES = {
     "certify": "(w, lam)",
     "chained": "(n)",
     "chained_A_spectrum": "(n)",
-    "chained_classical_bound": "(n)",
-    "chained_dual_lambda": "(n)",
-    "chained_primal_vectors": "(n)",
     "chained_quantum_bound": "(n)",
     "chsh": "()",
     "correlation": "(x, y, psi)",
@@ -57,7 +52,6 @@ SIGNATURES = {
     "realize": "(xs, ys)",
     "solve": "(ineq, classical=True)",
     "solve_primal": "(w, rank, seed=0)",
-    "vectors_from_gram": "(g)",
 }
 FIELDS = {
     "BoundReport": ("name", "primal", "dual", "gap", "relative_gap", "classical_bound", "runs"),
@@ -82,12 +76,45 @@ def test_public_names_are_pinned_and_resolve():
         ("inequality", "objective_value"),
         ("analytic", "chsh_known_solution"),
         ("realization", "clifford_generators"),
+        ("analytic", "chained_classical_bound"),
+        ("analytic", "chained_primal_vectors"),
+        ("analytic", "chained_dual_lambda"),
+        ("linalg", "vectors_from_gram"),
     ],
 )
 def test_test_only_helpers_are_not_in_the_library(module, name):
     # they live in tests/oracles.py
     assert not hasattr(importlib.import_module(f"tsirelson.{module}"), name)
     assert not hasattr(tsirelson, name)
+
+
+def test_errors_has_no_not_psd():
+    # only vectors_from_gram raised it; realize now takes a thin SVD of the primal
+    assert not hasattr(importlib.import_module("tsirelson.errors"), "NotPSD")
+
+
+# public functions that the library itself never calls
+UNCALLED = {
+    "correlation",  # perfbench's tracer wraps it by name
+    "inequality_value",  # perfbench's tracer wraps it by name
+}
+
+
+def test_every_public_function_has_a_library_caller():
+    # a name used only by tests belongs in tests/oracles.py
+    used = set()
+    for path in Path(tsirelson.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    functions = {
+        n for n in tsirelson.__all__ if not dataclasses.is_dataclass(getattr(tsirelson, n))
+    }
+    assert sorted(functions - used) == sorted(UNCALLED)
 
 
 @pytest.mark.parametrize("name", PUBLIC)

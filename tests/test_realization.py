@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsirelson import chained, new_inequality
-from tsirelson.analytic import chained_primal_vectors, chained_quantum_bound
+from tsirelson.analytic import chained_quantum_bound
 from tsirelson.errors import (
     DimensionMismatch,
     LengthMismatch,
@@ -21,7 +21,12 @@ from tsirelson.realization import (
     realize,
 )
 
-from oracles import clifford_generators, correlation_trace, kron_clifford_generators
+from oracles import (
+    chained_primal_vectors,
+    clifford_generators,
+    correlation_trace,
+    kron_clifford_generators,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -18,11 +18,7 @@ from tsirelson import (
     solve,
     solve_primal,
 )
-from tsirelson.analytic import (
-    chained_dual_lambda,
-    chained_primal_vectors,
-    chained_quantum_bound,
-)
+from tsirelson.analytic import chained_quantum_bound
 from tsirelson import sdp
 from tsirelson.errors import (
     InvalidRank,
@@ -33,6 +29,8 @@ from tsirelson.errors import (
 
 from oracles import (
     _value,
+    chained_dual_lambda,
+    chained_primal_vectors,
     exact_psd,
     exact_slack,
     gisin_quantum_bound,
