@@ -7,6 +7,7 @@ configurations produce identical output bytes.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -123,16 +124,28 @@ def build_parser():
     return parser
 
 
-def _parse_args(argv):
-    """build_parser().parse_args(argv), building only the subcommand argv[0] names.
+@functools.cache
+def _subcommand_parser(name, add_arguments):
+    """The parser of one subcommand, built on its first request and then reused.
 
-    The full parser is built for help, an unknown command or the "unrecognized
+    Keyed by add_arguments too, so a changed _SUBCOMMANDS entry gets its own.
+    """
+    parser = argparse.ArgumentParser(prog=f"tsirelson {name}")
+    add_arguments(parser)
+    return parser
+
+
+def _parse_args(argv):
+    """build_parser().parse_args(argv), by the parser of the subcommand argv[0] names.
+
+    That parser is built by the first request for its subcommand in this
+    process and reused by later ones; parsing leaves no state in it.  The full
+    parser is built for help, an unknown command or the "unrecognized
     arguments" error it raises when the subcommand leaves arguments over.
     """
     name = argv[0] if argv else None
     if name in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"tsirelson {name}")
-        _SUBCOMMANDS[name][1](parser)
+        parser = _subcommand_parser(name, _SUBCOMMANDS[name][1])
         args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
         if not extras:
             return args

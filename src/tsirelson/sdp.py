@@ -235,9 +235,9 @@ def _gap_proven(ws, v):
     value)) / m, certify's bound minus the value is at most _GAP_TARGET,
     less certify's rounding allowance, exactly when t >= 0 and diag(lambda +
     t) - ws/2 is PSD.  A Cholesky factorization decides that, up to the
-    boundary where the matrix is singular, without an eigensolver.  ws is scaled, so extract_dual's
-    lambda is half the row norms of the fields ws @ v, formed once here for
-    lambda and the value.
+    boundary where the matrix is singular, without an eigensolver.  ws is
+    scaled, so extract_dual's lambda is half the row norms of the fields
+    ws @ v, formed once here for lambda and the value.
     """
     g = ws @ v
     lam = 0.5 * _row_norms(g)
@@ -265,7 +265,7 @@ def solve_primal(w, rank, seed=0):
     then every _CHECK_EVERY.  After DEFAULT_MAX_ITER iterations, each of at
     most two sweeps, it returns the last iterate and residual with
     converged=False.  Raises InvalidRank unless rank >= 2, and
-    NonFiniteEntry when W has a NaN or infinite entry.
+    NonFiniteEntry when W has a NaN or infinite entry or the value overflows.
     Everything runs on W scaled by a power of two, so a scaled W takes the
     same steps.
     """
@@ -287,7 +287,7 @@ def solve_primal(w, rank, seed=0):
         f = fv - v
         residual = math.sqrt(float((f**2).sum(axis=1).max()))
         if residual < _RESIDUAL_TOL:
-            return _finish(w, fv, it, residual, converged=True)
+            return _finish(w, fv, e, it, residual, converged=True)
         ring.push(f, fv)
         v = fv
         if ring.k:
@@ -305,14 +305,30 @@ def solve_primal(w, rank, seed=0):
         if it == check:
             check += min(check, _CHECK_EVERY)
             if _gap_proven(ws, v):
-                return _finish(w, v, it, residual, converged=True)
-    return _finish(w, v, it, residual, converged=False)
+                return _finish(w, v, e, it, residual, converged=True)
+    return _finish(w, v, e, it, residual, converged=False)
 
 
-def _finish(w, v, iterations, residual, converged):
+def _finish(w, v, e, iterations, residual, converged):
+    """The PrimalSolution at unit rows v; NonFiniteEntry when its value overflows.
+
+    The value is sum(G * W) / 2, G = v v^T, for max|W| < 2^e.  The m^2
+    terms G_ij w_ij are summed scaled by 2^-k, k > 0 only where they could
+    overflow a partial sum, and the sum is scaled by 2^(k-1).  That is exact,
+    so only the last step overflows, and only when the value itself does.
+    """
+    g = v @ v.T
+    k = max(0, e + 2 * len(w).bit_length() - 1022)  # the sum stays below 2^1023
+    if k:
+        g *= math.ldexp(1.0, -k)
+    g *= w
+    try:
+        value = math.ldexp(float(np.sum(g)), k - 1)
+    except OverflowError:
+        raise NonFiniteEntry("primal value overflows the float range") from None
     return PrimalSolution(
         vectors=v,
-        value=0.5 * float(np.sum((v @ v.T) * w)),
+        value=value,
         iterations=iterations,
         residual=float(residual),
         converged=converged,
@@ -471,8 +487,8 @@ def _spectral(c, w, rank):
     ev, q = np.linalg.eigh(x.reshape(d, d))
     rows = k @ ((q * np.sqrt(np.maximum(ev, 0.0))) @ q.T)
     rows /= _row_norms(rows, keepdims=True)
-    primal = _finish(w, rows, 0, 0.0, converged=True)
-    half = math.ldexp(sigma, e) / 2
+    primal = _finish(w, rows, e, 0, 0.0, converged=True)
+    half = math.ldexp(sigma, e - 1)  # about primal.value / (2 sqrt(nA nB)): finite
     la, lb = half * math.sqrt(nb / na), half * math.sqrt(na / nb)  # Alice's, Bob's
     cert = certify(w, np.repeat([la, lb], [na, nb]))
     # judged before certify's rounding allowance, which grows like m^2 u sum(lambda)
@@ -516,7 +532,8 @@ def solve(ineq, classical=True):
     if lhv is not None:
         v = np.zeros_like(primal.vectors)
         v[:, 0] = np.concatenate([lhv.witness_x, lhv.witness_y])
-        witness = _finish(w, v, primal.iterations, primal.residual, primal.converged)
+        witness = _finish(w, v, math.frexp(scale)[1], primal.iterations, primal.residual,
+                          primal.converged)
         if witness.value > primal.value:
             primal = witness
     gap = dual.certified_bound - primal.value

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -373,6 +374,41 @@ def test_bound_huge_coefficients(tmp_path, capsys):
         assert value == pytest.approx(1e300, rel=1e-12)
 
 
+@pytest.mark.parametrize("coefficients",
+                         ["[[1e308]]", "[[1.5e308]]", "[[1e308, 1], [1, -1]]"])
+def test_values_near_the_float_range(tmp_path, capsys, coefficients):
+    # the primal value used to overflow: a numpy warning, then "Out of range
+    # float values" and exit 2 from bound, the warning alone from realize
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "big", "coefficients": %s}' % coefficients)
+    top = float(np.abs(json.loads(coefficients)).max())
+    for command in ("bound", "realize"):
+        status, out, err = run_cli(
+            capsys, command, "--inequality", "file", "--file", str(path), "--format", "json"
+        )
+        assert (status, err) == (0, "")
+        doc = json.loads(out, parse_constant=_reject_constant)
+        if command == "bound":
+            assert doc["primal"]["value"] == pytest.approx(top, rel=1e-12)
+            assert 0 <= doc["gap"] <= 1e-12 * top
+        else:
+            assert doc["achieved_value"] == pytest.approx(top, rel=1e-12)
+
+
+@pytest.mark.parametrize("coefficients", ["[[1e308, 1e308], [1e308, 1e308]]",
+                                          "[[1.7e308, 1.7e308]]"])
+def test_values_beyond_the_float_range(tmp_path, capsys, coefficients):
+    # realize used to print an OverflowError traceback and exit 1, the usage code
+    path = tmp_path / "huge.json"
+    path.write_text('{"name": "huge", "coefficients": %s}' % coefficients)
+    for command in ("bound", "realize"):
+        status, out, err = run_cli(
+            capsys, command, "--inequality", "file", "--file", str(path), "--format", "json"
+        )
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+
+
 @pytest.mark.parametrize("scale", [1e5, 1e6, 1e9])
 def test_bound_scaled_coefficients(tmp_path, capsys, scale):
     # the gap is tested relative to max|c|: one run, and certified optimal
@@ -692,6 +728,86 @@ def test_parser_parses_more_than_once():
     parser = build_parser()
     first = parser.parse_args(["table", "--n", "3"])
     assert parser.parse_args(["table", "--n", "3"]) == first
+
+
+@pytest.fixture
+def fresh_parsers():
+    cli._subcommand_parser.cache_clear()
+    yield
+    cli._subcommand_parser.cache_clear()
+
+
+def test_reused_parsers_keep_no_state(tmp_path, capsys, fresh_parsers):
+    # a parse that fails or prints help leaves nothing behind in the cached
+    # subcommand parser: later requests write what a first request writes
+    lam = tmp_path / "lam.json"
+    lam.write_text(json.dumps([2**-0.5] * 4))
+    requests = [
+        ["bound", "--inequality", "chsh", "--format", "json"],
+        ["certify", "--inequality", "chsh", "--lambda-file", str(lam), "--format", "json"],
+        ["realize", "--inequality", "chsh"],
+    ]
+    first = []
+    for argv in requests:
+        cli._subcommand_parser.cache_clear()
+        first.append(run_cli(capsys, *argv))
+    assert [status for status, _, _ in first] == [0, 0, 0]
+    cli._subcommand_parser.cache_clear()
+    assert run_cli(capsys, "bound", "--n", "two")[0] == cli.EXIT_USAGE
+    assert run_cli(capsys, "realize", "--help")[0] == cli.EXIT_OK
+    assert run_cli(capsys, "certify", "--inequality", "chsh")[0] == cli.EXIT_USAGE
+    assert cli._subcommand_parser.cache_info().currsize == 3
+    assert [run_cli(capsys, *argv) for argv in requests] == first
+    assert cli._subcommand_parser.cache_info().currsize == 3
+
+
+def test_main_builds_each_subcommand_parser_once(tmp_path, capsys, monkeypatch,
+                                                 fresh_parsers):
+    # 38 mixed requests, none of them a parse error, build each subcommand's
+    # parser once and the full parser never
+    built = collections.Counter()
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[self.prog] += 1
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    lam = tmp_path / "lam.json"
+    lam.write_text(json.dumps([np.cos(np.pi / 8)] * 8))
+    requests = (
+        [["bound", "--inequality", "chsh"]]
+        + [["bound", "--inequality", family, "--n", str(n)]
+           for family in ("chained", "gisin") for n in (2, 3, 4, 5)]
+        + [["classical", "--inequality", family, "--n", str(n)]
+           for family in ("chained", "gisin") for n in (2, 3, 4, 6)]
+        + [["certify", "--n", "4", "--lambda-file", str(lam)]] * 4
+        + [["realize", "--inequality", family, "--n", str(n)]
+           for family in ("chained", "gisin") for n in (2, 3, 4)]
+        + [["spectrum", "--n", str(n)] for n in range(2, 9)]
+        + [["table", "--inequality", family, "--n-range", "2..3"]
+           for family in ("chained", "gisin")]
+        # usage errors that the command, not the parser, reports
+        + [["spectrum", "--inequality", "gisin"], ["table", "--inequality", "chsh"]]
+    )
+    assert len(requests) == 38
+    statuses = [main([*argv, "--format", "json"]) for argv in requests]
+    capsys.readouterr()
+    assert statuses == [0] * 36 + [cli.EXIT_USAGE] * 2
+    assert built == {f"tsirelson {name}": 1 for name in cli._SUBCOMMANDS}
+
+
+def test_changed_subcommand_gets_its_own_parser(capsys, monkeypatch, fresh_parsers):
+    # a test that swaps a _SUBCOMMANDS entry is never served the old entry's parser
+    assert _main_parse(["spectrum", "--n", "3"], capsys, monkeypatch)[0].n == 3
+
+    def add_arguments(p):
+        cli._add_common(p)
+        p.add_argument("--extra", type=int, default=7)
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "spectrum", ("with --extra", add_arguments))
+    args, _, _ = _main_parse(["spectrum", "--n", "3"], capsys, monkeypatch)
+    assert (args.n, args.extra) == (3, 7)
 
 
 def test_library_import_skips_cli():

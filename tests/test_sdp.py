@@ -719,6 +719,36 @@ def test_huge_coefficients_do_not_overflow():
     assert report.classical_bound == pytest.approx(1e300, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [[[1e308]], [[1.5e308]], [[1e308, 1.0], [1.0, -1.0]]])
+def test_value_near_the_float_range_is_finite(c):
+    # the primal value summed G * W before halving it, twice the value: it
+    # came out inf, with a gap of -inf, against a finite certified bound
+    top = float(np.abs(c).max())
+    report = solve(new_inequality("big", c))  # a RuntimeWarning fails the test
+    assert report.primal.value == pytest.approx(top, rel=1e-12)
+    assert report.classical_bound == pytest.approx(top, rel=1e-12)
+    assert 0 <= report.gap <= 1e-12 * top
+    assert report.certified_optimal
+
+
+@pytest.mark.parametrize("c", [[[1e308, 1e308], [1e308, 1e308]], [[1.7e308, 1.7e308]]])
+def test_value_beyond_the_float_range_is_rejected(c):
+    # sigma_1 = 2e308 and 2.4e308: the spectral path's half of it used to
+    # raise OverflowError; the value itself overflows, so NonFiniteEntry
+    ineq = new_inequality("huge", c)
+    with pytest.raises(NonFiniteEntry, match="primal value"):
+        solve(ineq, classical=False)
+    with pytest.raises(NonFiniteEntry):
+        solve(ineq)
+
+
+def test_mixing_value_beyond_the_float_range_is_rejected(monkeypatch):
+    # the ascent runs on W scaled down; only the value it reports overflows
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 20)
+    with pytest.raises(NonFiniteEntry, match="primal value"):
+        solve_primal(np.ldexp(build_objective(STUCK), 1020), rank=6)
+
+
 def test_relative_gap_is_over_max_coefficient():
     # max|c| <= 1 leaves the gap as it is; above, the gap is over max|c|
     for ineq in (chained(2), chained(7), gisin(6)):
