@@ -1,9 +1,10 @@
 """Unit-diagonal SDP solver with dual certification.
 
 solve first tries the paper's proof (_spectral): constant multipliers from
-the top singular value of the coefficient block, and a linear test of whether
-its singular vectors carry a primal attaining that bound.  If so, solve
-reports one run of method "spectral"; if not, the ascent below ("mixing").
+the top singular value of the coefficient block, and a test of whether its
+singular vectors carry a primal attaining that bound (their stacked rows
+have one norm, or else a least-squares test passes).  If so, solve reports
+one run of method "spectral"; if not, the ascent below ("mixing").
 
 The primal "maximize (1/2) Tr(G W) s.t. G >= 0, g_ii = 1" is attacked in the
 low-rank factorized form: m unit vectors of length rank, which solve sets
@@ -458,13 +459,14 @@ def _spectral(c, w, rank):
     on Bob's, sigma_1 the largest singular value of c, makes diag(lambda) -
     W/2 PSD.  A Gram matrix attains sum(lambda) iff it is K M K^T with M PSD,
     diag(K M K^T) = 1 and K = [U_1; sqrt(nB/nA) V_1], the d top singular
-    pairs (Epping, Kampermann & Bruss, 2013).  M is solved for by least
-    squares, in closed form when d = 1, where the test is that |K| is
-    constant; the rows of K M^(1/2), normalized, are the primal.  One eigh
-    of the smaller side's Gram matrix of c / 2^e gives the pairs.  None when
-    c is zero, d > rank, the residual exceeds _TIGHT_TOL, or the gap before
-    certify's rounding allowance exceeds the ascent's own stop,
-    _GAP_TARGET * 2^e.
+    pairs (Epping, Kampermann & Bruss, 2013).  K^T K is a multiple of I, so
+    when |k_r| is constant the least-norm M is s I and the rows of K,
+    normalized, are the primal; for d = 1 that is the whole test.  Otherwise
+    M is solved for by least squares, a second eigh gives M^(1/2), and the
+    rows of K M^(1/2), normalized, are the primal.  One eigh of the smaller
+    side's Gram matrix of c / 2^e gives the pairs.  None when c is zero, d >
+    rank, the residual exceeds _TIGHT_TOL, or the gap before certify's
+    rounding allowance exceeds the ascent's own stop, _GAP_TARGET * 2^e.
     """
     na, nb = c.shape
     e = _scale_exponent(c)
@@ -477,20 +479,25 @@ def _spectral(c, w, rank):
     sigma = math.sqrt(top)
     near, far = vecs[:, -d:], a.T @ vecs[:, -d:] / sigma
     u, v = (far, near) if nb < na else (near, far)
-    k = np.vstack([u, math.sqrt(nb / na) * v])
-    eqs = (k[:, :, None] * k[:, None, :]).reshape(len(k), d * d)  # row r: k_r k_r^T
-    # least squares; a least-norm M is symmetric, in the span of the k_r k_r^T
-    x = (eqs.sum(axis=0) / np.vdot(eqs, eqs) if d == 1
-         else np.linalg.lstsq(eqs, np.ones(len(k)))[0])
-    if not np.abs(eqs @ x - 1.0).max() <= _TIGHT_TOL:
+    k = np.concatenate([u, math.sqrt(nb / na) * v])
+    sq = np.add.reduce(k * k, axis=1)  # |k_r|^2
+    if np.abs(sq * (np.sum(sq) / np.vdot(sq, sq)) - 1.0).max() <= _TIGHT_TOL:
+        rows = k / np.sqrt(sq)[:, None]
+    elif d == 1:
         return None
-    ev, q = np.linalg.eigh(x.reshape(d, d))
-    rows = k @ ((q * np.sqrt(np.maximum(ev, 0.0))) @ q.T)
-    rows /= _row_norms(rows, keepdims=True)
+    else:
+        eqs = (k[:, :, None] * k[:, None, :]).reshape(len(k), d * d)  # row r: k_r k_r^T
+        # a least-norm M is symmetric, in the span of the k_r k_r^T
+        x = np.linalg.lstsq(eqs, np.ones(len(k)))[0]
+        if not np.abs(eqs @ x - 1.0).max() <= _TIGHT_TOL:
+            return None
+        ev, q = np.linalg.eigh(x.reshape(d, d))
+        rows = k @ ((q * np.sqrt(np.maximum(ev, 0.0))) @ q.T)
+        rows /= _row_norms(rows, keepdims=True)
     primal = _finish(w, rows, e, 0, 0.0, converged=True)
     half = math.ldexp(sigma, e - 1)  # about primal.value / (2 sqrt(nA nB)): finite
     la, lb = half * math.sqrt(nb / na), half * math.sqrt(na / nb)  # Alice's, Bob's
-    cert = certify(w, np.repeat([la, lb], [na, nb]))
+    cert = certify(w, np.repeat(np.array([la, lb]), (na, nb)))
     # judged before certify's rounding allowance, which grows like m^2 u sum(lambda)
     slack = na * la + nb * lb - (na + nb) * cert.feasibility_margin - primal.value
     if not slack <= np.ldexp(_GAP_TARGET, e):

@@ -46,6 +46,13 @@ Bob's settings makes its coefficient block skew-circulant, whose largest
 singular value is 1 / sin(pi/2n), and the multipliers are constant as in the
 chained proof.  The spectral path must reach it.
 
+The least-squares tightness test is the spectral path's test as first
+written: with K the stacked top singular vectors of c, it solves
+diag(K M K^T) = 1 for M by least squares at every d and accepts when the
+residual is within the path's tolerance.  The library first tries M = s I,
+which needs only the row norms of K; it must take the path on exactly the
+inputs this test accepts.
+
 The chained inequality's closed forms from the paper: its classical bound
 2n - 2, explicit optimal angle vectors in a plane, and the all-equal dual
 multipliers cos(pi/2n).  The solver, the certificate and the realization
@@ -92,6 +99,7 @@ from tsirelson.analytic import _check_n
 from tsirelson.errors import DimensionMismatch, LengthMismatch
 from tsirelson.linalg import symmetrize
 from tsirelson.realization import _pauli_terms
+from tsirelson.sdp import _TIGHT_TOL
 
 OFFDIAG_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -311,6 +319,26 @@ def normal_anderson(history):
 def gisin_quantum_bound(n):
     """Tsirelson bound n / sin(pi/2n) of Gisin's n-setting inequality."""
     return n / np.sin(np.pi / (2 * n))
+
+
+def lstsq_tight(c, rank):
+    """True iff some M solves diag(K M K^T) = 1 by least squares, the d top
+    singular pairs of c in K = [U_1; sqrt(nB/nA) V_1], with 0 < d <= rank."""
+    c = np.asarray(c, dtype=float)
+    na, nb = c.shape
+    a = np.ldexp(c.T if nb < na else c, -int(np.frexp(np.abs(c).max())[1]))
+    vals, vecs = np.linalg.eigh(a @ a.T)
+    top = vals[-1]
+    d = int(np.count_nonzero(vals >= top * (1 - _TIGHT_TOL)))
+    if not (top > 0 and d <= rank):
+        return False
+    near = vecs[:, -d:]
+    far = a.T @ near / np.sqrt(top)
+    u, v = (far, near) if nb < na else (near, far)
+    k = np.vstack([u, np.sqrt(nb / na) * v])
+    eqs = (k[:, :, None] * k[:, None, :]).reshape(len(k), d * d)
+    x = np.linalg.lstsq(eqs, np.ones(len(k)))[0]
+    return bool(np.abs(eqs @ x - 1.0).max() <= _TIGHT_TOL)
 
 
 def chained_classical_bound(n):

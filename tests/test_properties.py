@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from tsirelson import build_objective, chained, gisin, lhv_bound, new_inequality, sdp, solve
 
-from oracles import chunked_enumeration, exact_psd, exact_slack, first_max_lhv
+from oracles import chunked_enumeration, exact_psd, exact_slack, first_max_lhv, lstsq_tight
 
 KRIVINE = 1.7823  # upper bound on Grothendieck's constant
 
@@ -154,6 +154,16 @@ def test_spectral_path_is_a_true_optimum(c):
     scale = max(1.0, float(np.abs(c).max()))
     assert report.dual.certified_bound >= sol.value - 1e-9 * scale
     assert report.primal.value >= certified - 1e-7 * scale
+
+
+@derandomized
+@given(st.one_of(matrices, tight_families()))
+def test_spectral_decision_matches_least_squares(c):
+    # the shortcut through the row norms of K takes the path exactly where
+    # least squares for M would
+    report = solve(new_inequality("c", c), classical=False)
+    spectral = report.runs[0].method == "spectral"
+    assert spectral == lstsq_tight(c, _bp_rank(sum(c.shape)))
 
 
 def _assert_exactly_certified(w, cert):

@@ -34,6 +34,7 @@ from oracles import (
     exact_psd,
     exact_slack,
     gisin_quantum_bound,
+    lstsq_tight,
     normal_anderson,
     rank2_max,
     rowwise_sweeps,
@@ -800,8 +801,61 @@ def test_spectral_path_on_rectangular_inputs(c, bound):
     # side's settings repeats its optimal vectors, so the bound scales
     report = solve(new_inequality("rect", c), classical=False)
     assert [run.method for run in report.runs] == ["spectral"]
+    assert lstsq_tight(c, _bp_rank(sum(c.shape)))
     assert abs(report.dual.certified_bound - bound) <= 1e-9 * bound
     assert abs(report.primal.value - bound) <= 1e-9 * bound
+
+
+@pytest.mark.parametrize("family", [chained, gisin])
+def test_family_spectral_decision_matches_least_squares(family):
+    # K has rows of one norm (chained-1 falls through): the shortcut takes
+    # the path exactly where least squares for M would
+    for n in range(1, 65):
+        report = solve(family(n), classical=False)
+        spectral = report.runs[0].method == "spectral"
+        assert spectral == lstsq_tight(family(n).coefficients, _bp_rank(2 * n)), n
+
+
+def test_spectral_path_through_least_squares(monkeypatch):
+    # [[J_4, 0], [0, 4]], J_4 all ones: two games with sigma_1 = 4.  K has
+    # four rows of norm 1/2 and one of norm 1 on each side, so M = diag(4, 1)
+    # in the basis of the two games, not a multiple of I
+    c = np.zeros((5, 5))
+    c[:4, :4] = 1.0
+    c[4, 4] = 4.0
+    lstsq = np.linalg.lstsq
+    calls = []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    ineq = new_inequality("two-games", c)
+    report = solve(ineq, classical=False)
+    (run,) = report.runs
+    assert (run.method, run.rank, len(calls)) == ("spectral", 2, 1)
+    assert report.primal.value == 20.0
+    # lambda = 2 on every row, plus certify's allowance, about 8.2e-13 here
+    w = build_objective(ineq)
+    assert report.dual.certified_bound == certify(w, np.full(10, 2.0)).certified_bound
+    assert 20.0 < report.dual.certified_bound <= 20.0 + 1e-12
+    assert lstsq_tight(c, run.rank)
+
+
+def test_tight_families_run_one_eigh_and_no_lstsq(monkeypatch):
+    # chained and Gisin K have rows of one norm: no least squares, no
+    # square root of M, only the eigh that gives the singular pairs
+    calls = {"eigh": 0, "lstsq": 0}
+    for name in calls:
+        routine = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _routine=routine, **kwargs):
+            calls[_name] += 1
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for family in (chained, gisin):
+        for n in range(2, 17):
+            calls.update(eigh=0, lstsq=0)
+            report = solve(family(n), classical=False)
+            assert report.runs[0].method == "spectral"
+            assert calls == {"eigh": 1, "lstsq": 0}, (family, n)
 
 
 FALL_THROUGH = [
