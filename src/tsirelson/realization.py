@@ -7,8 +7,8 @@ sum_k v[k] C_k.  On the canonical maximally entangled state the correlation
 <Psi| X (x) Y |Psi> then reproduces the inner product x . y exactly, because
 <Psi| X (x) Y |Psi> = Tr(X Y^T)/d and Tr(C_k C_l) = d delta_kl.
 
-correlation_table contracts the state once per Alice observable, using
-<Psi| X (x) Y |Psi> = sum_jk (M^H X M)_jk Y_jk with M = psi reshaped to d x d.
+correlation_table contracts the state with all of Alice's observables at once,
+by <Psi| X (x) Y |Psi> = sum_jk (M^H X M)_jk Y_jk, M = psi reshaped to d x d.
 """
 
 from dataclasses import dataclass
@@ -100,13 +100,14 @@ def realize(xs, ys):
     if len(lengths) != 1:
         raise LengthMismatch("all vectors must have the same length")
     n = lengths.pop()
-    for v in xs + ys:
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise NotUnitVector(f"vector norm {np.linalg.norm(v):.12f} is not 1")
+    stacked = np.vstack([np.reshape(xs, (-1, n)), np.reshape(ys, (-1, n))])
+    norms = np.linalg.norm(stacked, axis=1)
+    if (off := np.abs(norms - 1.0) > 1e-10).any():
+        raise NotUnitVector(f"vector norm {norms[off.argmax()]:.12f} is not 1")
     # C_k is symmetric for X (even k) and antisymmetric for Y (odd k), so
     # Bob's transposed sum is the sum with his Y coefficients negated
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    obs = _observables(np.vstack([np.reshape(xs, (-1, n)), np.reshape(ys, (-1, n)) * sign]), n)
+    stacked[len(xs):] *= np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    obs = _observables(stacked, n)
     d = obs.shape[1]
     return QuantumRealization(
         dim=d,
@@ -137,9 +138,9 @@ def correlation_table(realization):
     if psi.shape != (d * d,) or any(o.shape != (d, d) for o in obs):
         raise DimensionMismatch("observable/state dimensions disagree")
     m = psi.reshape(d, d)
-    ys = np.stack(realization.observables_y).reshape(-1, d * d)
-    rows = [ys @ (m.conj().T @ x @ m).reshape(-1) for x in realization.observables_x]
-    return np.array(rows).real
+    xs = m.conj().T @ np.array(realization.observables_x).reshape(-1, d, d) @ m
+    ys = np.array(realization.observables_y).reshape(-1, d * d)
+    return (xs.reshape(-1, d * d) @ ys.T).real
 
 
 def inequality_value(ineq, realization):

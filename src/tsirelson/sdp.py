@@ -4,7 +4,8 @@ solve first tries the paper's proof (_spectral): constant multipliers from
 the top singular value of the coefficient block, and a test of whether its
 singular vectors carry a primal attaining that bound (their stacked rows
 have one norm, or else a least-squares test passes).  If so, solve reports
-one run of method "spectral"; if not, the ascent below ("mixing").
+one run of method "spectral", proven by one Cholesky factorization of the
+smaller side's Gram matrix, without W; if not, the ascent below ("mixing").
 
 The primal "maximize (1/2) Tr(G W) s.t. G >= 0, g_ii = 1" is attacked in the
 low-rank factorized form: m unit vectors of length rank, which solve sets
@@ -64,7 +65,7 @@ class PrimalSolution:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    lam: np.ndarray  # multipliers with diag(lam) - W/2 PSD in exact arithmetic
+    lam: np.ndarray  # diag(lam) - W/2 PSD in exact arithmetic, proven on W or on c c^T
     feasibility_margin: float  # minus the shift applied to the input: 0.0, or min eig < 0
     certified_bound: float
 
@@ -311,29 +312,26 @@ def solve_primal(w, rank, seed=0):
 
 
 def _finish(w, v, e, iterations, residual, converged):
-    """The PrimalSolution at unit rows v; NonFiniteEntry when its value overflows.
+    """The PrimalSolution at unit rows v, of value sum(G * W) / 2, G = v v^T."""
+    return PrimalSolution(v, _value(v, v, w, e, -1), iterations, float(residual), converged)
 
-    The value is sum(G * W) / 2, G = v v^T, for max|W| < 2^e.  The m^2
-    terms G_ij w_ij are summed scaled by 2^-k, k > 0 only where they could
-    overflow a partial sum, and the sum is scaled by 2^(k-1).  That is exact,
-    so only the last step overflows, and only when the value itself does.
+
+def _value(x, y, c, e, shift=0):
+    """sum(c * (x y^T)) * 2^shift for unit rows x, y and max|c| < 2^e.
+
+    The terms are summed scaled by 2^-k, k > 0 only where a partial sum could
+    overflow, and the sum by 2^(k + shift): exact, so NonFiniteEntry is raised
+    only when the value itself overflows.
     """
-    g = v @ v.T
-    k = max(0, e + 2 * len(w).bit_length() - 1022)  # the sum stays below 2^1023
+    g = x @ y.T
+    k = max(0, e + len(x).bit_length() + len(y).bit_length() - 1022)  # below 2^1023
     if k:
         g *= math.ldexp(1.0, -k)
-    g *= w
+    g *= c
     try:
-        value = math.ldexp(float(np.sum(g)), k - 1)
+        return math.ldexp(float(np.sum(g)), k + shift)
     except OverflowError:
         raise NonFiniteEntry("primal value overflows the float range") from None
-    return PrimalSolution(
-        vectors=v,
-        value=value,
-        iterations=iterations,
-        residual=float(residual),
-        converged=converged,
-    )
 
 
 def extract_dual(w, vectors):
@@ -383,6 +381,13 @@ def certify(w, lam):
     return _certify(w, lam, shift_first=False)
 
 
+def _allowance(x, neg):
+    """Rump's allowance c: a Cholesky of diag(x + c) + A that completes proves
+    diag(x + 2c) + A PSD; A is m x m with diagonal neg, scaled so m u covers underflow."""
+    m = len(neg)
+    return (m + 2) ** 2 * _U * (np.abs(x) + np.abs(neg)) + m * _U
+
+
 def _certify(w, lam, shift_first):
     """certify; shift_first takes the shift before the first factorization.
 
@@ -420,20 +425,17 @@ def _certify(w, lam, shift_first):
     diag = mat.reshape(-1)[:: m + 1]  # a view of mat's diagonal
     neg = diag.copy()
 
-    def allowance(x):
-        return (m + 2) ** 2 * _U * (np.abs(x) + np.abs(neg)) + m * _U
-
     def factors(x, c):
         np.add(x + c, neg, out=diag)
         return _factors(mat)
 
     x = np.ldexp(lam, -e)
     mu = 0.0
-    if shift_first or not factors(x, c := allowance(x)):
+    if shift_first or not factors(x, c := _allowance(x, neg)):
         np.add(x, neg, out=diag)
         mu = min(0.0, min_eigenvalue(mat))
         x = x - mu
-        c = allowance(x)
+        c = _allowance(x, neg)
         while not factors(x, c):
             c *= 2.0
             if not np.isfinite(c).all():
@@ -452,26 +454,29 @@ def _single_run(w, rank, seed):
     return primal, dual, run
 
 
-def _spectral(c, w, rank):
+def _spectral(c, rank):
     """The paper's bound, certified, and a rank-d primal attaining it; or None.
 
     lambda = sigma_1 sqrt(nB/nA)/2 on Alice's side and sigma_1 sqrt(nA/nB)/2
     on Bob's, sigma_1 the largest singular value of c, makes diag(lambda) -
-    W/2 PSD.  A Gram matrix attains sum(lambda) iff it is K M K^T with M PSD,
+    W/2 PSD: by its Schur complement, exactly when 4 lambda_A lambda_B I - c
+    c^T is.  A Gram matrix attains sum(lambda) iff it is K M K^T with M PSD,
     diag(K M K^T) = 1 and K = [U_1; sqrt(nB/nA) V_1], the d top singular
     pairs (Epping, Kampermann & Bruss, 2013).  K^T K is a multiple of I, so
     when |k_r| is constant the least-norm M is s I and the rows of K,
     normalized, are the primal; for d = 1 that is the whole test.  Otherwise
     M is solved for by least squares, a second eigh gives M^(1/2), and the
     rows of K M^(1/2), normalized, are the primal.  One eigh of the smaller
-    side's Gram matrix of c / 2^e gives the pairs.  None when c is zero, d >
-    rank, the residual exceeds _TIGHT_TOL, or the gap before certify's
-    rounding allowance exceeds the ascent's own stop, _GAP_TARGET * 2^e.
+    side's n x n Gram matrix G of a = c / 2^e gives the pairs, and one
+    Cholesky of sigma_1^2 I - G proves the bound; W is never formed.  None
+    when c is zero, d > rank, the residual exceeds _TIGHT_TOL, the gap before
+    the rounding allowance exceeds _GAP_TARGET * 2^e, or the Cholesky fails.
     """
     na, nb = c.shape
     e = _scale_exponent(c)
     a = np.ldexp(c.T if nb < na else c, -e)  # rows: the smaller side
-    vals, vecs = np.linalg.eigh(a @ a.T)
+    g = a @ a.T
+    vals, vecs = np.linalg.eigh(g)
     top = vals[-1]
     d = int(np.count_nonzero(vals >= top * (1 - _TIGHT_TOL)))
     if not (top > 0 and d <= rank):
@@ -494,16 +499,30 @@ def _spectral(c, w, rank):
         ev, q = np.linalg.eigh(x.reshape(d, d))
         rows = k @ ((q * np.sqrt(np.maximum(ev, 0.0))) @ q.T)
         rows /= _row_norms(rows, keepdims=True)
-    primal = _finish(w, rows, e, 0, 0.0, converged=True)
-    half = math.ldexp(sigma, e - 1)  # about primal.value / (2 sqrt(nA nB)): finite
+    value = _value(rows[:na], rows[na:], c, e)
+    half = math.ldexp(sigma, e - 1)  # about value / (2 sqrt(nA nB)): finite
     la, lb = half * math.sqrt(nb / na), half * math.sqrt(na / nb)  # Alice's, Bob's
-    cert = certify(w, np.repeat(np.array([la, lb]), (na, nb)))
-    # judged before certify's rounding allowance, which grows like m^2 u sum(lambda)
-    slack = na * la + nb * lb - (na + nb) * cert.feasibility_margin - primal.value
-    if not slack <= np.ldexp(_GAP_TARGET, e):
+    # judged before the rounding allowance, which grows like n^2 u sum(lambda)
+    if not na * la + nb * lb - value <= math.ldexp(_GAP_TARGET, e):
         return None
-    gap = cert.certified_bound - primal.value
-    return primal, cert, Run(0, d, 0, True, primal.value, cert.certified_bound, gap, "spectral")
+    # |G - fl(G)| <= gamma_N |a| |a|^T (Higham, 2002, 3.5), whose largest row
+    # sum bounds its 2-norm (2 N u covers gamma_N and its roundings, + 1 any
+    # underflow); diag(top + 2 cap) - fl(G) is PSD if the Cholesky completes
+    b = np.abs(a)
+    delta = 2 * a.shape[1] * _U * (float((b @ b.sum(axis=0)).max()) + 1.0)
+    neg = -g.diagonal()
+    np.negative(g, out=g)
+    np.fill_diagonal(g, top + (cap := _allowance(top, neg)) + neg)
+    if not _factors(g):
+        return None
+    # so s I - G is PSD; half >= 2^(e-1) sqrt(s), and la lb >= half^2 exactly
+    s = math.nextafter(math.fsum([top, 2 * float(cap.max()), delta]), math.inf)
+    half, r = math.nextafter(math.ldexp(math.sqrt(s), e - 1), math.inf), math.sqrt(nb / na)
+    la, lb = math.nextafter(half * r, math.inf), math.nextafter(half / r, math.inf)
+    lam = np.repeat(np.array([la, lb]), (na, nb))
+    bound = _sum_up(lam)
+    return (PrimalSolution(rows, value, 0, 0.0), DualCertificate(lam, 0.0, bound),
+            Run(0, d, 0, True, value, bound, bound - value, "spectral"))
 
 
 def solve(ineq, classical=True):
@@ -525,24 +544,26 @@ def solve(ineq, classical=True):
     unchanged.
     """
     lhv = lhv_bound(ineq) if classical else None
-    w = ineq_mod.build_objective(ineq)
-    m = w.shape[0]
+    c = ineq.coefficients
+    m = sum(c.shape)
     rank = min(m, math.isqrt(2 * m - 1) + 2)
-    primal, dual, run = _spectral(ineq.coefficients, w, rank) or _single_run(w, rank, 0)
+    spectral = _spectral(c, rank)  # W is formed only for an ascent
+    primal, dual, run = spectral or _single_run(ineq_mod.build_objective(ineq), rank, 0)
     runs = (run,)
-    scale = max(1.0, float(np.abs(w).max()))
+    scale = max(1.0, float(np.abs(c).max()))
     if run.gap / scale > RESTART_GAP:
-        primal2, dual2, run2 = _single_run(w, rank + 2, 1)
+        primal2, dual2, run2 = _single_run(ineq_mod.build_objective(ineq), rank + 2, 1)
         runs = (run, run2)
         if run2.gap < run.gap:
             primal, dual = primal2, dual2
     if lhv is not None:
-        v = np.zeros_like(primal.vectors)
-        v[:, 0] = np.concatenate([lhv.witness_x, lhv.witness_y])
-        witness = _finish(w, v, math.frexp(scale)[1], primal.iterations, primal.residual,
-                          primal.converged)
-        if witness.value > primal.value:
-            primal = witness
+        x, y = lhv.witness_x, lhv.witness_y
+        value = _value(x[:, None], y[:, None], c, math.frexp(scale)[1])
+        if value > primal.value:
+            v = np.zeros_like(primal.vectors)
+            v[:, 0] = np.concatenate([x, y])
+            primal = PrimalSolution(v, value, primal.iterations, primal.residual,
+                                    primal.converged)
     gap = dual.certified_bound - primal.value
     return BoundReport(
         name=ineq.name,

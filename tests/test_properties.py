@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tsirelson import build_objective, chained, gisin, lhv_bound, new_inequality, sdp, solve
@@ -138,8 +138,43 @@ def tight_families(draw):
     return (signs[0][:, None] * c * signs[1])[rows][:, cols] * draw(st.integers(1, 3))
 
 
+@st.composite
+def game_sums(draw):
+    """Tight sums of games with one sigma_1 whose K rows differ in norm.
+
+    Either blocks (4/p) J_{p x rp}, each with sigma_1 = 4 sqrt(r) and aspect
+    1 : r, as in [[J_4, 0], [0, 4]]; or the projector X (X^T X)^-1 X^T, a sum
+    of rank-one games q q^T, onto the span of unit rows X (rarely a tight
+    frame), attained by x = y = X.  On blocks the rows of K, normalized, are
+    already optimal; on a projector only the least-squares M gives the
+    primal.  Settings permuted, signs flipped, times 1..3.
+    """
+    if draw(st.booleans()):
+        r = draw(st.sampled_from([1, 2]))
+        sizes = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=2, max_size=3, unique=True))
+        c = np.zeros((sum(sizes), r * sum(sizes)))
+        at = 0
+        for p in sizes:
+            c[at:at + p, r * at:r * (at + p)] = 4.0 / p
+            at += p
+    else:
+        d = draw(st.integers(2, 3))
+        x = draw(arrays(np.float64, (draw(st.integers(d + 1, 7)), d),
+                        elements=st.integers(-3, 3).map(float)))
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        assume(norms.all() and np.linalg.cond(x) < 10)
+        x /= norms
+        c = x @ np.linalg.inv(x.T @ x) @ x.T
+    na, nb = c.shape
+    rows, cols = draw(st.permutations(range(na))), draw(st.permutations(range(nb)))
+    data = draw(st.data())
+    c = (_signs(data, na)[:, None] * c * _signs(data, nb))[rows][:, cols]
+    c *= draw(st.integers(1, 3))
+    return c.T if draw(st.booleans()) else c
+
+
 @settings(derandomized, max_examples=120)
-@given(st.one_of(matrices, tight_families()))
+@given(st.one_of(matrices, tight_families(), game_sums()))
 def test_spectral_path_is_a_true_optimum(c):
     # where solve takes the spectral path, its bound is not below the mixing
     # primal's value, and its primal is not below the mixing certificate
@@ -157,7 +192,7 @@ def test_spectral_path_is_a_true_optimum(c):
 
 
 @derandomized
-@given(st.one_of(matrices, tight_families()))
+@given(st.one_of(matrices, tight_families(), game_sums()))
 def test_spectral_decision_matches_least_squares(c):
     # the shortcut through the row norms of K takes the path exactly where
     # least squares for M would
@@ -210,9 +245,31 @@ def test_graded_gram_certificates_are_exactly_psd(m, seed):
     _assert_exactly_certified(w, sdp.certify(w, np.diag(a).copy()))
 
 
+SCALES = [1.0, 3.0, 2.0**1000, 2.0**-1000, 1e200]  # each leaves W exactly representable
+
+
+def _assert_spectral_exactly_certified(c):
+    # the spectral lambda sit on the PSD boundary: the proof on the Gram
+    # matrix of c must hold for diag(lambda) - W/2 with no rounding
+    for scale in SCALES:
+        ineq = new_inequality("c", scale * c)
+        report = solve(ineq, classical=False)
+        assert [run.method for run in report.runs] == ["spectral"], scale
+        assert report.dual.feasibility_margin == 0.0
+        _assert_exactly_certified(build_objective(ineq), report.dual)
+
+
 @pytest.mark.parametrize("family", [chained, gisin])
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_spectral_certificates_are_exactly_psd(family, n):
-    # the spectral lambda sit on the PSD boundary
-    ineq = family(n)
-    _assert_exactly_certified(build_objective(ineq), solve(ineq, classical=False).dual)
+    _assert_spectral_exactly_certified(family(n).coefficients)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [np.ones((3, 5)), np.hstack([chained(4).coefficients] * 2),
+     np.vstack([gisin(3).coefficients] * 3)],
+    ids=["ones-3x5", "chained-4-twice", "gisin-3-thrice"],
+)
+def test_rectangular_spectral_certificates_are_exactly_psd(c):
+    _assert_spectral_exactly_certified(c)

@@ -205,6 +205,10 @@ def test_realize_observable_invariants():
 def test_realize_input_validation():
     with pytest.raises(NotUnitVector):
         realize([np.array([1.0, 1.0])], [np.array([1.0, 0.0])])
+    # the first vector off the unit sphere, Alice's then Bob's, is named by its norm
+    with pytest.raises(NotUnitVector, match=r"vector norm 0\.500000000000 is not 1"):
+        realize([np.array([1.0, 0.0])], [np.array([0.0, 1.0]), np.array([0.0, 0.5]),
+                                         np.array([2.0, 0.0])])
     with pytest.raises(LengthMismatch):
         realize([np.array([1.0, 0.0])], [np.array([1.0, 0.0, 0.0])])
 
@@ -280,3 +284,10 @@ def test_inequality_value_counts():
         inequality_value(chained(3), real)
     zero = new_inequality("zero", [[0.0, 0.0], [0.0, 0.0]])
     assert inequality_value(zero, real) == 0.0
+
+
+def test_correlation_table_of_an_empty_side():
+    # no settings on one side: an empty table of the right shape
+    unit = [np.array([1.0, 0.0])]
+    assert correlation_table(realize([], unit)).shape == (0, 1)
+    assert correlation_table(realize(unit, [])).shape == (1, 0)

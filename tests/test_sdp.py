@@ -506,14 +506,20 @@ def test_certify_uses_the_symmetric_part():
                                                  rel=1e-13)
 
 
-@pytest.mark.parametrize("family", [chained, gisin])
-def test_spectral_gap_is_not_negative(family):
+@pytest.mark.parametrize("family, exact", [(chained, chained_quantum_bound),
+                                           (gisin, gisin_quantum_bound)],
+                         ids=["chained", "gisin"])
+def test_spectral_gap_is_not_negative(family, exact):
     # the spectral lambda sit on the PSD boundary; before the rounding
-    # allowance 16 of these inputs reported a certified bound below the primal
-    for n in range(2, 65):
+    # allowance 16 of these inputs reported a certified bound below the primal.
+    # The proof on the Gram matrix needs no shift and stays above the closed form
+    for n in range(2, 257):
         report = solve(family(n), classical=False)
         assert report.runs[0].method == "spectral"
+        assert report.dual.feasibility_margin == 0.0
         assert report.gap >= 0
+        assert report.relative_gap <= sdp.OPTIMAL_GAP
+        assert report.dual.certified_bound >= exact(n)
 
 
 @pytest.mark.parametrize("family, exact", [(chained, chained_quantum_bound),
@@ -831,10 +837,10 @@ def test_spectral_path_through_least_squares(monkeypatch):
     (run,) = report.runs
     assert (run.method, run.rank, len(calls)) == ("spectral", 2, 1)
     assert report.primal.value == 20.0
-    # lambda = 2 on every row, plus certify's allowance, about 8.2e-13 here
-    w = build_objective(ineq)
-    assert report.dual.certified_bound == certify(w, np.full(10, 2.0)).certified_bound
+    # lambda = 2 on every row, plus the rounding allowance of the proof on the
+    # 5 x 5 Gram matrix, about 3.3e-13 here; exactly PSD on W
     assert 20.0 < report.dual.certified_bound <= 20.0 + 1e-12
+    assert exact_psd(exact_slack(build_objective(ineq), report.dual.lam))
     assert lstsq_tight(c, run.rank)
 
 
@@ -905,9 +911,15 @@ def test_certified_gap_refuses_what_a_loose_test_passes(monkeypatch):
     ineq = new_inequality("moved", c)
     ref = solve(ineq, classical=False)
     certified = _count_certify(monkeypatch)
+    valued = []
+    value = sdp._value
+    monkeypatch.setattr(sdp, "_value", lambda x, *a: valued.append(len(x)) or value(x, *a))
     monkeypatch.setattr(sdp, "_TIGHT_TOL", 1e-2)
     report = solve(ineq, classical=False)
-    assert len(certified) == 2  # the spectral attempt, then the mixing run
+    # the spectral attempt passed the test and valued its primal on the 8 x 8
+    # block, then the mixing run valued its 16 rows; only that run certified
+    assert valued == [8, 16]
+    assert len(certified) == 1
     assert report.runs == ref.runs
     assert [run.method for run in report.runs] == ["mixing"]
 
@@ -931,3 +943,73 @@ def test_spectral_path_on_scaled_inputs(ineq, scale):
     assert report.dual.certified_bound == pytest.approx(
         scale * ref.dual.certified_bound, rel=1e-14)
     assert report.relative_gap <= sdp._GAP_TARGET
+
+
+@pytest.mark.parametrize(
+    "c",
+    [chained(n).coefficients for n in (2, 8, 16)] + [gisin(n).coefficients for n in (3, 16)]
+    + [np.ones((3, 5)), np.vstack([gisin(3).coefficients] * 3)],
+    ids=["chained-2", "chained-8", "chained-16", "gisin-3", "gisin-16", "ones-3x5",
+         "gisin-3-thrice"],
+)
+def test_spectral_path_forms_no_w(monkeypatch, c):
+    # the proof runs on the smaller side's n x n Gram matrix: no m x m array
+    # reaches a Cholesky factorization, and W is never built
+    def refuse(*args):
+        raise AssertionError("build_objective ran on the spectral path")
+
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+    monkeypatch.setattr(sdp.ineq_mod, "build_objective", refuse)
+    report = solve(new_inequality("c", c), classical=False)
+    assert [run.method for run in report.runs] == ["spectral"]
+    n = min(c.shape)
+    assert shapes == [(n, n)]
+
+
+@pytest.mark.parametrize("low, method", [(2.0**-49, "spectral"), (2.0**-30, "mixing")],
+                         ids=["2^-49", "2^-30"])
+def test_spectral_proof_does_not_trust_eigh(monkeypatch, low, method):
+    # an eigh whose eigenvalues read low.  2^-49 is well inside the rounding
+    # allowance: the Cholesky still completes, and the bound it proves lies
+    # above the true sigma_1 sqrt(nA nB), not the low one eigh reported.
+    # 2^-30 is not: the Cholesky fails, and solve runs the ascent
+    eigh = np.linalg.eigh
+
+    def low_eigh(a):
+        vals, vecs = eigh(a)
+        return vals * (1 - low), vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", low_eigh)
+    for family in (chained, gisin):
+        for n in range(2, 9):
+            ineq = family(n)
+            report = solve(ineq, classical=False)
+            assert [run.method for run in report.runs] == [method]
+            assert exact_psd(exact_slack(build_objective(ineq), report.dual.lam))
+
+
+MIXED = FALL_THROUGH + [
+    new_inequality(f"seeded-{k}", np.random.default_rng(k).integers(-3, 4, (k, k + 1)))
+    for k in (2, 4, 7)
+] + [new_inequality("gauss-6", np.random.default_rng(6).standard_normal((6, 6)))]
+
+
+@pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
+def test_mixing_path_is_unchanged(monkeypatch, ineq):
+    # where the spectral path is not taken, lambda, the certified bound and
+    # the value are those of solve_primal and the shift-first certificate,
+    # bit for bit: the proof on the Gram matrix changed none of them
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
+    report = solve(ineq, classical=False)
+    w = build_objective(ineq)
+    bp = _bp_rank(w.shape[0])
+    for run, (rank, seed) in zip(report.runs, [(bp, 0), (bp + 2, 1)]):
+        sol = solve_primal(w, rank, seed=seed)
+        dual = sdp._certify(w, extract_dual(w, sol.vectors), shift_first=True)
+        assert run.method == "mixing"
+        assert (run.primal_value, run.certified_bound) == (sol.value, dual.certified_bound)
+        if report.dual.certified_bound == dual.certified_bound:
+            np.testing.assert_array_equal(report.dual.lam, dual.lam)
+            assert report.primal.value == sol.value
