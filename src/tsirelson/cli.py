@@ -284,9 +284,9 @@ def _cmd_bound(args):
 
 def _cmd_certify(args):
     ineq = _load_inequality(args)
-    w = ineq_mod.build_objective(ineq)
-    lam = _read_lambda_file(args.lambda_file, w.shape[0])
-    cert = sdp.certify(w, lam)
+    c = ineq.coefficients
+    lam = _read_lambda_file(args.lambda_file, sum(c.shape))
+    cert = sdp.certify(c, lam)
     out = {
         "config": _config_block(args),
         "inequality": ineq.name,

@@ -1,10 +1,12 @@
-"""Correlation Bell inequalities and their SDP objective matrices.
+"""Correlation Bell inequalities and their reference SDP objective.
 
 An inequality is a coefficient matrix c[s][t] weighting the correlator
 <X_s Y_t>.  The objective matrix W places those coefficients in the
 off-diagonal blocks of a symmetric (nA+nB) x (nA+nB) matrix so that
 (1/2) Tr(G W) equals sum_{s,t} c[s][t] (x_s . y_t) for any Gram matrix G
-of the stacked vectors (x_1..x_nA, y_1..y_nB).
+of the stacked vectors (x_1..x_nA, y_1..y_nB).  W is the reference
+objective: the solver reads c alone, and build_objective serves callers
+that want the matrix.
 """
 
 from dataclasses import dataclass, field

@@ -1,35 +1,39 @@
-"""Unit-diagonal SDP solver with dual certification.
+"""Unit-diagonal SDP solver with dual certification, on the coefficient block.
+
+The objective of an nA x nB coefficient block c is (1/2) Tr(G W), W =
+[[0, c], [c^T, 0]].  Every routine here reads c; the only m x m array
+formed is the slack diag(lambda) - W/2 that a mixing-path PSD test factors.
 
 solve first tries the paper's proof (_spectral): constant multipliers from
-the top singular value of the coefficient block, and a test of whether its
-singular vectors carry a primal attaining that bound (their stacked rows
-have one norm, or else a least-squares test passes).  If so, solve reports
-one run of method "spectral", proven by one Cholesky factorization of the
-smaller side's Gram matrix, without W; if not, the ascent below ("mixing").
+the top singular value of c, and a test of whether its singular vectors
+carry a primal attaining that bound (their stacked rows have one norm, or
+else a least-squares test passes).  If so, solve reports one run of method
+"spectral", proven by one Cholesky factorization of the smaller side's
+Gram matrix; if not, the ascent below ("mixing").
 
 The primal "maximize (1/2) Tr(G W) s.t. G >= 0, g_ii = 1" is attacked in the
-low-rank factorized form: m unit vectors of length rank, which solve sets
-to min(m, ceil(sqrt(2m)) + 1), the Barvinok-Pataki bound.  The plain map is a
-sweep of block-coordinate ascent, the Mixing method: each vector is set to
-its closed-form maximizer in a fixed order, so the objective never
-decreases.  Consecutive vectors that W does not couple are updated together
-in one matrix product; for a Bell objective, whose Alice-Alice and Bob-Bob
-blocks are zero, a sweep is two products, and the iterate is the same as
-updating one vector at a time.  A sweep also returns the objective of its
-iterate, read off the fields it forms.  The sweep is Anderson-accelerated
-(Walker & Ni, 2011): a ring keeps the last few residual and sweep
-differences with their running normal matrix, the mixing weights solve
-those k x k normal equations, a singular system is a rejected mix, and a
-mixed step is kept only if it does not lower the objective.  The ascent
-stops as soon as the certificate below would prove its iterate within a
-small gap of optimal, decided inside the loop by one Cholesky
-factorization instead of an eigensolver.  The nonconvexity of the
-factorization is repaired afterwards: any multiplier vector lambda whose
-diag(lambda) - W/2 is PSD gives a rigorous upper bound Tr(diag(lambda)) by
-weak duality, and an infeasible lambda can always be shifted onto the PSD
-cone at a quantified price.  certify proves PSD in floating point by one
-Cholesky factorization with an a-priori rounding allowance (Rump, BIT 46,
-2006); an eigensolver only picks the shift, where that factorization fails.
+low-rank factorized form: m unit vectors of length rank, Alice's first,
+which solve sets to min(m, ceil(sqrt(2m)) + 1), the Barvinok-Pataki bound.
+The plain map is a sweep of block-coordinate ascent, the Mixing method:
+each vector is set to its closed-form maximizer in a fixed order, so the
+objective never decreases.  W couples no two of Alice's vectors and no two
+of Bob's, so a sweep is two products, Alice's fields c @ y and then Bob's
+c^T @ x, and the iterate is the same as updating one vector at a time.  A
+sweep also returns the objective of its iterate, read off the fields it
+forms.  The sweep is Anderson-accelerated (Walker & Ni, 2011): a ring keeps
+the last few residual and sweep differences with their running normal
+matrix, the mixing weights solve those k x k normal equations, a singular
+system is a rejected mix, and a mixed step is kept only if it does not
+lower the objective.  The ascent stops as soon as the certificate below
+would prove its iterate within a small gap of optimal, decided inside the
+loop by one Cholesky factorization instead of an eigensolver.  The
+nonconvexity of the factorization is repaired afterwards: any multiplier
+vector lambda whose diag(lambda) - W/2 is PSD gives a rigorous upper bound
+Tr(diag(lambda)) by weak duality, and an infeasible lambda can always be
+shifted onto the PSD cone at a quantified price.  certify proves PSD in
+floating point by one Cholesky factorization with an a-priori rounding
+allowance (Rump, BIT 46, 2006); an eigensolver only picks the shift, where
+that factorization fails.
 """
 
 import math
@@ -37,17 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import inequality as ineq_mod
 from .classical import lhv_bound
 from .errors import InvalidRank, LengthMismatch, NonFiniteEntry
 from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
-OPTIMAL_GAP = 1e-5  # thresholds on the gap relative to max(1, max|W|)
+OPTIMAL_GAP = 1e-5  # thresholds on the gap relative to max(1, max|c|)
 RESTART_GAP = 1e-4
 
 _DEPTH = 5  # Anderson history: the last _DEPTH points and their sweeps
-_GAP_TARGET = 1e-8  # certified gap, in the scaled W, that stops the ascent
+_GAP_TARGET = 1e-8  # certified gap, in the scaled c, that stops the ascent
 _RESIDUAL_TOL = 1e-10  # largest per-vector move of a sweep that stops it
 _CHECK_EVERY = 10  # largest step between gap checks
 _TIGHT_TOL = 1e-9  # relative: sigma_1's multiplicity, and the spectral test's residual
@@ -90,7 +93,7 @@ class BoundReport:
     primal: PrimalSolution
     dual: DualCertificate
     gap: float
-    relative_gap: float  # gap / max(1, max|W|): the solver is accurate to that scale
+    relative_gap: float  # gap / max(1, max|c|): the solver is accurate to that scale
     classical_bound: float | None = None
     runs: tuple = ()  # one Run, or two after a restart
 
@@ -115,61 +118,38 @@ def _initial_vectors(m, rank, seed):
     return v
 
 
-def _uncoupled_runs(w):
-    """Split 0..m-1 into maximal runs [lo, hi) with W[j][lo:j] == 0 for each j.
-
-    No field g_j in a run reads a vector updated earlier in the same run, so
-    the run can be updated in one step with the same result as one at a time.
-    For a Bell objective the runs are Alice's indices, then Bob's.
-    """
-    m = w.shape[0]
-    # last column below the diagonal that row j reads, -1 when there is none
-    last = np.where(np.tril(w != 0, -1), np.arange(m), -1).max(axis=1)
-    runs = []
-    lo = 0
-    for j, col in enumerate(last.tolist()):
-        if col >= lo:
-            runs.append((lo, j))
-            lo = j
-    runs.append((lo, m))
-    return runs
-
-
-def _scale_exponent(w):
-    """e with max|W| * 2^-e in [0.5, 1) (0 when W == 0).
+def _scale_exponent(c):
+    """e with max|c| * 2^-e in [0.5, 1) (0 when c == 0).
 
     Scaling by 2^-e is exact, and keeps the squares inside _row_norms from
     overflowing for entries above ~1e154.
     """
-    return int(np.frexp(np.abs(w).max())[1])
+    return int(np.frexp(np.abs(c).max())[1])
 
 
-def _sweep(ws, v, runs, floor):
-    """One Mixing-method sweep over the unit rows v, in place; the plain map.
+def _fields(cs, cts, v):
+    """W v at the rows v = [x; y]: Alice's fields cs @ y over Bob's cts @ x."""
+    na = len(cs)
+    return np.concatenate([cs @ v[na:], cts @ v[:na]])
 
-    Each run [lo, hi) sets its rows to their normalized fields, leaving a
-    row untouched when its field norm is below floor.  A field has two
-    parts: early = ws[lo:hi, :lo] @ v[:lo], from the runs this sweep has
-    already set, and ws[lo:hi, hi:] @ v[hi:], from the runs after it.  No
-    two rows of a run are coupled, and the diagonal of ws is not read: on
-    unit rows it adds only the constant (1/2) tr(ws), which a Bell objective
-    does not have.  So the objective (1/2) v^T ws v of the swept rows, less
-    that constant, is the sum over runs of <new rows, early>, which it
-    returns.
+
+def _sweep(cs, cts, v, floor):
+    """One Mixing-method sweep over the unit rows v = [x; y], in place; the plain map.
+
+    Alice's rows become their normalized fields cs @ y, then Bob's cts @ x
+    at Alice's new rows, as one row at a time would (W couples no two rows
+    of a block); a row whose field norm is below floor is left untouched.
+    Returns the objective sum(cs * (x y^T)), read off Bob's fields.
     """
-    m = len(v)
-    value = 0.0
-    for lo, hi in runs:
-        if lo:
-            early = ws[lo:hi, :lo] @ v[:lo]
-            g = early if hi == m else early + ws[lo:hi, hi:] @ v[hi:]
-        else:
-            g = ws[:hi, hi:] @ v[hi:]
-        ng = _row_norms(g, keepdims=True)
-        new = np.divide(g, ng, out=v[lo:hi], where=ng >= floor)
-        if lo:
-            value += float(np.vdot(new, early))
-    return value
+    na = len(cs)
+    x, y = v[:na], v[na:]
+    g = cs @ y
+    ng = _row_norms(g, keepdims=True)
+    np.divide(g, ng, out=x, where=ng >= floor)
+    h = cts @ x
+    nh = _row_norms(h, keepdims=True)
+    new = np.divide(h, nh, out=y, where=nh >= floor)
+    return float(np.vdot(new, h))
 
 
 class _Anderson:
@@ -230,66 +210,82 @@ def _factors(a):
     return True
 
 
-def _gap_proven(ws, v):
-    """True iff certify(ws, extract_dual(ws, v)) proves v within _GAP_TARGET of optimal.
+def _slack(cs, d):
+    """diag(d) - W/2 for W = [[0, cs], [cs^T, 0]]: the only m x m array formed.
 
-    With lambda = extract_dual(ws, v) and t = (_GAP_TARGET - (sum(lambda) -
+    The zero blocks hold -0.0, W's zeros negated: eigvalsh's reflectors, and
+    so the shift certify takes, read the sign of a zero.
+    """
+    na, nb = cs.shape
+    s = np.full((na + nb, na + nb), -0.0)
+    np.multiply(cs, -0.5, out=s[:na, na:])
+    s[na:, :na] = s[:na, na:].T
+    np.fill_diagonal(s, d)
+    return s
+
+
+def _gap_proven(cs, cts, v):
+    """True iff certify(cs, extract_dual(cs, v)) proves v within _GAP_TARGET of optimal.
+
+    With lambda = extract_dual(cs, v) and t = (_GAP_TARGET - (sum(lambda) -
     value)) / m, certify's bound minus the value is at most _GAP_TARGET,
     less certify's rounding allowance, exactly when t >= 0 and diag(lambda +
-    t) - ws/2 is PSD.  A Cholesky factorization decides that, up to the
-    boundary where the matrix is singular, without an eigensolver.  ws is
+    t) - W/2 is PSD.  A Cholesky factorization decides that, up to the
+    boundary where the matrix is singular, without an eigensolver.  cs is
     scaled, so extract_dual's lambda is half the row norms of the fields
-    ws @ v, formed once here for lambda and the value.
+    W v, formed once here for lambda and the value.
     """
-    g = ws @ v
+    g = _fields(cs, cts, v)
     lam = 0.5 * _row_norms(g)
-    t = (_GAP_TARGET - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / ws.shape[0]
+    t = (_GAP_TARGET - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / len(v)
     # a NaN slack proves nothing
-    return t >= 0 and _factors(np.diag(lam + t) - ws / 2.0)
+    return t >= 0 and _factors(_slack(cs, lam + t))
 
 
-def solve_primal(w, rank, seed=0):
+def solve_primal(c, rank, seed=0):
     """Anderson-accelerated block-coordinate ascent over unit vectors v_1..v_m.
 
-    The plain map F is one sweep (_sweep), which also returns the objective
-    of the point it sweeps.  Each iteration applies it to the iterate v,
-    adds the pair (F(v) - v, F(v)) to the ring of the last _DEPTH points
-    (_Anderson), and mixes them with weights from the normal equations of
-    the residual differences; it renormalizes the rows of the mixed point
-    and sweeps once more.  The mixed point is kept, and joins the ring,
-    only if its value is not below that of F(v), so values along the
-    iterates never decrease; otherwise, or when the normal equations are
-    singular, F(v) is kept and the ring cleared.  Stops when the residual,
-    the largest row norm of F(v) - v (the plain sweep's largest per-vector
-    displacement), falls below _RESIDUAL_TOL, or when the certified gap
-    (certify on extract_dual) of the iterate is at most _GAP_TARGET, decided
-    by a Cholesky factorization (_gap_proven) after iterations 4, 8, 16,
-    then every _CHECK_EVERY.  After DEFAULT_MAX_ITER iterations, each of at
-    most two sweeps, it returns the last iterate and residual with
-    converged=False.  Raises InvalidRank unless rank >= 2, and
-    NonFiniteEntry when W has a NaN or infinite entry or the value overflows.
-    Everything runs on W scaled by a power of two, so a scaled W takes the
-    same steps.
+    The plain map F is one sweep (_sweep) of c's m = nA + nB rows, Alice's
+    first, which also returns the objective of the point it sweeps.  Each
+    iteration applies it to the iterate v, adds the pair (F(v) - v, F(v)) to
+    the ring of the last _DEPTH points (_Anderson), and mixes them with
+    weights from the normal equations of the residual differences; it
+    renormalizes the rows of the mixed point and sweeps once more.  The
+    mixed point is kept, and joins the ring, only if its value is not below
+    that of F(v), so values along the iterates never decrease; otherwise, or
+    when the normal equations are singular, F(v) is kept and the ring
+    cleared.  Stops when the residual, the largest row norm of F(v) - v (the
+    plain sweep's largest per-vector displacement), falls below
+    _RESIDUAL_TOL, or when the certified gap (certify on extract_dual) of
+    the iterate is at most _GAP_TARGET, decided by a Cholesky factorization
+    (_gap_proven) after iterations 4, 8, 16, then every _CHECK_EVERY.  After
+    DEFAULT_MAX_ITER iterations, each of at most two sweeps, it returns the
+    last iterate and residual with converged=False.  Raises InvalidRank
+    unless rank >= 2, and NonFiniteEntry when c has a NaN or infinite entry
+    or the value overflows.  Everything runs on c scaled by a power of two,
+    so a scaled c takes the same steps.
     """
-    w = np.asarray(w, dtype=float)
-    m = w.shape[0]
+    c = np.asarray(c, dtype=float)
+    m = sum(c.shape)
     if rank < 2:
         raise InvalidRank(f"rank must be >= 2, got {rank}")
-    if not np.isfinite(w).all():
-        raise NonFiniteEntry("W contains a non-finite entry")
+    if not np.isfinite(c).all():
+        raise NonFiniteEntry("c contains a non-finite entry")
     v = _initial_vectors(m, rank, seed)
-    runs = _uncoupled_runs(w)
-    e = _scale_exponent(w)
-    ws, floor = np.ldexp(w, -e), np.ldexp(1e-14, -e)
+    e = _scale_exponent(c)
+    cs, floor = np.ldexp(c, -e), np.ldexp(1e-14, -e)
+    # products with a contiguous c^T equal those on W's Bob x Alice view bit
+    # for bit, so the iterates are those of the ascent on W; the view cs.T's are not
+    cts = np.ascontiguousarray(cs.T)
     ring = _Anderson(m * rank)
     check = 4
     for it in range(1, DEFAULT_MAX_ITER + 1):
         fv = v.copy()
-        value = _sweep(ws, fv, runs, floor)
+        value = _sweep(cs, cts, fv, floor)
         f = fv - v
         residual = math.sqrt(float((f**2).sum(axis=1).max()))
         if residual < _RESIDUAL_TOL:
-            return _finish(w, fv, e, it, residual, converged=True)
+            return _finish(c, fv, e, it, residual, converged=True)
         ring.push(f, fv)
         v = fv
         if ring.k:
@@ -298,7 +294,7 @@ def solve_primal(w, rank, seed=0):
                 mixed = mixed.reshape(m, rank)
                 mixed /= _row_norms(mixed, keepdims=True)
                 y = mixed.copy()
-                mixed_value = _sweep(ws, y, runs, floor)
+                mixed_value = _sweep(cs, cts, y, floor)
             if mixed is not None and mixed_value >= value:
                 v = y
                 ring.push(y - mixed, y)
@@ -306,22 +302,23 @@ def solve_primal(w, rank, seed=0):
                 ring.clear()
         if it == check:
             check += min(check, _CHECK_EVERY)
-            if _gap_proven(ws, v):
-                return _finish(w, v, e, it, residual, converged=True)
-    return _finish(w, v, e, it, residual, converged=False)
+            if _gap_proven(cs, cts, v):
+                return _finish(c, v, e, it, residual, converged=True)
+    return _finish(c, v, e, it, residual, converged=False)
 
 
-def _finish(w, v, e, iterations, residual, converged):
-    """The PrimalSolution at unit rows v, of value sum(G * W) / 2, G = v v^T."""
-    return PrimalSolution(v, _value(v, v, w, e, -1), iterations, float(residual), converged)
+def _finish(c, v, e, iterations, residual, converged):
+    """The PrimalSolution at unit rows v = [x; y], of value sum(c * (x y^T))."""
+    value = _value(v[:len(c)], v[len(c):], c, e)
+    return PrimalSolution(v, value, iterations, float(residual), converged)
 
 
-def _value(x, y, c, e, shift=0):
-    """sum(c * (x y^T)) * 2^shift for unit rows x, y and max|c| < 2^e.
+def _value(x, y, c, e):
+    """sum(c * (x y^T)) for unit rows x, y and max|c| < 2^e.
 
     The terms are summed scaled by 2^-k, k > 0 only where a partial sum could
-    overflow, and the sum by 2^(k + shift): exact, so NonFiniteEntry is raised
-    only when the value itself overflows.
+    overflow, and the sum by 2^k: exact, so NonFiniteEntry is raised only
+    when the value itself overflows.
     """
     g = x @ y.T
     k = max(0, e + len(x).bit_length() + len(y).bit_length() - 1022)  # below 2^1023
@@ -329,21 +326,23 @@ def _value(x, y, c, e, shift=0):
         g *= math.ldexp(1.0, -k)
     g *= c
     try:
-        return math.ldexp(float(np.sum(g)), k + shift)
+        return math.ldexp(float(np.sum(g)), k)
     except OverflowError:
         raise NonFiniteEntry("primal value overflows the float range") from None
 
 
-def extract_dual(w, vectors):
-    """Multipliers lambda_i = (1/2) ||sum_j W[i][j] v_j||.
+def extract_dual(c, vectors):
+    """Multipliers lambda_i = (1/2) ||sum_j W[i][j] v_j||, W = [[0, c], [c^T, 0]].
 
-    At a fixed point of solve_primal, sum_i lambda_i equals the primal value
-    (complementary slackness), so a feasible lambda certifies optimality.
+    vectors has nA + nB rows, Alice's first; so has lambda.  At a fixed point
+    of solve_primal, sum_i lambda_i equals the primal value (complementary
+    slackness), so a feasible lambda certifies optimality.
     """
-    w = np.asarray(w, dtype=float)
+    c = np.asarray(c, dtype=float)
     v = np.asarray(vectors, dtype=float)
-    e = _scale_exponent(w)
-    return 0.5 * np.ldexp(_row_norms(np.ldexp(w, -e) @ v), e)
+    e = _scale_exponent(c)
+    cs = np.ldexp(c, -e)
+    return 0.5 * np.ldexp(_row_norms(_fields(cs, np.ascontiguousarray(cs.T), v)), e)
 
 
 def _sum_up(x):
@@ -362,93 +361,91 @@ def _sum_up(x):
     return math.nextafter(s, math.inf) if math.fsum(x + [-s]) > 0 else s
 
 
-def certify(w, lam):
+def certify(c, lam):
     """Rigorous upper bound from any multiplier vector.
 
-    Returns multipliers lam' >= lam whose diag(lam') - W/2 is PSD in exact
-    arithmetic, for the symmetric part (W + W^T)/2 of W, and their sum
-    rounded upward as the certified bound: by weak duality it bounds the
-    inequality for every state and every set of +-1 observables, no matter
-    where lam came from.  One Cholesky factorization proves it (_certify):
-    lam' = lam + 2c, c a rounding allowance of about (m+2)^2 u lam per
-    entry, and feasibility_margin is 0.0.  Where that factorization fails,
-    lam is first shifted by -mu, mu = min_eig(diag(lam) - W/2) < 0, which
-    feasibility_margin reports.  A zero W needs no allowance: lam' is lam
-    shifted up to a least entry of 0.  Raises LengthMismatch unless lam has
-    one entry per row of W, and NonFiniteEntry when W or lam has a NaN or
-    infinite entry, or when the bound overflows.
+    lam has nA + nB entries, Alice's first.  Returns multipliers lam' >= lam
+    whose diag(lam') - W/2 is PSD in exact arithmetic, W = [[0, c], [c^T,
+    0]], and their sum rounded upward as the certified bound: by weak
+    duality it bounds the inequality for every state and every set of +-1
+    observables, no matter where lam came from.  One Cholesky factorization
+    proves it (_certify): lam' = lam + 2 cap, cap a rounding allowance of
+    about (m+2)^2 u lam per entry, and feasibility_margin is 0.0.  Where
+    that factorization fails, lam is first shifted by -mu, mu =
+    min_eig(diag(lam) - W/2) < 0, which feasibility_margin reports.  A zero
+    c needs no allowance: lam' is lam shifted up to a least entry of 0.
+    Raises LengthMismatch unless lam has nA + nB entries, and
+    NonFiniteEntry when c or lam has a NaN or infinite entry, or when the
+    bound overflows.
     """
-    return _certify(w, lam, shift_first=False)
+    return _certify(c, lam, shift_first=False)
 
 
-def _allowance(x, neg):
-    """Rump's allowance c: a Cholesky of diag(x + c) + A that completes proves
-    diag(x + 2c) + A PSD; A is m x m with diagonal neg, scaled so m u covers underflow."""
-    m = len(neg)
-    return (m + 2) ** 2 * _U * (np.abs(x) + np.abs(neg)) + m * _U
+def _allowance(a, m):
+    """Rump's allowance cap, a_i = |x_i| + |A_ii| for an m x m A: a Cholesky of diag(x +
+    cap) + A that completes proves diag(x + 2 cap) + A PSD; m u covers underflow."""
+    return (m + 2) ** 2 * _U * a + m * _U
 
 
-def _certify(w, lam, shift_first):
+def _certify(c, lam, shift_first):
     """certify; shift_first takes the shift before the first factorization.
 
-    W and lam are scaled by 2^-e, which keeps max|W| * 2^-e below 1 and
+    c and lam are scaled by 2^-e, which keeps max|c| * 2^-e below 1 and
     every lambda * 2^-e below 2^1000.  With x = lam, a floating-point
-    Cholesky factorization of A = diag(x + c) - W/2 that runs to completion
-    proves A + diag(c) PSD (Demmel's backward error |dA| <= g d d^T, d_i^2 =
-    a_ii, g = gamma_{m+1}/(1 - gamma_{m+1}) and gamma_k = k u/(1 - k u),
-    bounds -dA by g m diag(a_ii); summed over the rows that is Rump's
-    allowance g m tr(A)).  So c_i = (m+2)^2 u (|x_i| + |w_ii|/2) + m u
-    suffices: the room above g m a_ii covers the roundings in forming A and
-    c, and m u those of (W + W^T)/4 where W is not symmetric, and of
-    underflow.  lam' = x + 2c, rounded upward.  Only when that factorization
-    fails is x = lam - mu, mu = min(0, min_eig(diag(lam) - W/2)), and c
-    doubled until diag(x + c) - W/2 factors.
+    Cholesky factorization of A = diag(x + cap) - W/2 that runs to
+    completion proves A + diag(cap) PSD (Demmel's backward error |dA| <= g d
+    d^T, d_i^2 = a_ii, g = gamma_{m+1}/(1 - gamma_{m+1}) and gamma_k = k u/(1
+    - k u), bounds -dA by g m diag(a_ii); summed over the rows that is
+    Rump's allowance g m tr(A)).  W has a zero diagonal, so cap_i = (m+2)^2
+    u |x_i| + m u suffices: the room above g m a_ii covers the roundings in
+    forming A and cap, and m u those of underflow.  lam' = x + 2 cap,
+    rounded upward.  Only when that factorization fails is x = lam - mu, mu
+    = min(0, min_eig(diag(lam) - W/2)), and cap doubled until diag(x + cap)
+    - W/2 factors.
     """
-    w = np.asarray(w, dtype=float)
+    c = np.asarray(c, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    m = w.shape[0]
+    m = sum(c.shape)
     if lam.shape != (m,):
         raise LengthMismatch(f"lambda has shape {lam.shape}, expected ({m},)")
     top = float(np.abs(lam).max())
     if not math.isfinite(top):
         raise NonFiniteEntry("lambda contains a non-finite entry")
-    big = float(np.abs(w).max())
+    big = float(np.abs(c).max())
     if not math.isfinite(big):
-        raise NonFiniteEntry("W contains a non-finite entry")
+        raise NonFiniteEntry("c contains a non-finite entry")
     if not big:
         mu = min(0.0, float(lam.min()))
         lam = lam - mu
         return DualCertificate(lam=lam, feasibility_margin=mu, certified_bound=_sum_up(lam))
     e = max(math.frexp(big)[1], math.frexp(top)[1] - 1000)
-    t = np.ldexp(w, -e - 2)
-    mat = -t - t.T  # -(W + W^T)/4, scaled: exact where W is symmetric
+    mat = _slack(np.ldexp(c, -e), 0.0)
     diag = mat.reshape(-1)[:: m + 1]  # a view of mat's diagonal
-    neg = diag.copy()
 
-    def factors(x, c):
-        np.add(x + c, neg, out=diag)
+    def factors(x, cap):
+        np.add(x, cap, out=diag)
         return _factors(mat)
 
     x = np.ldexp(lam, -e)
     mu = 0.0
-    if shift_first or not factors(x, c := _allowance(x, neg)):
-        np.add(x, neg, out=diag)
+    if shift_first or not factors(x, cap := _allowance(np.abs(x), m)):
+        diag[:] = x
         mu = min(0.0, min_eigenvalue(mat))
         x = x - mu
-        c = _allowance(x, neg)
-        while not factors(x, c):
-            c *= 2.0
-            if not np.isfinite(c).all():
+        cap = _allowance(np.abs(x), m)
+        while not factors(x, cap):
+            cap *= 2.0
+            if not np.isfinite(cap).all():
                 raise NonFiniteEntry("certified bound overflows")
-    lam = np.nextafter(np.ldexp(x + c + c, e), np.inf)
+    lam = np.nextafter(np.ldexp(x + cap + cap, e), np.inf)
     return DualCertificate(lam=lam, feasibility_margin=math.ldexp(mu, e),
                            certified_bound=_sum_up(lam))
 
 
-def _single_run(w, rank, seed):
-    primal = solve_primal(w, rank, seed=seed)
+def _single_run(c, rank, seed):
+    primal = solve_primal(c, rank, seed=seed)
     # an ascent stops where its lambda sits just outside the PSD cone: shift first
-    dual = _certify(w, extract_dual(w, primal.vectors), shift_first=True)
+    dual = _certify(c, extract_dual(c, primal.vectors), shift_first=True)
     run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
               dual.certified_bound, dual.certified_bound - primal.value, "mixing")
     return primal, dual, run
@@ -512,7 +509,7 @@ def _spectral(c, rank):
     delta = 2 * a.shape[1] * _U * (float((b @ b.sum(axis=0)).max()) + 1.0)
     neg = -g.diagonal()
     np.negative(g, out=g)
-    np.fill_diagonal(g, top + (cap := _allowance(top, neg)) + neg)
+    np.fill_diagonal(g, top + (cap := _allowance(top - neg, len(neg))) + neg)
     if not _factors(g):
         return None
     # so s I - G is PSD; half >= 2^(e-1) sqrt(s), and la lb >= half^2 exactly
@@ -532,38 +529,35 @@ def solve(ineq, classical=True):
     large to enumerate raises TooLarge before any quantum work.  A spectral
     run (_spectral), where taken, is the only one; otherwise the ascent runs
     at seed 0 and rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB, for at most
-    DEFAULT_MAX_ITER iterations.  If the first run's gap over max(1, max|W|)
+    DEFAULT_MAX_ITER iterations.  If the first run's gap over max(1, max|c|)
     exceeds RESTART_GAP, whether it converged or hit the cap (both happen at
     a stuck rank-deficient saddle), one restart at seed 1 and rank + 2 is
     attempted and both runs are reported; the report carries the better
-    run, and its gap also over max(1, max|W|) as relative_gap.  When the
-    classical witness scores above that run's primal value (a slow run can
-    stop just short of a classical optimum), the witness, as the feasible
-    point x_s, y_t = +-e_1, becomes the reported primal; the run's
-    iteration count, residual and convergence flag are kept, and runs is
-    unchanged.
+    run, and its gap also over max(1, max|c|) as relative_gap.  When that
+    run's primal value reads below the classical bound (a slow run can stop
+    just short of a classical optimum), the classical witness, as the
+    feasible point x_s, y_t = +-e_1 of value the classical bound, becomes
+    the reported primal; the run's iteration count, residual and
+    convergence flag are kept, and runs is unchanged.  A run that reads the
+    classical bound is kept.
     """
     lhv = lhv_bound(ineq) if classical else None
     c = ineq.coefficients
     m = sum(c.shape)
     rank = min(m, math.isqrt(2 * m - 1) + 2)
-    spectral = _spectral(c, rank)  # W is formed only for an ascent
-    primal, dual, run = spectral or _single_run(ineq_mod.build_objective(ineq), rank, 0)
+    primal, dual, run = _spectral(c, rank) or _single_run(c, rank, 0)
     runs = (run,)
     scale = max(1.0, float(np.abs(c).max()))
     if run.gap / scale > RESTART_GAP:
-        primal2, dual2, run2 = _single_run(ineq_mod.build_objective(ineq), rank + 2, 1)
+        primal2, dual2, run2 = _single_run(c, rank + 2, 1)
         runs = (run, run2)
         if run2.gap < run.gap:
             primal, dual = primal2, dual2
-    if lhv is not None:
-        x, y = lhv.witness_x, lhv.witness_y
-        value = _value(x[:, None], y[:, None], c, math.frexp(scale)[1])
-        if value > primal.value:
-            v = np.zeros_like(primal.vectors)
-            v[:, 0] = np.concatenate([x, y])
-            primal = PrimalSolution(v, value, primal.iterations, primal.residual,
-                                    primal.converged)
+    if lhv is not None and primal.value < lhv.value:
+        v = np.zeros_like(primal.vectors)
+        v[:, 0] = np.concatenate([lhv.witness_x, lhv.witness_y])
+        primal = PrimalSolution(v, lhv.value, primal.iterations, primal.residual,
+                                primal.converged)
     gap = dual.certified_bound - primal.value
     return BoundReport(
         name=ineq.name,

@@ -13,10 +13,6 @@ sign rows per matrix product.  Above a dozen settings it stands in for the
 one-at-a-time scan, which is too slow there; the library's split-table scan
 must give the same value and witnesses on integral input.
 
-The row loop over W finds the runs of vectors W does not couple one row at a
-time, as first written; the library takes each row's last nonzero column in
-one vectorized step and must find the same runs.
-
 The stacked Anderson mix is the least-squares mix as first written, over 3-D
 stacks of the history.  The normal-equation mix solves the same least-squares
 problem through its k x k normal equations, over the same stacks, differenced
@@ -37,9 +33,12 @@ subcommand's arguments when it first parses, and must parse, print help and
 fail the same.
 
 The objective (1/2) v^T W v from the full product W v is the value as first
-written.  The library's sweep reads it off the fields it forms anyway, and
-must agree with it to rounding; the in-loop gap check forms the same product
-once for lambda and the value.
+written.  The library's sweep reads it off Bob's fields, which it forms
+anyway, and must agree with it to rounding; the in-loop gap check forms the
+two block fields once for lambda and the value.
+
+The refusing build_objective replaces every binding of the function: a
+library path that builds W fails the test that installed it.
 
 Gisin's n-setting inequality has the Tsirelson bound n / sin(pi/2n): reversing
 Bob's settings makes its coefficient block skew-circulant, whose largest
@@ -95,6 +94,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import tsirelson
 from tsirelson.analytic import _check_n
 from tsirelson.errors import DimensionMismatch, LengthMismatch
 from tsirelson.linalg import symmetrize
@@ -274,16 +274,13 @@ def chunked_enumeration(c):
     return float(best_val), best_x, np.where(best_x @ c >= 0, 1.0, -1.0)
 
 
-def rowwise_uncoupled_runs(w):
-    """Maximal runs [lo, hi) of 0..m-1 with W[j][lo:j] == 0 for each j, row by row."""
-    runs = []
-    lo = 0
-    for j in range(1, w.shape[0]):
-        if np.any(w[j, lo:j]):
-            runs.append((lo, j))
-            lo = j
-    runs.append((lo, w.shape[0]))
-    return runs
+def refuse_build_objective(monkeypatch):
+    """Make build_objective raise under each name that binds it."""
+    def refuse(*args):
+        raise AssertionError("build_objective ran")
+
+    for module in (tsirelson, tsirelson.inequality):
+        monkeypatch.setattr(module, "build_objective", refuse)
 
 
 def stacked_anderson(history):

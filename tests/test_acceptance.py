@@ -156,12 +156,11 @@ def test_08_weak_duality_suite():
         if report.dual.certified_bound < classical - 1e-8:
             ok = False
         # the ascent itself, from a different start on each input.  It stops
-        # within _GAP_TARGET of optimal on W / 2 (max|W| = 1), so without the
+        # within _GAP_TARGET of optimal on c / 2 (max|c| = 1), so without the
         # classical witness its value may sit up to 2 * _GAP_TARGET below
-        w = build_objective(ineq)
-        m = w.shape[0]
-        sol = solve_primal(w, min(m, math.ceil(math.sqrt(2 * m)) + 1), seed=k)
-        cert = certify(w, extract_dual(w, sol.vectors))
+        m = na + nb
+        sol = solve_primal(c, min(m, math.ceil(math.sqrt(2 * m)) + 1), seed=k)
+        cert = certify(c, extract_dual(c, sol.vectors))
         if cert.certified_bound < sol.value - 1e-8:
             ok = False
         if sol.value < classical - 2 * sdp._GAP_TARGET:

@@ -83,7 +83,7 @@ def test_dual_lambda_values():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_dual_lambda_certifies(n):
-    cert = certify(build_objective(chained(n)), chained_dual_lambda(n))
+    cert = certify(chained(n).coefficients, chained_dual_lambda(n))
     assert cert.feasibility_margin >= -1e-9
     assert cert.certified_bound == pytest.approx(chained_quantum_bound(n), abs=1e-9)
 

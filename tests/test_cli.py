@@ -15,7 +15,12 @@ import tsirelson
 from tsirelson import chained, cli, linalg, realization, sdp
 from tsirelson.cli import build_parser, canonical_json, main
 
-from oracles import chained_primal_vectors, eager_parser, gisin_quantum_bound
+from oracles import (
+    chained_primal_vectors,
+    eager_parser,
+    gisin_quantum_bound,
+    refuse_build_objective,
+)
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +318,16 @@ def test_certify_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["certified_bound"] == pytest.approx(2 * np.sqrt(2), abs=1e-9)
     assert abs(doc["feasibility_margin"]) <= 1e-9
+
+
+def test_certify_command_forms_no_w(tmp_path, capsys, monkeypatch):
+    # the certificate is built from the coefficient block alone
+    refuse_build_objective(monkeypatch)
+    lam_path = tmp_path / "lam.json"
+    lam_path.write_text(json.dumps([0.1, 2.0, 0.7, 1.5]))
+    status, out, _ = run_cli(capsys, "certify", "--inequality", "chsh",
+                             "--lambda-file", str(lam_path), "--format", "json")
+    assert status == 0 and json.loads(out)["certified_bound"] >= 2 * np.sqrt(2)
 
 
 def test_lambda_file_read_errors(tmp_path, capsys):

@@ -123,7 +123,7 @@ def test_chained_iteration_count():
     # mixing run would be (solve takes the spectral path on chained): the
     # plain sweep took 6260 sweeps at n = 64, growing like n^2
     for n in range(2, 65):
-        sol = sdp.solve_primal(build_objective(chained(n)), _bp_rank(2 * n))
+        sol = sdp.solve_primal(chained(n).coefficients, _bp_rank(2 * n))
         assert abs(sol.value - 2 * n * np.cos(np.pi / (2 * n))) <= 1e-7
     assert sol.iterations <= 400  # n = 64
 
@@ -183,9 +183,9 @@ def test_spectral_path_is_a_true_optimum(c):
     (run,) = report.runs
     if run.method != "spectral":
         return
-    w = build_objective(ineq)
-    sol = sdp.solve_primal(w, _bp_rank(w.shape[0]))
-    certified = sdp.certify(w, sdp.extract_dual(w, sol.vectors)).certified_bound
+    c = ineq.coefficients
+    sol = sdp.solve_primal(c, _bp_rank(sum(c.shape)))
+    certified = sdp.certify(c, sdp.extract_dual(c, sol.vectors)).certified_bound
     scale = max(1.0, float(np.abs(c).max()))
     assert report.dual.certified_bound >= sol.value - 1e-9 * scale
     assert report.primal.value >= certified - 1e-7 * scale
@@ -213,10 +213,10 @@ def test_certificates_are_exactly_psd(c):
     # m <= 12: solve's certificate (spectral, or the mixing run's shift-first
     # one) and certify's Cholesky-first one on the mixing lambda
     ineq = new_inequality("c", c)
-    w = build_objective(ineq)
+    w, c = build_objective(ineq), ineq.coefficients
     report = solve(ineq, classical=False)
     _assert_exactly_certified(w, report.dual)
-    _assert_exactly_certified(w, sdp.certify(w, sdp.extract_dual(w, report.primal.vectors)))
+    _assert_exactly_certified(w, sdp.certify(c, sdp.extract_dual(c, report.primal.vectors)))
 
 
 @settings(derandomized, max_examples=60)
@@ -228,21 +228,25 @@ def test_boundary_certificates_are_exactly_psd(c, k):
     lam = np.full(len(w), np.linalg.eigvalsh(w / 2)[-1])
     for _ in range(k):
         lam = np.nextafter(lam, 0)
-    _assert_exactly_certified(w, sdp.certify(w, lam))
+    _assert_exactly_certified(w, sdp.certify(c, lam))
 
 
 @settings(derandomized, max_examples=200)
 @given(st.integers(3, 12), st.integers(0, 2**32 - 1))
 def test_graded_gram_certificates_are_exactly_psd(m, seed):
-    # diag(lambda) - W/2 = B B^T, B with one column fewer than rows and rows
-    # scaled by 1, 10 or 1000: singular but for the rounding in forming it,
-    # which can leave it indefinite and still factorable in floating point
+    # X = D_A U_A and Y = D_B U_B, U_A and U_B with orthonormal rows in r < m
+    # dimensions and rows scaled by 1, 10 or 1000.  With c = 2 X Y^T and lambda
+    # the squared row norms, diag(lambda) - W/2 = [X; -Y] [X; -Y]^T: singular
+    # but for the rounding in forming c and lambda, which can leave it
+    # indefinite and still factorable in floating point
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal((m, m - 1)) * rng.choice([1.0, 10.0, 1000.0], size=(m, 1))
-    a = b @ b.T
-    a = (a + a.T) / 2
-    w = -2 * (a - np.diag(np.diag(a)))
-    _assert_exactly_certified(w, sdp.certify(w, np.diag(a).copy()))
+    na = int(rng.integers(1, m))
+    r = int(rng.integers(max(na, m - na), m))
+    x, y = (np.linalg.qr(rng.standard_normal((r, n)))[0].T
+            * rng.choice([1.0, 10.0, 1000.0], size=(n, 1)) for n in (na, m - na))
+    c = 2 * x @ y.T
+    lam = np.concatenate([sdp._row_norms(x), sdp._row_norms(y)]) ** 2
+    _assert_exactly_certified(build_objective(new_inequality("c", c)), sdp.certify(c, lam))
 
 
 SCALES = [1.0, 3.0, 2.0**1000, 2.0**-1000, 1e200]  # each leaves W exactly representable

@@ -37,8 +37,8 @@ from oracles import (
     lstsq_tight,
     normal_anderson,
     rank2_max,
+    refuse_build_objective,
     rowwise_sweeps,
-    rowwise_uncoupled_runs,
     stacked_anderson,
     sym_eigen,
 )
@@ -49,98 +49,93 @@ def _bp_rank(m):
     return min(m, math.ceil(math.sqrt(2 * m)) + 1)
 
 
+def _w(c):
+    """The reference objective W = [[0, c], [c^T, 0]] the oracles read."""
+    return build_objective(new_inequality("c", c))
+
+
+def _ct(c):
+    """The contiguous transpose the sweep and the gate read."""
+    return np.ascontiguousarray(np.transpose(c))
+
+
 def test_solve_primal_chsh_optimum():
-    w = build_objective(chained(2))
-    sol = solve_primal(w, rank=4)
+    sol = solve_primal(chained(2).coefficients, rank=4)
     assert abs(sol.value - 2 * np.sqrt(2)) <= 1e-7
     np.testing.assert_allclose(np.linalg.norm(sol.vectors, axis=1), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_solve_primal_chained_family(n):
-    w = build_objective(chained(n))
-    sol = solve_primal(w, rank=2 * n)
+    sol = solve_primal(chained(n).coefficients, rank=2 * n)
     assert abs(sol.value - chained_quantum_bound(n)) <= 1e-6
 
 
 def test_solve_primal_single_term():
-    w = build_objective(new_inequality("one", [[1]]))
-    sol = solve_primal(w, rank=2)
+    sol = solve_primal([[1.0]], rank=2)
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_primal_invalid_rank():
-    w = build_objective(chained(2))
     with pytest.raises(InvalidRank):
-        solve_primal(w, rank=1)
+        solve_primal(chained(2).coefficients, rank=1)
 
 
 def test_solve_primal_max_iter_carries_partial(monkeypatch):
     # a capped ascent is a result: the last iterate, marked unconverged
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 3)
-    w = build_objective(chained(6))
-    partial = solve_primal(w, rank=12)
+    partial = solve_primal(chained(6).coefficients, rank=12)
     assert partial.iterations == 3 and not partial.converged
     assert partial.residual >= sdp._RESIDUAL_TOL
     assert partial.value <= chained_quantum_bound(6) + 1e-8
 
 
-def _zero_column_w():
+def _zero_column_c():
     c = np.random.default_rng(8).standard_normal((3, 7))
     c[:, 4] = 0.0  # Bob's fifth field is zero: that vector is skipped
-    return build_objective(new_inequality("zero-column", c))
-
-
-def _intra_block_w():
-    # couplings inside Alice's and Bob's blocks split the two runs into four
-    w = build_objective(chained(4)).copy()
-    w[0, 2] = w[2, 0] = 0.7
-    w[5, 6] = w[6, 5] = -0.4
-    return w
+    return c
 
 
 SWEEP_CASES = [
-    (build_objective(chained(8)), sdp.DEFAULT_MAX_ITER),
-    (build_objective(chained(16)), sdp.DEFAULT_MAX_ITER),
-    (build_objective(gisin(5)), sdp.DEFAULT_MAX_ITER),
-    (_zero_column_w(), sdp.DEFAULT_MAX_ITER),
-    (_intra_block_w(), sdp.DEFAULT_MAX_ITER),
-    (build_objective(chained(6)), 3),
+    (chained(8).coefficients, sdp.DEFAULT_MAX_ITER),
+    (chained(16).coefficients, sdp.DEFAULT_MAX_ITER),
+    (gisin(5).coefficients, sdp.DEFAULT_MAX_ITER),
+    (_zero_column_c(), sdp.DEFAULT_MAX_ITER),
+    (chained(6).coefficients, 3),
 ]
-SWEEP_IDS = ["chained-8", "chained-16", "gisin-5", "zero-column", "intra-block",
-             "max-iter-3"]
+SWEEP_IDS = ["chained-8", "chained-16", "gisin-5", "zero-column", "max-iter-3"]
 
 
-@pytest.mark.parametrize("w, max_iter", SWEEP_CASES, ids=SWEEP_IDS)
-def test_block_sweep_matches_rowwise(w, max_iter):
-    # the plain map, iterated as many times as the row-by-row ascent sweeps
+@pytest.mark.parametrize("c, max_iter", SWEEP_CASES, ids=SWEEP_IDS)
+def test_block_sweep_matches_rowwise(c, max_iter):
+    # the plain map, iterated as many times as the row-by-row ascent on W sweeps
+    w = _w(c)
     m = w.shape[0]
     v = sdp._initial_vectors(m, m, 0)
     block = v.copy()
     sweeps, _, converged = rowwise_sweeps(w, v, max_iter, sdp._RESIDUAL_TOL)
-    runs = sdp._uncoupled_runs(w)
     residuals = []
     for _ in range(sweeps):
         before = block.copy()
-        sdp._sweep(w, block, runs, 1e-14)
+        sdp._sweep(c, _ct(c), block, 1e-14)
         residuals.append(np.linalg.norm(block - before, axis=1).max())
     assert min(residuals[:-1], default=np.inf) >= sdp._RESIDUAL_TOL
     assert (residuals[-1] < sdp._RESIDUAL_TOL) == converged
     np.testing.assert_allclose(block, v, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("w, max_iter", SWEEP_CASES, ids=SWEEP_IDS)
-def test_sweep_value_and_quiet_sweep(monkeypatch, w, max_iter):
-    # the value read off the early fields is the objective of the swept rows
-    runs = sdp._uncoupled_runs(w)
+@pytest.mark.parametrize("c, max_iter", SWEEP_CASES, ids=SWEEP_IDS)
+def test_sweep_value_and_quiet_sweep(monkeypatch, c, max_iter):
+    # the value read off Bob's fields is the objective of the swept rows
+    w = _w(c)
     v = sdp._initial_vectors(w.shape[0], 4, 0)
     for _ in range(min(max_iter, 6)):
-        value = sdp._sweep(w, v, runs, 1e-14)
+        value = sdp._sweep(c, _ct(c), v, 1e-14)
         assert abs(value - _value(w, v)) <= 1e-12 * max(1.0, abs(value))
     # solve_primal's residual, read off F(v) - v, is the first sweep's
     # largest displacement, as the row-by-row ascent measures it
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
-    sol = solve_primal(w, rank=4)
+    sol = solve_primal(c, rank=4)
     assert (sol.iterations, sol.converged) == (1, False)
     v = sdp._initial_vectors(w.shape[0], 4, 0)
     _, residual, _ = rowwise_sweeps(w, v, 1, sdp._RESIDUAL_TOL)
@@ -165,58 +160,94 @@ def test_row_norms_match_numpy_norm(keepdims):
 def test_sweep_leaves_zero_field_row_bitwise():
     # Alice's setting 1 has no coefficients, so its field is zero: the masked
     # divide writes straight into v and must leave that row as it was
-    w = build_objective(new_inequality("zero-row", [[1, 1], [0, 0], [1, -1]]))
+    c = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, -1.0]])
     v = sdp._initial_vectors(5, 4, 0)
     before = v.copy()
-    sdp._sweep(w, v, sdp._uncoupled_runs(w), 1e-14)
+    sdp._sweep(c, _ct(c), v, 1e-14)
     assert v[1].tobytes() == before[1].tobytes()
     assert not np.array_equal(np.delete(v, 1, 0), np.delete(before, 1, 0))
-    sol = solve_primal(w, 4)
+    sol = solve_primal(c, 4)
     assert sol.vectors[1].tobytes() == before[1].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_primal_rejects_non_finite_w(bad):
-    # a non-finite W is refused before the ascent, whose Cholesky gate
+    # a non-finite c is refused before the ascent, whose Cholesky gate
     # cannot tell a NaN matrix from a PSD one
-    w = build_objective(chained(3))
-    w[0, 4] = w[4, 0] = bad
+    c = chained(3).coefficients.copy()
+    c[0, 1] = bad
     with pytest.raises(NonFiniteEntry):
-        solve_primal(w, rank=4)
+        solve_primal(c, rank=4)
 
 
 def test_gap_gate_rejects_nan_slack():
     # np.linalg.cholesky factors a NaN matrix without raising, so a NaN
     # slack must be refused before it
-    w = build_objective(chained(3))
+    c = chained(3).coefficients
     v = sdp._initial_vectors(6, 4, 0)
     v[2, 1] = np.nan
-    assert not sdp._gap_proven(np.ldexp(w, -sdp._scale_exponent(w)), v)
+    cs = np.ldexp(c, -sdp._scale_exponent(c))
+    assert not sdp._gap_proven(cs, _ct(cs), v)
 
 
-def test_uncoupled_runs():
-    w = build_objective(new_inequality("3x5", np.ones((3, 5))))
-    assert sdp._uncoupled_runs(w) == [(0, 3), (3, 8)]
-    # row 2 reads row 0, row 5 (Bob 1) reads Alice 2, row 6 reads row 5
-    assert sdp._uncoupled_runs(_intra_block_w()) == [
-        (0, 2), (2, 5), (5, 6), (6, 8)
-    ]
-
-
-def _random_sparse_symmetric(seed):
+def _random_sparse(seed):
+    # zero rows and columns are common: their rows keep their vectors
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 40))
-    w = rng.standard_normal((m, m)) * (rng.random((m, m)) < rng.random())
-    return w + w.T
+    na, nb = rng.integers(1, 40, 2)
+    return rng.standard_normal((na, nb)) * (rng.random((na, nb)) < rng.random())
 
 
 @pytest.mark.parametrize(
-    "w",
-    [w for w, _ in SWEEP_CASES] + [_random_sparse_symmetric(s) for s in range(40)],
+    "c",
+    [c for c, _ in SWEEP_CASES] + [_random_sparse(s) for s in range(40)],
     ids=SWEEP_IDS + [f"sparse-{s}" for s in range(40)],
 )
-def test_uncoupled_runs_match_rowwise(w):
-    assert sdp._uncoupled_runs(w) == rowwise_uncoupled_runs(w)
+def test_uncoupled_runs_match_rowwise(c):
+    # W couples no two of Alice's rows and no two of Bob's: the sweep's two
+    # runs, Alice's block then Bob's, give the iterate of one row at a time
+    w = _w(c)
+    v = sdp._initial_vectors(len(w), 5, 0)
+    block = v.copy()
+    rowwise_sweeps(w, v, 1, 0.0)
+    value = sdp._sweep(c, _ct(c), block, 1e-14)
+    np.testing.assert_allclose(block, v, rtol=0, atol=1e-12)
+    assert abs(value - _value(w, v)) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_sweep_fields_match_w_views_bitwise(monkeypatch):
+    # in every sweep solve_primal makes, Alice's fields c @ y and Bob's
+    # c^T @ x, from the contiguous copy of c^T, are the products on W's
+    # blocks bit for bit, so the iterates are those of the ascent on W.  The
+    # transposed view c.T takes another BLAS path, which rounds otherwise
+    sweeps = []
+    sweep = sdp._sweep
+
+    def record(cs, cts, v, floor):
+        before = v.copy()
+        value = sweep(cs, cts, v, floor)
+        sweeps.append((before, v.copy(), value))
+        return value
+
+    monkeypatch.setattr(sdp, "_sweep", record)
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 2)
+    rng = np.random.default_rng(26)
+    for _ in range(150):
+        na, nb = (int(k) for k in rng.integers(2, 80, 2))
+        c = rng.standard_normal((na, nb))
+        ws = np.ldexp(_w(c), -sdp._scale_exponent(c))
+        sweeps.clear()
+        solve_primal(c, int(rng.integers(2, 30)), seed=int(rng.integers(99)))
+        assert sweeps
+        for v, swept, value in sweeps:
+            g = ws[:na, na:] @ v[na:]
+            x = g / sdp._row_norms(g, keepdims=True)
+            h = ws[na:, :na] @ x
+            y = h / sdp._row_norms(h, keepdims=True)
+            assert swept.tobytes() == np.concatenate([x, y]).tobytes()
+            assert value == float(np.vdot(y, h))
+            views = np.concatenate([ws[:na, na:] @ swept[na:], ws[na:, :na] @ swept[:na]])
+            cs = np.ldexp(c, -sdp._scale_exponent(c))
+            assert sdp._fields(cs, _ct(cs), swept).tobytes() == views.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -248,8 +279,7 @@ def test_anderson_matches_stacked(monkeypatch, ineq):
     monkeypatch.setattr(sdp._Anderson, "clear", record_clear)
     monkeypatch.setattr(sdp._Anderson, "mix", record_mix)
     # solve's first run; solve itself takes the spectral path on chained-16
-    w = build_objective(ineq)
-    solve_primal(w, _bp_rank(w.shape[0]))
+    solve_primal(ineq.coefficients, _bp_rank(ineq.n_alice + ineq.n_bob))
     assert len(seen) >= 5 and max(len(h) for h, _ in seen) == sdp._DEPTH
     for history, out in seen:
         assert out is not None  # no singular system on these two
@@ -270,17 +300,17 @@ def test_iteration_counts_are_pinned(ineq, iterations):
     # Barvinok-Pataki rank (solve takes the spectral path on chained and
     # gisin); a change to these counts is a change of the ascent and must be
     # explained in CHANGES.md
-    w = build_objective(ineq)
-    assert solve_primal(w, _bp_rank(w.shape[0])).iterations == iterations
+    rank = _bp_rank(ineq.n_alice + ineq.n_bob)
+    assert solve_primal(ineq.coefficients, rank).iterations == iterations
 
 
 def test_repeated_history_entry_is_rejected(monkeypatch):
     # a history entry repeated makes the normal equations singular: the mix
     # is rejected without a warning, and the plain sweep carries the ascent
-    w = build_objective(gisin(4))
+    c = gisin(4).coefficients
     v = sdp._initial_vectors(8, 4, 0)
     fv = v.copy()
-    sdp._sweep(w, fv, sdp._uncoupled_runs(w), 1e-14)
+    sdp._sweep(c, _ct(c), fv, 1e-14)
     ring = sdp._Anderson(fv.size)
     mix = sdp._Anderson.mix
     outs = []
@@ -299,7 +329,7 @@ def test_repeated_history_entry_is_rejected(monkeypatch):
         assert mix(ring) is None
         for k in range(1, 40):
             monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", k)
-            values.append(solve_primal(w, rank=4, seed=5).value)
+            values.append(solve_primal(c, rank=4, seed=5).value)
     assert outs and all(out is None for out in outs)
     assert np.all(np.diff(values) >= -1e-12)
 
@@ -319,14 +349,14 @@ def test_overflowing_weights_are_rejected():
 
 def _gate_cases():
     for n in (8, 16, 32):
-        yield build_objective(chained(n))
+        yield chained(n).coefficients
     for n in (8, 16):
-        yield build_objective(gisin(n))
+        yield gisin(n).coefficients
     rng = np.random.default_rng(2024)
     for k in range(10):
         na, nb = rng.integers(2, 13, 2)
         c = rng.standard_normal((na, nb)) if k % 3 == 0 else rng.integers(-3, 4, (na, nb))
-        yield build_objective(new_inequality(f"rand-{k}", c))
+        yield c.astype(float)
 
 
 def test_cholesky_gate_matches_certify(monkeypatch):
@@ -336,40 +366,40 @@ def test_cholesky_gate_matches_certify(monkeypatch):
     checks = []
     gate = sdp._gap_proven
 
-    def record(ws, v):
-        checks.append((ws, v.copy(), gate(ws, v)))
+    def record(cs, cts, v):
+        checks.append((cs, v.copy(), gate(cs, cts, v)))
         return checks[-1][2]
 
     monkeypatch.setattr(sdp, "_gap_proven", record)
-    for w in _gate_cases():
-        m = w.shape[0]
-        solve_primal(w, rank=min(m, math.isqrt(2 * m - 1) + 2))
+    for c in _gate_cases():
+        m = sum(c.shape)
+        solve_primal(c, rank=min(m, math.isqrt(2 * m - 1) + 2))
     assert len(checks) >= 30 and 0 < sum(stop for *_, stop in checks) < len(checks)
     factored = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
     default = sdp._GAP_TARGET
-    for ws, v, stop in checks:
-        lam = extract_dual(ws, v)
-        slack = float(np.sum(lam)) - _value(ws, v)
-        gap = certify(ws, lam).certified_bound - _value(ws, v)
+    for cs, v, stop in checks:
+        lam = extract_dual(cs, v)
+        slack = float(np.sum(lam)) - _value(_w(cs), v)
+        gap = certify(cs, lam).certified_bound - _value(_w(cs), v)
         assert stop == (gap <= default)
         eps = max(1e-3 * gap, 1e-9)
         for target in (default, gap - eps, gap + eps):
             monkeypatch.setattr(sdp, "_GAP_TARGET", target)
             factored.clear()
-            assert gate(ws, v) == (gap <= target)
+            assert gate(cs, _ct(cs), v) == (gap <= target)
             assert bool(factored) == (target >= slack)
 
 
 def test_sweep_monotonicity(monkeypatch):
     # same seed, growing sweep budget: the trajectory is shared, so values
     # along it must be nondecreasing
-    w = build_objective(gisin(4))
+    c = gisin(4).coefficients
     values = []
     for k in range(1, 25):
         monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", k)
-        values.append(solve_primal(w, rank=8, seed=5).value)
+        values.append(solve_primal(c, rank=8, seed=5).value)
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-12)
 
@@ -382,11 +412,11 @@ def test_worse_mixed_point_is_rejected(monkeypatch):
         return np.random.default_rng(ring.k + 1).standard_normal(ring.fx.shape)
 
     monkeypatch.setattr(sdp._Anderson, "mix", scatter)
-    w = build_objective(gisin(4))
+    c = gisin(4).coefficients
     values = []
     for k in range(1, 40):
         monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", k)
-        sol = solve_primal(w, rank=4, seed=5)
+        sol = solve_primal(c, rank=4, seed=5)
         values.append(sol.value)
     assert np.all(np.diff(values) >= -1e-12)
     assert sol.converged
@@ -395,69 +425,63 @@ def test_worse_mixed_point_is_rejected(monkeypatch):
 def test_gap_stop():
     # chained-16 is proven within the gap target before any sweep moves a
     # vector by less than _RESIDUAL_TOL
-    w = build_objective(chained(16))
-    sol = solve_primal(w, rank=9)
+    c = chained(16).coefficients
+    sol = solve_primal(c, rank=9)
     assert sol.converged and sol.residual >= sdp._RESIDUAL_TOL
-    gap = certify(w, extract_dual(w, sol.vectors)).certified_bound - sol.value
-    assert 0.0 <= gap <= 2 * sdp._GAP_TARGET  # max|W| = 1, scaled by 1/2
+    gap = certify(c, extract_dual(c, sol.vectors)).certified_bound - sol.value
+    assert 0.0 <= gap <= 2 * sdp._GAP_TARGET  # max|c| = 1, scaled by 1/2
 
 
 def test_extract_dual_known_vectors():
     for n in (2, 3, 5):
-        w = build_objective(chained(n))
         xs, ys = chained_primal_vectors(n)
-        lam = extract_dual(w, np.vstack([xs, ys]))
+        lam = extract_dual(chained(n).coefficients, np.vstack([xs, ys]))
         np.testing.assert_allclose(lam, chained_dual_lambda(n), atol=1e-12)
 
 
 def test_extract_dual_zero_row():
-    w = np.zeros((3, 3))
-    w[0, 1] = w[1, 0] = 1.0
+    # Bob's second setting has no coefficient: its multiplier is 0
     v = np.eye(3)
-    lam = extract_dual(w, v)
+    lam = extract_dual([[1.0, 0.0]], v)
     assert lam[2] == 0.0
 
 
 def test_extract_dual_fixed_point_slackness():
-    w = build_objective(gisin(3))
-    sol = solve_primal(w, rank=6)
-    lam = extract_dual(w, sol.vectors)
+    c = gisin(3).coefficients
+    sol = solve_primal(c, rank=6)
+    lam = extract_dual(c, sol.vectors)
     assert abs(np.sum(lam) - sol.value) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 10])
 def test_certify_chained_lambda(n):
-    w = build_objective(chained(n))
-    cert = certify(w, chained_dual_lambda(n))
+    cert = certify(chained(n).coefficients, chained_dual_lambda(n))
     assert abs(cert.feasibility_margin) <= 1e-9
     assert cert.certified_bound == pytest.approx(chained_quantum_bound(n), abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_certify_rejects_non_finite_lambda(bad):
-    w = build_objective(chained(2))
     with pytest.raises(NonFiniteEntry):
-        certify(w, [bad, 1.0, 1.0, 1.0])
+        certify(chained(2).coefficients, [bad, 1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("lam", [[0.1], np.full((4, 4), 0.1), [0.1, 0.1]],
                          ids=["length-1", "4x4", "length-2"])
 def test_certify_rejects_wrong_shape(lam):
     # a length-1 or 4x4 lambda used to broadcast against W into a "certificate"
-    w = build_objective(chained(2))
     with pytest.raises(LengthMismatch):
-        certify(w, lam)
+        certify(chained(2).coefficients, lam)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_certify_rejects_overflowing_bound():
-    w = build_objective(chained(2))
     with pytest.raises(NonFiniteEntry):
-        certify(w, np.full(4, 5e307))  # each entry finite, the sum is not
+        certify(chained(2).coefficients, np.full(4, 5e307))  # each entry finite, the sum is not
 
 
 def test_certify_zero():
-    cert = certify(np.zeros((2, 2)), np.zeros(2))
+    cert = certify(np.zeros((1, 1)), np.zeros(2))
     assert cert.feasibility_margin == 0.0
     assert cert.certified_bound == 0.0
 
@@ -467,14 +491,14 @@ def test_certify_adversarial_chsh_lambda(k):
     # every lambda k ulps below 1/sqrt(2): diag(lambda) - W/2 is not PSD, by
     # less than an eigensolver resolves; at k = 1 the bound used to come out
     # below 2 sqrt(2)
-    w = build_objective(chained(2))
+    c = chained(2).coefficients
     lam = np.full(4, 1 / np.sqrt(2))
     for _ in range(k):
         lam = np.nextafter(lam, 0)
-    cert = certify(w, lam)
+    cert = certify(c, lam)
     bound = Fraction(cert.certified_bound)
     assert bound > 0 and bound * bound >= 8
-    assert exact_psd(exact_slack(w, cert.lam))
+    assert exact_psd(exact_slack(_w(c), cert.lam))
 
 
 @pytest.mark.parametrize("coefficient, lam", [
@@ -485,25 +509,13 @@ def test_certify_adversarial_chsh_lambda(k):
 def test_certify_lambda_a_factorization_accepts(coefficient, lam):
     # one setting a side, lambda_2 about 2 ulps below c^2 / 4 lambda_1: diag(lambda)
     # - W/2 is indefinite, yet OpenBLAS's Cholesky factors it as certify scales
-    # it, by 2^-e with max|W| 2^-e in [1/2, 1); found by a random search, these
+    # it, by 2^-e with max|c| 2^-e in [1/2, 1); found by a random search, these
     # are bounds that a certificate without a rounding allowance gets wrong
-    w = build_objective(new_inequality("one", [[coefficient]]))
+    c = [[coefficient]]
     assert Fraction(lam[0]) * Fraction(lam[1]) < Fraction(coefficient) ** 2 / 4
-    cert = certify(w, lam)
-    assert exact_psd(exact_slack(w, cert.lam))
+    cert = certify(c, lam)
+    assert exact_psd(exact_slack(_w(c), cert.lam))
     assert Fraction(cert.certified_bound) >= sum(map(Fraction, cert.lam.tolist()))
-
-
-def test_certify_uses_the_symmetric_part():
-    # W = 2 triu(chsh W) has chsh's symmetric part and a zero lower triangle,
-    # the only one a factorization reads; lambda = 0 must not pass as PSD
-    w = build_objective(chained(2))
-    cert = certify(2 * np.triu(w), np.zeros(4))
-    assert cert.feasibility_margin == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
-    assert Fraction(cert.certified_bound) ** 2 >= 8
-    assert exact_psd(exact_slack(2 * np.triu(w), cert.lam))
-    assert cert.certified_bound == pytest.approx(certify(w, np.zeros(4)).certified_bound,
-                                                 rel=1e-13)
 
 
 @pytest.mark.parametrize("family, exact", [(chained, chained_quantum_bound),
@@ -538,10 +550,10 @@ def test_spectral_path_at_large_n(family, exact, n):
 @pytest.mark.parametrize("n", [2, 5, 16, 64])
 def test_certify_allowance_size(n):
     # the paper's lambda factor at once, and certify adds 2 c_i to each, c_i =
-    # (m+2)^2 u lambda_i + m u 2^e with max|W| 2^-e in [1/2, 1), rounded up
+    # (m+2)^2 u lambda_i + m u 2^e with max|c| 2^-e in [1/2, 1), rounded up
     m, u = 2 * n, 2.0**-53
     lam = chained_dual_lambda(n)
-    cert = certify(build_objective(chained(n)), lam)
+    cert = certify(chained(n).coefficients, lam)
     assert cert.feasibility_margin == 0.0
     allowance = 2 * ((m + 2) ** 2 * u * lam.sum() + m * m * u * 2)
     rounding = 4 * m * np.spacing(lam.max())
@@ -559,10 +571,9 @@ def test_certify_corrupted_lambda_still_bounds():
     ]
     for c in cases:
         exact = rank2_max(c)
-        w = build_objective(new_inequality("case", c))
         for _ in range(4):
-            lam = rng.standard_normal(w.shape[0])
-            cert = certify(w, lam)
+            lam = rng.standard_normal(sum(c.shape))
+            cert = certify(c, lam)
             assert cert.certified_bound >= exact - 1e-6
 
 
@@ -612,18 +623,17 @@ def test_weak_duality_random_sign_matrices():
         assert report.dual.certified_bound >= report.primal.value - 1e-8
         assert report.primal.value >= classical - 1e-8
         # the ascent itself, from a different start on each input
-        w = build_objective(ineq)
-        sol = solve_primal(w, _bp_rank(w.shape[0]), seed=k)
-        cert = certify(w, extract_dual(w, sol.vectors))
+        sol = solve_primal(c, _bp_rank(na + nb), seed=k)
+        cert = certify(c, extract_dual(c, sol.vectors))
         assert cert.certified_bound >= sol.value - 1e-8
         assert sol.value >= classical - 1e-8
 
 
 def test_rank_sufficiency_chained():
     for n in (2, 5, 10):
-        w = build_objective(chained(n))
-        sol = solve_primal(w, rank=2 * n)
-        cert = certify(w, extract_dual(w, sol.vectors))
+        c = chained(n).coefficients
+        sol = solve_primal(c, rank=2 * n)
+        cert = certify(c, extract_dual(c, sol.vectors))
         assert cert.certified_bound - sol.value <= 1e-6
 
 
@@ -709,16 +719,16 @@ def test_unconverged_stuck_run_restarts(monkeypatch):
 
 
 def test_huge_coefficients_do_not_overflow():
-    # the row norms used to square entries above ~1e154 to inf.  Scaling W by
-    # a power of two is exact, so the iterates match those of a scaled-down W
+    # the row norms used to square entries above ~1e154 to inf.  Scaling c by
+    # a power of two is exact, so the iterates match those of a scaled-down c
     ineq = new_inequality("big", [[1e300, 1.0], [1.0, -1.0]])
-    w = build_objective(ineq)
-    small = np.ldexp(w, -980)
-    sol, ref = solve_primal(w, rank=4), solve_primal(small, rank=4)
+    c = ineq.coefficients
+    small = np.ldexp(c, -980)
+    sol, ref = solve_primal(c, rank=4), solve_primal(small, rank=4)
     assert (sol.iterations, sol.converged) == (ref.iterations, True)
     np.testing.assert_array_equal(sol.vectors, ref.vectors)
     assert sol.value == pytest.approx(1e300, rel=1e-12)
-    lam = extract_dual(w, sol.vectors)
+    lam = extract_dual(c, sol.vectors)
     np.testing.assert_array_equal(lam, np.ldexp(extract_dual(small, ref.vectors), 980))
     report = solve(ineq)
     assert report.primal.value == pytest.approx(1e300, rel=1e-12)
@@ -750,10 +760,10 @@ def test_value_beyond_the_float_range_is_rejected(c):
 
 
 def test_mixing_value_beyond_the_float_range_is_rejected(monkeypatch):
-    # the ascent runs on W scaled down; only the value it reports overflows
+    # the ascent runs on c scaled down; only the value it reports overflows
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 20)
     with pytest.raises(NonFiniteEntry, match="primal value"):
-        solve_primal(np.ldexp(build_objective(STUCK), 1020), rank=6)
+        solve_primal(np.ldexp(STUCK.coefficients, 1020), rank=6)
 
 
 def test_relative_gap_is_over_max_coefficient():
@@ -895,11 +905,11 @@ def test_non_tight_inputs_fall_through(monkeypatch, ineq):
     report = solve(ineq, classical=False)
     assert {run.method for run in report.runs} == {"mixing"}
     assert len(certified) == len(report.runs)
-    w = build_objective(ineq)
-    sol = solve_primal(w, _bp_rank(w.shape[0]))
+    m = ineq.n_alice + ineq.n_bob
+    sol = solve_primal(ineq.coefficients, _bp_rank(m))
     first = report.runs[0]
     assert (first.rank, first.iterations, first.primal_value) == (
-        _bp_rank(w.shape[0]), sol.iterations, sol.value)
+        _bp_rank(m), sol.iterations, sol.value)
 
 
 def test_certified_gap_refuses_what_a_loose_test_passes(monkeypatch):
@@ -913,12 +923,12 @@ def test_certified_gap_refuses_what_a_loose_test_passes(monkeypatch):
     certified = _count_certify(monkeypatch)
     valued = []
     value = sdp._value
-    monkeypatch.setattr(sdp, "_value", lambda x, *a: valued.append(len(x)) or value(x, *a))
+    monkeypatch.setattr(sdp, "_value", lambda x, *a: valued.append(x.shape) or value(x, *a))
     monkeypatch.setattr(sdp, "_TIGHT_TOL", 1e-2)
     report = solve(ineq, classical=False)
-    # the spectral attempt passed the test and valued its primal on the 8 x 8
-    # block, then the mixing run valued its 16 rows; only that run certified
-    assert valued == [8, 16]
+    # the spectral attempt passed the test and valued its rank-2 primal, then
+    # the mixing run valued its rank-7 one; only that run certified
+    assert valued == [(8, 2), (8, _bp_rank(16))]
     assert len(certified) == 1
     assert report.runs == ref.runs
     assert [run.method for run in report.runs] == ["mixing"]
@@ -955,13 +965,10 @@ def test_spectral_path_on_scaled_inputs(ineq, scale):
 def test_spectral_path_forms_no_w(monkeypatch, c):
     # the proof runs on the smaller side's n x n Gram matrix: no m x m array
     # reaches a Cholesky factorization, and W is never built
-    def refuse(*args):
-        raise AssertionError("build_objective ran on the spectral path")
-
     shapes = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
-    monkeypatch.setattr(sdp.ineq_mod, "build_objective", refuse)
+    refuse_build_objective(monkeypatch)
     report = solve(new_inequality("c", c), classical=False)
     assert [run.method for run in report.runs] == ["spectral"]
     n = min(c.shape)
@@ -1003,13 +1010,49 @@ def test_mixing_path_is_unchanged(monkeypatch, ineq):
     # bit for bit: the proof on the Gram matrix changed none of them
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
     report = solve(ineq, classical=False)
-    w = build_objective(ineq)
-    bp = _bp_rank(w.shape[0])
+    c = ineq.coefficients
+    bp = _bp_rank(sum(c.shape))
     for run, (rank, seed) in zip(report.runs, [(bp, 0), (bp + 2, 1)]):
-        sol = solve_primal(w, rank, seed=seed)
-        dual = sdp._certify(w, extract_dual(w, sol.vectors), shift_first=True)
+        sol = solve_primal(c, rank, seed=seed)
+        dual = sdp._certify(c, extract_dual(c, sol.vectors), shift_first=True)
         assert run.method == "mixing"
         assert (run.primal_value, run.certified_bound) == (sol.value, dual.certified_bound)
         if report.dual.certified_bound == dual.certified_bound:
             np.testing.assert_array_equal(report.dual.lam, dual.lam)
             assert report.primal.value == sol.value
+
+
+@pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
+def test_mixing_path_forms_no_w(monkeypatch, ineq):
+    # the ascent, the gate and the certificate read c: W is never built
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
+    refuse_build_objective(monkeypatch)
+    for classical in (False, True):
+        assert {run.method for run in solve(ineq, classical=classical).runs} == {"mixing"}
+
+
+GAUSS_TIE = new_inequality("gauss-tie", np.random.default_rng([3, 2, 1]).standard_normal((3, 3)))
+
+
+def test_witness_tie_keeps_the_run():
+    # the run reaches the classical optimum and reads the classical bound; the
+    # witness, valued in another order, reads 1 ulp above both.  The run is
+    # not below the classical bound, so its vectors are kept
+    quantum, report = solve(GAUSS_TIE, classical=False), solve(GAUSS_TIE)
+    (run,) = report.runs
+    lhv = lhv_bound(GAUSS_TIE)
+    x, y, c = lhv.witness_x, lhv.witness_y, GAUSS_TIE.coefficients
+    witness = sdp._value(x[:, None], y[:, None], c, math.frexp(np.abs(c).max())[1])
+    assert witness == math.nextafter(run.primal_value, math.inf)
+    assert report.primal.value == run.primal_value == lhv.value == quantum.primal.value
+    np.testing.assert_array_equal(report.primal.vectors, quantum.primal.vectors)
+
+
+def test_run_an_ulp_below_classical_takes_the_witness():
+    # c = [[1, 0]]: the run reads 1 - 2^-53, the classical bound 1; the
+    # reported primal is never below the classical bound
+    report = solve(new_inequality("one-zero", [[1.0, 0.0]]))
+    (run,) = report.runs
+    assert run.primal_value == math.nextafter(1.0, 0.0)
+    assert report.primal.value == report.classical_bound == 1.0
+    np.testing.assert_array_equal(report.primal.vectors[:, 1:], 0.0)
