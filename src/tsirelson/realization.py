@@ -102,7 +102,7 @@ def realize(xs, ys):
     n = lengths.pop()
     stacked = np.vstack([np.reshape(xs, (-1, n)), np.reshape(ys, (-1, n))])
     norms = np.linalg.norm(stacked, axis=1)
-    if (off := np.abs(norms - 1.0) > 1e-10).any():
+    if (off := ~(np.abs(norms - 1.0) <= 1e-10)).any():  # NaN is off too
         raise NotUnitVector(f"vector norm {norms[off.argmax()]:.12f} is not 1")
     # C_k is symmetric for X (even k) and antisymmetric for Y (odd k), so
     # Bob's transposed sum is the sum with his Y coefficients negated

@@ -24,16 +24,15 @@ forms.  The sweep is Anderson-accelerated (Walker & Ni, 2011): a ring keeps
 the last few residual and sweep differences with their running normal
 matrix, the mixing weights solve those k x k normal equations, a singular
 system is a rejected mix, and a mixed step is kept only if it does not
-lower the objective.  The ascent stops as soon as the certificate below
-would prove its iterate within a small gap of optimal, decided inside the
-loop by one Cholesky factorization instead of an eigensolver.  The
-nonconvexity of the factorization is repaired afterwards: any multiplier
-vector lambda whose diag(lambda) - W/2 is PSD gives a rigorous upper bound
-Tr(diag(lambda)) by weak duality, and an infeasible lambda can always be
-shifted onto the PSD cone at a quantified price.  certify proves PSD in
-floating point by one Cholesky factorization with an a-priori rounding
-allowance (Rump, BIT 46, 2006); an eigensolver only picks the shift, where
-that factorization fails.
+lower the objective.  Any lambda whose diag(lambda) - W/2 is PSD bounds the
+objective by Tr(diag(lambda)) (weak duality), which repairs the
+nonconvexity of the factorization.  certify proves PSD in floating point by
+one Cholesky factorization with an a-priori rounding allowance (Rump, BIT
+46, 2006).  The ascent stops as soon as that test proves its iterate within
+a small gap of optimal, and the multipliers it proved are the run's
+certificate: no eigensolver runs.  A run with no proof (one that hit the
+iteration cap, or a zero c) shifts its lambda onto the PSD cone at a
+quantified price, the shift picked by an eigensolver.
 """
 
 import math
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import lhv_bound
-from .errors import InvalidRank, LengthMismatch, NonFiniteEntry
+from .errors import EmptyMatrix, InvalidRank, LengthMismatch, NonFiniteEntry
 from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
@@ -119,11 +118,13 @@ def _initial_vectors(m, rank, seed):
 
 
 def _scale_exponent(c):
-    """e with max|c| * 2^-e in [0.5, 1) (0 when c == 0).
+    """e with max|c| * 2^-e in [0.5, 1) (0 when c == 0); EmptyMatrix when c is empty.
 
     Scaling by 2^-e is exact, and keeps the squares inside _row_norms from
     overflowing for entries above ~1e154.
     """
+    if not c.size:
+        raise EmptyMatrix("coefficient matrix must be non-empty")
     return int(np.frexp(np.abs(c).max())[1])
 
 
@@ -224,22 +225,28 @@ def _slack(cs, d):
     return s
 
 
-def _gap_proven(cs, cts, v):
-    """True iff certify(cs, extract_dual(cs, v)) proves v within _GAP_TARGET of optimal.
+def _proven(cs, x, cap):
+    """x + 2 cap, or None: a Cholesky factorization of diag(x + cap) - W/2 that
+    completes proves diag(x + 2 cap) - W/2 PSD for Rump's allowance cap (_certify)."""
+    return x + cap + cap if _factors(_slack(cs, x + cap)) else None
 
-    With lambda = extract_dual(cs, v) and t = (_GAP_TARGET - (sum(lambda) -
-    value)) / m, certify's bound minus the value is at most _GAP_TARGET,
-    less certify's rounding allowance, exactly when t >= 0 and diag(lambda +
-    t) - W/2 is PSD.  A Cholesky factorization decides that, up to the
-    boundary where the matrix is singular, without an eigensolver.  cs is
-    scaled, so extract_dual's lambda is half the row norms of the fields
-    W v, formed once here for lambda and the value.
+
+def _gap_proven(cs, cts, v):
+    """The scaled multipliers that prove v within _GAP_TARGET of optimal, or None.
+
+    x = lambda + t, with lambda = extract_dual(cs, v) and t = (_GAP_TARGET -
+    (sum(lambda) - value)) / m >= 0, sums to the value plus _GAP_TARGET;
+    _proven tests it as certify does, by one Cholesky factorization with
+    certify's rounding allowance, and returns x + 2 cap.  cs is scaled, so
+    lambda is half the row norms of the fields W v, formed once here for
+    lambda and the value.
     """
     g = _fields(cs, cts, v)
     lam = 0.5 * _row_norms(g)
     t = (_GAP_TARGET - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / len(v)
-    # a NaN slack proves nothing
-    return t >= 0 and _factors(_slack(cs, lam + t))
+    if not t >= 0:  # a NaN slack proves nothing
+        return None
+    return _proven(cs, x := lam + t, _allowance(x, len(x)))
 
 
 def solve_primal(c, rank, seed=0):
@@ -256,15 +263,21 @@ def solve_primal(c, rank, seed=0):
     when the normal equations are singular, F(v) is kept and the ring
     cleared.  Stops when the residual, the largest row norm of F(v) - v (the
     plain sweep's largest per-vector displacement), falls below
-    _RESIDUAL_TOL, or when the certified gap (certify on extract_dual) of
-    the iterate is at most _GAP_TARGET, decided by a Cholesky factorization
-    (_gap_proven) after iterations 4, 8, 16, then every _CHECK_EVERY.  After
-    DEFAULT_MAX_ITER iterations, each of at most two sweeps, it returns the
-    last iterate and residual with converged=False.  Raises InvalidRank
-    unless rank >= 2, and NonFiniteEntry when c has a NaN or infinite entry
-    or the value overflows.  Everything runs on c scaled by a power of two,
-    so a scaled c takes the same steps.
+    _RESIDUAL_TOL, or when a check (_gap_proven) after iterations 4, 8, 16,
+    then every _CHECK_EVERY, proves the iterate within _GAP_TARGET of
+    optimal.  After DEFAULT_MAX_ITER iterations, each of at most two sweeps,
+    it returns the last iterate and residual with converged=False.  Raises
+    InvalidRank unless rank >= 2, EmptyMatrix when c is empty, and
+    NonFiniteEntry when c has a NaN or infinite entry or the value
+    overflows.  Everything runs on c scaled by a power of two, so a scaled c
+    takes the same steps.
     """
+    return _ascent(c, rank, seed)[0]
+
+
+def _ascent(c, rank, seed):
+    """solve_primal, and the proof (_gap_proven) it stopped on, or None; a
+    residual stop is checked once, a run that hits the cap is not."""
     c = np.asarray(c, dtype=float)
     m = sum(c.shape)
     if rank < 2:
@@ -285,7 +298,7 @@ def solve_primal(c, rank, seed=0):
         f = fv - v
         residual = math.sqrt(float((f**2).sum(axis=1).max()))
         if residual < _RESIDUAL_TOL:
-            return _finish(c, fv, e, it, residual, converged=True)
+            return _finish(c, fv, e, it, residual, True), _gap_proven(cs, cts, fv)
         ring.push(f, fv)
         v = fv
         if ring.k:
@@ -302,9 +315,9 @@ def solve_primal(c, rank, seed=0):
                 ring.clear()
         if it == check:
             check += min(check, _CHECK_EVERY)
-            if _gap_proven(cs, cts, v):
-                return _finish(c, v, e, it, residual, converged=True)
-    return _finish(c, v, e, it, residual, converged=False)
+            if (proof := _gap_proven(cs, cts, v)) is not None:
+                return _finish(c, v, e, it, residual, True), proof
+    return _finish(c, v, e, it, residual, False), None
 
 
 def _finish(c, v, e, iterations, residual, converged):
@@ -336,11 +349,13 @@ def extract_dual(c, vectors):
 
     vectors has nA + nB rows, Alice's first; so has lambda.  At a fixed point
     of solve_primal, sum_i lambda_i equals the primal value (complementary
-    slackness), so a feasible lambda certifies optimality.
+    slackness), so a feasible lambda certifies optimality.  Raises EmptyMatrix
+    when c is empty, and LengthMismatch unless vectors has nA + nB rows.
     """
-    c = np.asarray(c, dtype=float)
-    v = np.asarray(vectors, dtype=float)
+    c, v = np.asarray(c, dtype=float), np.asarray(vectors, dtype=float)
     e = _scale_exponent(c)
+    if v.ndim != 2 or len(v) != sum(c.shape):
+        raise LengthMismatch(f"vectors have shape {v.shape}, expected {sum(c.shape)} rows")
     cs = np.ldexp(c, -e)
     return 0.5 * np.ldexp(_row_norms(_fields(cs, np.ascontiguousarray(cs.T), v)), e)
 
@@ -374,9 +389,9 @@ def certify(c, lam):
     that factorization fails, lam is first shifted by -mu, mu =
     min_eig(diag(lam) - W/2) < 0, which feasibility_margin reports.  A zero
     c needs no allowance: lam' is lam shifted up to a least entry of 0.
-    Raises LengthMismatch unless lam has nA + nB entries, and
-    NonFiniteEntry when c or lam has a NaN or infinite entry, or when the
-    bound overflows.
+    Raises EmptyMatrix when c is empty, LengthMismatch unless lam has nA +
+    nB entries, and NonFiniteEntry when c or lam has a NaN or infinite
+    entry, or when the bound overflows.
     """
     return _certify(c, lam, shift_first=False)
 
@@ -403,8 +418,9 @@ def _certify(c, lam, shift_first):
     = min(0, min_eig(diag(lam) - W/2)), and cap doubled until diag(x + cap)
     - W/2 factors.
     """
-    c = np.asarray(c, dtype=float)
-    lam = np.asarray(lam, dtype=float)
+    c, lam = np.asarray(c, dtype=float), np.asarray(lam, dtype=float)
+    if not c.size:
+        raise EmptyMatrix("coefficient matrix must be non-empty")
     m = sum(c.shape)
     if lam.shape != (m,):
         raise LengthMismatch(f"lambda has shape {lam.shape}, expected ({m},)")
@@ -419,33 +435,27 @@ def _certify(c, lam, shift_first):
         lam = lam - mu
         return DualCertificate(lam=lam, feasibility_margin=mu, certified_bound=_sum_up(lam))
     e = max(math.frexp(big)[1], math.frexp(top)[1] - 1000)
-    mat = _slack(np.ldexp(c, -e), 0.0)
-    diag = mat.reshape(-1)[:: m + 1]  # a view of mat's diagonal
-
-    def factors(x, cap):
-        np.add(x, cap, out=diag)
-        return _factors(mat)
-
-    x = np.ldexp(lam, -e)
-    mu = 0.0
-    if shift_first or not factors(x, cap := _allowance(np.abs(x), m)):
-        diag[:] = x
-        mu = min(0.0, min_eigenvalue(mat))
+    cs, x, mu = np.ldexp(c, -e), np.ldexp(lam, -e), 0.0
+    if shift_first or (proof := _proven(cs, x, _allowance(np.abs(x), m))) is None:
+        mu = min(0.0, min_eigenvalue(_slack(cs, x)))
         x = x - mu
         cap = _allowance(np.abs(x), m)
-        while not factors(x, cap):
+        while (proof := _proven(cs, x, cap)) is None:
             cap *= 2.0
             if not np.isfinite(cap).all():
                 raise NonFiniteEntry("certified bound overflows")
-    lam = np.nextafter(np.ldexp(x + cap + cap, e), np.inf)
+    lam = np.nextafter(np.ldexp(proof, e), np.inf)
     return DualCertificate(lam=lam, feasibility_margin=math.ldexp(mu, e),
                            certified_bound=_sum_up(lam))
 
 
 def _single_run(c, rank, seed):
-    primal = solve_primal(c, rank, seed=seed)
-    # an ascent stops where its lambda sits just outside the PSD cone: shift first
-    dual = _certify(c, extract_dual(c, primal.vectors), shift_first=True)
+    primal, proof = _ascent(c, rank, seed)
+    if proof is None or not c.any():  # shift first, from outside the cone; c = 0: exact 0
+        dual = _certify(c, extract_dual(c, primal.vectors), shift_first=True)
+    else:
+        lam = np.nextafter(np.ldexp(proof, _scale_exponent(c)), np.inf)
+        dual = DualCertificate(lam, 0.0, _sum_up(lam))
     run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
               dual.certified_bound, dual.certified_bound - primal.value, "mixing")
     return primal, dual, run

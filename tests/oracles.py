@@ -79,6 +79,12 @@ runs an LDL^T elimination in fractions.Fraction, so it decides PSD with no
 rounding at all.  A certificate's multipliers must pass it: diag(lambda) -
 (W + W^T)/4, formed exactly, is PSD.
 
+The mixing gap limit is the gap a mixing run's proof may leave, written from
+its contract rather than its code: the proof's multipliers sum to the value
+plus 2^e _GAP_TARGET, max|c| < 2^e, and twice the rounding allowance cap_i =
+(m+2)^2 u x_i + m u of Rump's verified Cholesky test on the scaled
+multipliers x, with a few ulps for rounding lambda' and the sums.
+
 The rank-2 oracle maximizes the correlation expression over unit vectors
 confined to a plane: Alice's first vector is pinned at angle 0 (global
 rotations cancel), the remaining Alice angles are scanned on a grid, and
@@ -99,7 +105,7 @@ from tsirelson.analytic import _check_n
 from tsirelson.errors import DimensionMismatch, LengthMismatch
 from tsirelson.linalg import symmetrize
 from tsirelson.realization import _pauli_terms
-from tsirelson.sdp import _TIGHT_TOL
+from tsirelson.sdp import _GAP_TARGET, _TIGHT_TOL
 
 OFFDIAG_TOL = 1e-13
 MAX_SWEEPS = 100
@@ -311,6 +317,19 @@ def normal_anderson(history):
     if not np.all(np.isfinite(gamma)):
         return None
     return fx[-1] - np.tensordot(gamma, np.diff(fx, axis=0), axes=1)
+
+
+def mixing_gap_limit(c, bound):
+    """2^e _GAP_TARGET + 2 sum(cap), plus rounding, for a certified bound of c.
+
+    The scaled multipliers x sum to about bound / 2^e, so sum(cap) is at most
+    (m+2)^2 u bound / 2^e + m^2 u; 4 m u sum|c| covers the roundings in lambda',
+    its upward sum, and the value read in another order than the gate's.
+    """
+    c = np.asarray(c, dtype=float)
+    m, e, u = sum(c.shape), int(np.frexp(np.abs(c).max())[1]), 2.0**-53
+    cap = (m + 2) ** 2 * u * bound + np.ldexp(m * m * u, e)
+    return float(np.ldexp(_GAP_TARGET, e) + 2 * cap + 4 * m * u * np.abs(c).sum())
 
 
 def gisin_quantum_bound(n):

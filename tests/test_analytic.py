@@ -25,6 +25,21 @@ def test_quantum_bound_values():
     assert chained_quantum_bound(3) == pytest.approx(3 * np.sqrt(3), abs=1e-12)
 
 
+def test_chained_n1_bound_is_exactly_zero():
+    # 2n cos(pi/2n) read 2 cos(pi/2) = 1.2e-16 at n = 1, above the certified 0
+    assert chained_quantum_bound(1) == 0.0
+    spec = chained_A_spectrum(1)
+    assert spec.w_max == 0.0 and spec.sigmas.tolist() == [0.0]
+
+
+def test_chained_bound_is_the_cosine_form_within_one_ulp():
+    for n in range(2, 200):
+        cos_form = 2.0 * n * np.cos(np.pi / (2 * n))
+        assert abs(chained_quantum_bound(n) - cos_form) <= np.spacing(cos_form)
+        w_cos = 2.0 * np.cos(np.pi / (2 * n))
+        assert abs(chained_A_spectrum(n).w_max - w_cos) <= np.spacing(w_cos)
+
+
 def test_classical_bound_values():
     assert chained_classical_bound(2) == 2.0
     assert chained_classical_bound(1) == 0.0

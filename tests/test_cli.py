@@ -19,6 +19,7 @@ from oracles import (
     chained_primal_vectors,
     eager_parser,
     gisin_quantum_bound,
+    mixing_gap_limit,
     refuse_build_objective,
 )
 
@@ -107,6 +108,23 @@ def test_table_chained(capsys):
         n, classical, qa, qn, gap = line.split(",")
         assert float(classical) == 2 * int(n) - 2
         assert abs(float(qa) - float(qn)) <= 1e-6
+
+
+def test_chained_n1_analytic_bound_is_exactly_zero(capsys):
+    # the zero inequality's analytic bound read 1.2e-16, above its certified 0
+    status, out, _ = run_cli(
+        capsys, "bound", "--inequality", "chained", "--n", "1", "--format", "json"
+    )
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["analytic_bound"] == 0.0 == doc["dual"]["certified_bound"]
+    args = ("table", "--inequality", "chained", "--n-range", "1..3", "--format")
+    status, out, _ = run_cli(capsys, *args, "json")
+    assert status == 0
+    assert json.loads(out)["rows"][0]["quantum_analytic"] == 0.0
+    status, out, _ = run_cli(capsys, *args, "csv")
+    assert status == 0
+    assert out.split("\n")[1].split(",")[:3] == ["1", "0", "0"]
 
 
 def test_table_gisin_has_no_analytic_bound(capsys):
@@ -384,9 +402,11 @@ def test_bound_huge_coefficients(tmp_path, capsys):
     )
     assert status == 0
     doc = json.loads(out, parse_constant=_reject_constant)
-    for value in (doc["primal"]["value"], doc["dual"]["certified_bound"],
-                  doc["classical_bound"]):
+    for value in (doc["primal"]["value"], doc["classical_bound"]):
         assert value == pytest.approx(1e300, rel=1e-12)
+    # the mixing run's proof leaves a gap of up to 2^e _GAP_TARGET, about 1.3e-8 relative
+    bound = doc["dual"]["certified_bound"]
+    assert 0 <= doc["gap"] <= mixing_gap_limit([[1e300, 1], [1, -1]], bound)
 
 
 @pytest.mark.parametrize("coefficients",
@@ -405,7 +425,11 @@ def test_values_near_the_float_range(tmp_path, capsys, coefficients):
         doc = json.loads(out, parse_constant=_reject_constant)
         if command == "bound":
             assert doc["primal"]["value"] == pytest.approx(top, rel=1e-12)
-            assert 0 <= doc["gap"] <= 1e-12 * top
+            # a mixing run's proof leaves a gap of up to 2^e _GAP_TARGET
+            (run,) = doc["runs"]
+            limit = 1e-12 * top if run["method"] == "spectral" else mixing_gap_limit(
+                json.loads(coefficients), doc["dual"]["certified_bound"])
+            assert 0 <= doc["gap"] <= limit
         else:
             assert doc["achieved_value"] == pytest.approx(top, rel=1e-12)
 

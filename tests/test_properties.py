@@ -210,8 +210,8 @@ def _assert_exactly_certified(w, cert):
 @settings(derandomized, max_examples=60)
 @given(matrices)
 def test_certificates_are_exactly_psd(c):
-    # m <= 12: solve's certificate (spectral, or the mixing run's shift-first
-    # one) and certify's Cholesky-first one on the mixing lambda
+    # m <= 12: solve's certificate (spectral, the mixing run's own proof, or
+    # a shift-first one) and certify's Cholesky-first one on the mixing lambda
     ineq = new_inequality("c", c)
     w, c = build_objective(ineq), ineq.coefficients
     report = solve(ineq, classical=False)

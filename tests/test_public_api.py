@@ -98,6 +98,7 @@ UNCALLED = {
     "build_objective",  # perfbench's tracer wraps it by name; the library reads c
     "correlation",  # perfbench's tracer wraps it by name
     "inequality_value",  # perfbench's tracer wraps it by name
+    "solve_primal",  # a public entry point, and perfbench's tracer wraps it by name
 }
 
 

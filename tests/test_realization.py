@@ -213,6 +213,20 @@ def test_realize_input_validation():
         realize([np.array([1.0, 0.0])], [np.array([1.0, 0.0, 0.0])])
 
 
+@pytest.mark.parametrize(
+    "xs, ys",
+    [([[np.nan, 0.0]], [[1.0, 0.0]]), ([[1.0, 0.0]], [[0.0, 1.0], [0.0, np.nan]]),
+     ([[1.0, 0.0]], [[np.inf, 0.0]])],
+    ids=["nan-x", "nan-y", "inf-y"],
+)
+def test_realize_rejects_non_finite_vectors(xs, ys):
+    # |nan - 1| > 1e-10 is False: a NaN vector used to pass the unit-norm
+    # test and give NaN observables and a correlation table of NaN
+    norm = "nan" if np.isnan(np.sum(xs + ys)) else "inf"
+    with pytest.raises(NotUnitVector, match=rf"vector norm {norm} is not 1"):
+        realize(xs, ys)
+
+
 def test_correlation_identity_and_zz():
     psi = maximally_entangled_state(2)
     eye = np.eye(2, dtype=complex)

@@ -21,6 +21,7 @@ from tsirelson import (
 from tsirelson.analytic import chained_quantum_bound
 from tsirelson import sdp
 from tsirelson.errors import (
+    EmptyMatrix,
     InvalidRank,
     LengthMismatch,
     NonFiniteEntry,
@@ -35,6 +36,7 @@ from oracles import (
     exact_slack,
     gisin_quantum_bound,
     lstsq_tight,
+    mixing_gap_limit,
     normal_anderson,
     rank2_max,
     refuse_build_objective,
@@ -180,14 +182,20 @@ def test_solve_primal_rejects_non_finite_w(bad):
         solve_primal(c, rank=4)
 
 
-def test_gap_gate_rejects_nan_slack():
+def test_gap_gate_rejects_nan_slack(monkeypatch):
     # np.linalg.cholesky factors a NaN matrix without raising, so a NaN
-    # slack must be refused before it
+    # slack, from a NaN in Alice's rows or in Bob's, must be refused before
+    # it: no proof, and nothing factored
     c = chained(3).coefficients
-    v = sdp._initial_vectors(6, 4, 0)
-    v[2, 1] = np.nan
     cs = np.ldexp(c, -sdp._scale_exponent(c))
-    assert not sdp._gap_proven(cs, _ct(cs), v)
+    monkeypatch.setattr(sdp, "_GAP_TARGET", 1e300)  # any finite slack passes the target
+    factored = []
+    monkeypatch.setattr(sdp, "_factors", lambda a: factored.append(1) or True)
+    for row in (2, 4):
+        v = sdp._initial_vectors(6, 4, 0)
+        v[row, 1] = np.nan
+        assert sdp._gap_proven(cs, _ct(cs), v) is None
+    assert factored == []
 
 
 def _random_sparse(seed):
@@ -359,10 +367,20 @@ def _gate_cases():
         yield c.astype(float)
 
 
+def _gate_multipliers(cs, v, target):
+    """lambda and the gate's x = lambda + t, t = (target - slack) / m, as it forms them."""
+    g = sdp._fields(cs, _ct(cs), v)
+    lam = extract_dual(cs, v)
+    t = (target - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / len(v)
+    return lam, lam + t, t
+
+
 def test_cholesky_gate_matches_certify(monkeypatch):
-    # every in-loop gap check decides as the eigenvalue certificate would, at
-    # the gap target and at targets just either side of the check's own gap;
-    # it factors only when the slack sum(lambda) - value is within the target
+    # every in-loop gap check decides as the certificate would, at the gap
+    # target and at targets just either side of the check's own gap; it
+    # factors only when the slack sum(lambda) - value is within the target.
+    # A check that passes returns its proof: certify's Cholesky-first
+    # certificate of x = lambda + t, bit for bit, with no eigensolver
     checks = []
     gate = sdp._gap_proven
 
@@ -374,21 +392,31 @@ def test_cholesky_gate_matches_certify(monkeypatch):
     for c in _gate_cases():
         m = sum(c.shape)
         solve_primal(c, rank=min(m, math.isqrt(2 * m - 1) + 2))
-    assert len(checks) >= 30 and 0 < sum(stop for *_, stop in checks) < len(checks)
-    factored = []
+    stops = [proof is not None for *_, proof in checks]
+    assert len(checks) >= 30 and 0 < sum(stops) < len(checks)
+    factored, shifted = [], []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
+    min_eig = sdp.min_eigenvalue
+    monkeypatch.setattr(sdp, "min_eigenvalue", lambda a: shifted.append(1) or min_eig(a))
     default = sdp._GAP_TARGET
-    for cs, v, stop in checks:
-        lam = extract_dual(cs, v)
-        slack = float(np.sum(lam)) - _value(_w(cs), v)
-        gap = certify(cs, lam).certified_bound - _value(_w(cs), v)
+    for (cs, v, proof), stop in zip(checks, stops):
+        lam, x, t = _gate_multipliers(cs, v, default)
+        value = _value(_w(cs), v)
+        slack = float(np.sum(lam)) - value
+        gap = certify(cs, lam).certified_bound - value
         assert stop == (gap <= default)
+        if stop:
+            shifted.clear()
+            cert = certify(cs, x)
+            assert not shifted and cert.feasibility_margin == 0.0
+            assert cert.lam.tobytes() == np.nextafter(proof, np.inf).tobytes()
+            assert float(np.sum(proof)) - value <= mixing_gap_limit(cs, float(np.sum(proof)))
         eps = max(1e-3 * gap, 1e-9)
         for target in (default, gap - eps, gap + eps):
             monkeypatch.setattr(sdp, "_GAP_TARGET", target)
             factored.clear()
-            assert gate(cs, _ct(cs), v) == (gap <= target)
+            assert (gate(cs, _ct(cs), v) is not None) == (gap <= target)
             assert bool(factored) == (target >= slack)
 
 
@@ -472,6 +500,39 @@ def test_certify_rejects_wrong_shape(lam):
     # a length-1 or 4x4 lambda used to broadcast against W into a "certificate"
     with pytest.raises(LengthMismatch):
         certify(chained(2).coefficients, lam)
+
+
+EMPTY = [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((0, 0)), [], [[]]]
+EMPTY_IDS = ["0x3", "2x0", "0x0", "flat", "one-empty-row"]
+
+
+@pytest.mark.parametrize("c", EMPTY, ids=EMPTY_IDS)
+def test_solve_primal_rejects_empty_block(c):
+    # numpy's "zero-size array to reduction" ValueError used to escape
+    with pytest.raises(EmptyMatrix):
+        solve_primal(c, rank=2)
+
+
+@pytest.mark.parametrize("c", EMPTY, ids=EMPTY_IDS)
+def test_extract_dual_rejects_empty_block(c):
+    with pytest.raises(EmptyMatrix):
+        extract_dual(c, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("c", EMPTY, ids=EMPTY_IDS)
+def test_certify_rejects_empty_block(c):
+    with pytest.raises(EmptyMatrix):
+        certify(c, np.ones(3))
+
+
+@pytest.mark.parametrize("rows", [3, 5, 8], ids=["3-rows", "5-rows", "8-rows"])
+def test_extract_dual_rejects_wrong_row_count(rows):
+    # chained-2 has 4 rows; a matmul ValueError, or a lambda of the wrong
+    # length from 8 rows, used to escape
+    with pytest.raises(LengthMismatch, match="expected 4 rows"):
+        extract_dual(chained(2).coefficients, np.ones((rows, 2)))
+    with pytest.raises(LengthMismatch):
+        extract_dual(chained(2).coefficients, np.ones(4))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -661,7 +722,7 @@ def test_too_large_fails_before_the_quantum_solve(monkeypatch):
         raise AssertionError("quantum solve ran before the classical check")
 
     monkeypatch.setattr(sdp, "_spectral", refuse)
-    monkeypatch.setattr(sdp, "solve_primal", refuse)
+    monkeypatch.setattr(sdp, "_ascent", refuse)
     c = np.random.default_rng(31).integers(-3, 4, (31, 31))
     with pytest.raises(TooLarge):
         solve(new_inequality("random-31", c))
@@ -732,8 +793,12 @@ def test_huge_coefficients_do_not_overflow():
     np.testing.assert_array_equal(lam, np.ldexp(extract_dual(small, ref.vectors), 980))
     report = solve(ineq)
     assert report.primal.value == pytest.approx(1e300, rel=1e-12)
-    assert report.dual.certified_bound == pytest.approx(1e300, rel=1e-12)
     assert report.classical_bound == pytest.approx(1e300, rel=1e-12)
+    # the run's proof leaves a gap of up to 2^e _GAP_TARGET, about 1.3e-8 relative here
+    bound = report.dual.certified_bound
+    assert math.isfinite(bound)
+    assert 0 <= report.gap <= mixing_gap_limit(c, bound)
+    assert report.certified_optimal
 
 
 @pytest.mark.parametrize("c", [[[1e308]], [[1.5e308]], [[1e308, 1.0], [1.0, -1.0]]])
@@ -744,7 +809,11 @@ def test_value_near_the_float_range_is_finite(c):
     report = solve(new_inequality("big", c))  # a RuntimeWarning fails the test
     assert report.primal.value == pytest.approx(top, rel=1e-12)
     assert report.classical_bound == pytest.approx(top, rel=1e-12)
-    assert 0 <= report.gap <= 1e-12 * top
+    # a mixing run's proof leaves a gap of up to 2^e _GAP_TARGET
+    (run,) = report.runs
+    bound = report.dual.certified_bound
+    limit = 1e-12 * top if run.method == "spectral" else mixing_gap_limit(c, bound)
+    assert math.isfinite(bound) and 0 <= report.gap <= limit
     assert report.certified_optimal
 
 
@@ -895,16 +964,22 @@ def _count_certify(monkeypatch):
     return calls
 
 
+# the runs that end without a proof: STUCK's first run hits the cap, and a
+# zero c keeps certify's exact 0
+UNPROVEN = {"rand-6": 1, "chained-1": 1}
+
+
 @pytest.mark.parametrize("ineq", FALL_THROUGH, ids=lambda ineq: ineq.name)
 def test_non_tight_inputs_fall_through(monkeypatch, ineq):
     # the spectral bound is not attained (or c is zero): solve runs the
     # mixing ascent, whose first run is solve_primal's at seed 0.  The
-    # tightness test refuses before any certificate: each one is a run's
+    # tightness test refuses before any certificate, and a run that stops on
+    # its gate's proof reports it: only a run without one certifies
     certified = _count_certify(monkeypatch)
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
     report = solve(ineq, classical=False)
     assert {run.method for run in report.runs} == {"mixing"}
-    assert len(certified) == len(report.runs)
+    assert len(certified) == UNPROVEN.get(ineq.name, 0)
     m = ineq.n_alice + ineq.n_bob
     sol = solve_primal(ineq.coefficients, _bp_rank(m))
     first = report.runs[0]
@@ -927,10 +1002,12 @@ def test_certified_gap_refuses_what_a_loose_test_passes(monkeypatch):
     monkeypatch.setattr(sdp, "_TIGHT_TOL", 1e-2)
     report = solve(ineq, classical=False)
     # the spectral attempt passed the test and valued its rank-2 primal, then
-    # the mixing run valued its rank-7 one; only that run certified
+    # the mixing run valued its rank-7 one and reported its gate's proof:
+    # neither called certify
     assert valued == [(8, 2), (8, _bp_rank(16))]
-    assert len(certified) == 1
+    assert certified == []
     assert report.runs == ref.runs
+    assert exact_psd(exact_slack(_w(c), report.dual.lam))
     assert [run.method for run in report.runs] == ["mixing"]
 
 
@@ -1005,21 +1082,88 @@ MIXED = FALL_THROUGH + [
 
 @pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
 def test_mixing_path_is_unchanged(monkeypatch, ineq):
-    # where the spectral path is not taken, lambda, the certified bound and
-    # the value are those of solve_primal and the shift-first certificate,
-    # bit for bit: the proof on the Gram matrix changed none of them
+    # where the spectral path is not taken, each run's iterations and value
+    # are solve_primal's, bit for bit.  A run that stops on its gate's proof
+    # reports that proof: lambda' rounded up from it, a margin of 0.0, and a
+    # gap of at most 2^e _GAP_TARGET + 2 sum(cap).  A run without one (STUCK's
+    # capped first run) or on a zero c keeps the shift-first certificate.
+    # The reported certificate is exactly PSD
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
     report = solve(ineq, classical=False)
     c = ineq.coefficients
     bp = _bp_rank(sum(c.shape))
     for run, (rank, seed) in zip(report.runs, [(bp, 0), (bp + 2, 1)]):
-        sol = solve_primal(c, rank, seed=seed)
-        dual = sdp._certify(c, extract_dual(c, sol.vectors), shift_first=True)
-        assert run.method == "mixing"
-        assert (run.primal_value, run.certified_bound) == (sol.value, dual.certified_bound)
+        sol, proof = sdp._ascent(c, rank, seed)
+        ref = solve_primal(c, rank, seed=seed)
+        assert sol.vectors.tobytes() == ref.vectors.tobytes()
+        assert (run.method, run.iterations, run.primal_value) == (
+            "mixing", ref.iterations, ref.value)
+        if proof is None or not c.any():
+            dual = sdp._certify(c, extract_dual(c, sol.vectors), shift_first=True)
+        else:
+            lam = np.nextafter(np.ldexp(proof, sdp._scale_exponent(c)), np.inf)
+            dual = sdp.DualCertificate(lam, 0.0, sdp._sum_up(lam))
+            assert 0 <= run.gap <= mixing_gap_limit(c, run.certified_bound)
+        assert run.certified_bound == dual.certified_bound
         if report.dual.certified_bound == dual.certified_bound:
             np.testing.assert_array_equal(report.dual.lam, dual.lam)
+            assert report.dual.feasibility_margin == dual.feasibility_margin
             assert report.primal.value == sol.value
+    assert exact_psd(exact_slack(_w(c), report.dual.lam))
+
+
+@pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
+def test_mixing_path_runs_no_eigvalsh(monkeypatch, ineq):
+    # the spectral try's eigh is the one eigen routine: a run proven by its
+    # gate never reaches eigvalsh.  Only STUCK's capped first run, which has
+    # no proof, picks its shift by min_eigenvalue and then restarts
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        routine = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _routine=routine, **kwargs):
+            calls[_name] += 1
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
+    report = solve(ineq, classical=False)
+    stuck = ineq.name == "rand-6"
+    assert calls == {"eigh": 1, "eigvalsh": int(stuck)}
+    assert len(report.runs) == 1 + stuck
+
+
+@pytest.mark.parametrize("ineq", [ineq for ineq in MIXED if ineq.name not in UNPROVEN],
+                         ids=lambda ineq: ineq.name)
+def test_proof_costs_one_slack_and_one_cholesky(monkeypatch, ineq):
+    # the check that stops the run forms one slack and factors it once; the
+    # certificate is that proof, so nothing is formed or factored after it
+    counts = {"_slack": 0, "cholesky": 0}
+    for module, name in ((sdp, "_slack"), (np.linalg, "cholesky")):
+        routine = getattr(module, name)
+
+        def counted(*args, _name=name, _routine=routine):
+            counts[_name] += 1
+            return _routine(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    checks = []
+    gate = sdp._gap_proven
+
+    def record(*args):
+        before = dict(counts)
+        proof = gate(*args)
+        checks.append((proof is not None, before, dict(counts)))
+        return proof
+
+    monkeypatch.setattr(sdp, "_gap_proven", record)
+    monkeypatch.setattr(sdp, "_spectral", lambda *args: None)
+    (run,) = solve(ineq, classical=False).runs
+    assert run.method == "mixing"
+    proven, before, after = checks[-1]
+    assert proven and not any(stop for stop, *_ in checks[:-1])
+    assert {k: after[k] - before[k] for k in counts} == {"_slack": 1, "cholesky": 1}
+    assert counts == after
 
 
 @pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
