@@ -19,10 +19,15 @@ def _check_n(n):
         raise InvalidSize(f"chained family needs n >= 1, got {n}")
 
 
+def _top_sigma(n):
+    """sigma_1 = 2 cos(pi/2n) of the chained block (the sine form rounds worse); 0 at n = 1."""
+    return 2.0 * np.cos(np.pi / (2 * n)) if n > 1 else 0.0
+
+
 def chained_quantum_bound(n):
-    """Tsirelson bound 2n cos(pi/2n) of the chained inequality, as 2n sin(pi(n-1)/2n): 0 at n=1."""
+    """Tsirelson bound 2n cos(pi/2n) of the chained inequality: 0 at n = 1."""
     _check_n(n)
-    return 2.0 * n * np.sin(np.pi * (n - 1) / (2 * n))
+    return n * _top_sigma(n)
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ def chained_A_spectrum(n):
     gamma_s = 1 + exp(i pi (2s+1)/n) with eigenvector (rho^{n-1},...,rho^0),
     rho = exp(-i pi (2s+1)/n).
     The objective matrix's eigenvalues are {+-sigma_s}, so its largest is
-    max_s sigma_s = 2 cos(pi/2n), evaluated as chained_quantum_bound is.
+    max_s sigma_s = 2 cos(pi/2n), n times which is chained_quantum_bound.
     """
     _check_n(n)
     s = np.arange(n)
@@ -50,5 +55,5 @@ def chained_A_spectrum(n):
         n=n,
         gammas=gammas,
         sigmas=sigmas,
-        w_max=2.0 * np.sin(np.pi * (n - 1) / (2 * n)),
+        w_max=_top_sigma(n),
     )

@@ -30,15 +30,23 @@ class CorrelationInequality:
         return self.coefficients.shape[1]
 
 
+def _block(c):
+    """c as a float array: EmptyMatrix unless it is 2-d and non-empty, and
+    NonFiniteEntry when it has a NaN or infinite entry.  The library's one
+    check of a coefficient block, here and on entry to sdp."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 2 or not c.size:
+        raise EmptyMatrix("coefficient matrix must be a non-empty 2-d array")
+    if not np.isfinite(c).all():
+        raise NonFiniteEntry("coefficient matrix contains a non-finite entry")
+    return c
+
+
 def new_inequality(name, coefficients):
     """Build an inequality from a coefficient matrix (copied, made read-only)."""
     if not name:
         raise EmptyMatrix("inequality name must be non-empty")
-    c = np.array(coefficients, dtype=float)
-    if c.ndim != 2 or c.size == 0:
-        raise EmptyMatrix("coefficient matrix must be a non-empty 2-d array")
-    if not np.all(np.isfinite(c)):
-        raise NonFiniteEntry("coefficient matrix contains a non-finite entry")
+    c = _block(np.array(coefficients, dtype=float))
     c.setflags(write=False)
     return CorrelationInequality(name=name, coefficients=c)
 

@@ -62,15 +62,15 @@ def _pauli_terms(n):
     return rows, terms
 
 
-def _observables(coeffs, n):
+def _observables(coeffs, rows, terms):
     """sum_k coeffs[s, k] C_k for each row s, as one (len(coeffs), d, d) array.
 
-    Different qubits fill different columns of a row, so each entry of the sum
-    is one term, the real part from an X generator and the imaginary part from
-    a Y: it is written in place, and the generators are never formed.
+    rows and terms are _pauli_terms(n), n = coeffs.shape[1].  Different
+    qubits fill different columns of a row, so each entry of the sum is one
+    term, the real part from an X generator and the imaginary part from a Y:
+    it is written in place, and the generators are never formed.
     """
-    rows, terms = _pauli_terms(n)
-    d = len(rows)
+    n, d = coeffs.shape[1], len(rows)
     out = np.zeros((len(coeffs), d * d), dtype=complex)
     for j, (cols, x_sign, y_sign) in enumerate(terms):
         at = rows * d + cols
@@ -100,6 +100,7 @@ def realize(xs, ys):
     if len(lengths) != 1:
         raise LengthMismatch("all vectors must have the same length")
     n = lengths.pop()
+    rows, terms = _pauli_terms(n)  # TooLarge unless 1 <= n <= MAX_GENERATORS
     stacked = np.vstack([np.reshape(xs, (-1, n)), np.reshape(ys, (-1, n))])
     norms = np.linalg.norm(stacked, axis=1)
     if (off := ~(np.abs(norms - 1.0) <= 1e-10)).any():  # NaN is off too
@@ -107,7 +108,7 @@ def realize(xs, ys):
     # C_k is symmetric for X (even k) and antisymmetric for Y (odd k), so
     # Bob's transposed sum is the sum with his Y coefficients negated
     stacked[len(xs):] *= np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    obs = _observables(stacked, n)
+    obs = _observables(stacked, rows, terms)
     d = obs.shape[1]
     return QuantumRealization(
         dim=d,

@@ -1,13 +1,13 @@
 """Unit-diagonal SDP solver with dual certification, on the coefficient block.
 
 The objective of an nA x nB coefficient block c is (1/2) Tr(G W), W =
-[[0, c], [c^T, 0]].  Every routine here reads c; the only m x m array
-formed is the slack diag(lambda) - W/2 that a mixing-path PSD test factors.
+[[0, c], [c^T, 0]].  Every routine here reads c, checked on entry as
+new_inequality checks it (_block); the only m x m array formed is the
+slack diag(lambda) - W/2 that a mixing-path PSD test factors.
 
 solve first tries the paper's proof (_spectral): constant multipliers from
-the top singular value of c, and a test of whether its singular vectors
-carry a primal attaining that bound (their stacked rows have one norm, or
-else a least-squares test passes).  If so, solve reports one run of method
+the top singular value of c, attained when its top singular vectors,
+stacked, have rows of one norm.  If so, solve reports one run of method
 "spectral", proven by one Cholesky factorization of the smaller side's
 Gram matrix; if not, the ascent below ("mixing").
 
@@ -31,8 +31,7 @@ one Cholesky factorization with an a-priori rounding allowance (Rump, BIT
 46, 2006).  The ascent stops as soon as that test proves its iterate within
 a small gap of optimal, and the multipliers it proved are the run's
 certificate: no eigensolver runs.  A run with no proof (one that hit the
-iteration cap, or a zero c) shifts its lambda onto the PSD cone at a
-quantified price, the shift picked by an eigensolver.
+iteration cap, or a zero c) is certified by certify, as any lambda is.
 """
 
 import math
@@ -41,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import lhv_bound
-from .errors import EmptyMatrix, InvalidRank, LengthMismatch, NonFiniteEntry
+from .errors import InvalidRank, LengthMismatch, NonFiniteEntry
+from .inequality import _block
 from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
@@ -118,13 +118,8 @@ def _initial_vectors(m, rank, seed):
 
 
 def _scale_exponent(c):
-    """e with max|c| * 2^-e in [0.5, 1) (0 when c == 0); EmptyMatrix when c is empty.
-
-    Scaling by 2^-e is exact, and keeps the squares inside _row_norms from
-    overflowing for entries above ~1e154.
-    """
-    if not c.size:
-        raise EmptyMatrix("coefficient matrix must be non-empty")
+    """e with max|c| * 2^-e in [0.5, 1), or 0 when c == 0: scaling by 2^-e is exact,
+    and keeps the squares inside _row_norms from overflowing for entries above ~1e154."""
     return int(np.frexp(np.abs(c).max())[1])
 
 
@@ -227,7 +222,7 @@ def _slack(cs, d):
 
 def _proven(cs, x, cap):
     """x + 2 cap, or None: a Cholesky factorization of diag(x + cap) - W/2 that
-    completes proves diag(x + 2 cap) - W/2 PSD for Rump's allowance cap (_certify)."""
+    completes proves diag(x + 2 cap) - W/2 PSD for Rump's allowance cap (certify)."""
     return x + cap + cap if _factors(_slack(cs, x + cap)) else None
 
 
@@ -267,10 +262,10 @@ def solve_primal(c, rank, seed=0):
     then every _CHECK_EVERY, proves the iterate within _GAP_TARGET of
     optimal.  After DEFAULT_MAX_ITER iterations, each of at most two sweeps,
     it returns the last iterate and residual with converged=False.  Raises
-    InvalidRank unless rank >= 2, EmptyMatrix when c is empty, and
-    NonFiniteEntry when c has a NaN or infinite entry or the value
-    overflows.  Everything runs on c scaled by a power of two, so a scaled c
-    takes the same steps.
+    InvalidRank unless rank >= 2, EmptyMatrix unless c is a non-empty 2-d
+    array, and NonFiniteEntry when c has a NaN or infinite entry or the
+    value overflows.  Everything runs on c scaled by a power of two, so a
+    scaled c takes the same steps.
     """
     return _ascent(c, rank, seed)[0]
 
@@ -278,12 +273,10 @@ def solve_primal(c, rank, seed=0):
 def _ascent(c, rank, seed):
     """solve_primal, and the proof (_gap_proven) it stopped on, or None; a
     residual stop is checked once, a run that hits the cap is not."""
-    c = np.asarray(c, dtype=float)
-    m = sum(c.shape)
     if rank < 2:
         raise InvalidRank(f"rank must be >= 2, got {rank}")
-    if not np.isfinite(c).all():
-        raise NonFiniteEntry("c contains a non-finite entry")
+    c = _block(c)
+    m = sum(c.shape)
     v = _initial_vectors(m, rank, seed)
     e = _scale_exponent(c)
     cs, floor = np.ldexp(c, -e), np.ldexp(1e-14, -e)
@@ -350,12 +343,15 @@ def extract_dual(c, vectors):
     vectors has nA + nB rows, Alice's first; so has lambda.  At a fixed point
     of solve_primal, sum_i lambda_i equals the primal value (complementary
     slackness), so a feasible lambda certifies optimality.  Raises EmptyMatrix
-    when c is empty, and LengthMismatch unless vectors has nA + nB rows.
+    unless c is a non-empty 2-d array, LengthMismatch unless vectors has nA +
+    nB rows, and NonFiniteEntry when c or vectors has a NaN or infinite entry.
     """
-    c, v = np.asarray(c, dtype=float), np.asarray(vectors, dtype=float)
-    e = _scale_exponent(c)
+    c, v = _block(c), np.asarray(vectors, dtype=float)
     if v.ndim != 2 or len(v) != sum(c.shape):
         raise LengthMismatch(f"vectors have shape {v.shape}, expected {sum(c.shape)} rows")
+    if not np.isfinite(v).all():
+        raise NonFiniteEntry("vectors contain a non-finite entry")
+    e = _scale_exponent(c)
     cs = np.ldexp(c, -e)
     return 0.5 * np.ldexp(_row_norms(_fields(cs, np.ascontiguousarray(cs.T), v)), e)
 
@@ -376,6 +372,18 @@ def _sum_up(x):
     return math.nextafter(s, math.inf) if math.fsum(x + [-s]) > 0 else s
 
 
+def _allowance(a, m):
+    """Rump's allowance cap, a_i = |x_i| + |A_ii| for an m x m A: a Cholesky of diag(x +
+    cap) + A that completes proves diag(x + 2 cap) + A PSD; m u covers underflow."""
+    return (m + 2) ** 2 * _U * a + m * _U
+
+
+def _certificate(proof, e, margin=0.0):
+    """The DualCertificate of proven scaled multipliers: lambda' = 2^e proof, rounded upward."""
+    lam = np.nextafter(np.ldexp(proof, e), np.inf)
+    return DualCertificate(lam, margin, _sum_up(lam))
+
+
 def certify(c, lam):
     """Rigorous upper bound from any multiplier vector.
 
@@ -383,44 +391,26 @@ def certify(c, lam):
     whose diag(lam') - W/2 is PSD in exact arithmetic, W = [[0, c], [c^T,
     0]], and their sum rounded upward as the certified bound: by weak
     duality it bounds the inequality for every state and every set of +-1
-    observables, no matter where lam came from.  One Cholesky factorization
-    proves it (_certify): lam' = lam + 2 cap, cap a rounding allowance of
-    about (m+2)^2 u lam per entry, and feasibility_margin is 0.0.  Where
-    that factorization fails, lam is first shifted by -mu, mu =
-    min_eig(diag(lam) - W/2) < 0, which feasibility_margin reports.  A zero
-    c needs no allowance: lam' is lam shifted up to a least entry of 0.
-    Raises EmptyMatrix when c is empty, LengthMismatch unless lam has nA +
-    nB entries, and NonFiniteEntry when c or lam has a NaN or infinite
-    entry, or when the bound overflows.
-    """
-    return _certify(c, lam, shift_first=False)
-
-
-def _allowance(a, m):
-    """Rump's allowance cap, a_i = |x_i| + |A_ii| for an m x m A: a Cholesky of diag(x +
-    cap) + A that completes proves diag(x + 2 cap) + A PSD; m u covers underflow."""
-    return (m + 2) ** 2 * _U * a + m * _U
-
-
-def _certify(c, lam, shift_first):
-    """certify; shift_first takes the shift before the first factorization.
+    observables, no matter where lam came from.
 
     c and lam are scaled by 2^-e, which keeps max|c| * 2^-e below 1 and
     every lambda * 2^-e below 2^1000.  With x = lam, a floating-point
-    Cholesky factorization of A = diag(x + cap) - W/2 that runs to
-    completion proves A + diag(cap) PSD (Demmel's backward error |dA| <= g d
-    d^T, d_i^2 = a_ii, g = gamma_{m+1}/(1 - gamma_{m+1}) and gamma_k = k u/(1
-    - k u), bounds -dA by g m diag(a_ii); summed over the rows that is
-    Rump's allowance g m tr(A)).  W has a zero diagonal, so cap_i = (m+2)^2
-    u |x_i| + m u suffices: the room above g m a_ii covers the roundings in
-    forming A and cap, and m u those of underflow.  lam' = x + 2 cap,
-    rounded upward.  Only when that factorization fails is x = lam - mu, mu
-    = min(0, min_eig(diag(lam) - W/2)), and cap doubled until diag(x + cap)
-    - W/2 factors.
+    Cholesky factorization of A = diag(x + cap) - W/2 that completes proves
+    A + diag(cap) PSD (Demmel's backward error |dA| <= g d d^T, d_i^2 =
+    a_ii, g = gamma_{m+1}/(1 - gamma_{m+1}) and gamma_k = k u/(1 - k u),
+    bounds -dA by g m diag(a_ii); summed over the rows that is Rump's
+    allowance g m tr(A)).  W has a zero diagonal, so cap_i = (m+2)^2 u |x_i|
+    + m u suffices: the room above g m a_ii covers the roundings in forming
+    A and cap, and m u those of underflow.  Then lam' = x + 2 cap, rounded
+    upward, and feasibility_margin is 0.0.  Only where that factorization
+    fails is x = lam - mu, mu = min(0, min_eig(diag(lam) - W/2)), which
+    feasibility_margin reports, and cap doubled until diag(x + cap) - W/2
+    factors.  A zero c needs no allowance: lam' is lam shifted up to a least
+    entry of 0.  Raises EmptyMatrix unless c is a non-empty 2-d array,
+    LengthMismatch unless lam has nA + nB entries, and NonFiniteEntry when c
+    or lam has a NaN or infinite entry, or when the bound overflows.
     """
-    c, lam = np.asarray(c, dtype=float), np.asarray(lam, dtype=float)
-    if not c.size:
-        raise EmptyMatrix("coefficient matrix must be non-empty")
+    c, lam = _block(c), np.asarray(lam, dtype=float)
     m = sum(c.shape)
     if lam.shape != (m,):
         raise LengthMismatch(f"lambda has shape {lam.shape}, expected ({m},)")
@@ -428,15 +418,13 @@ def _certify(c, lam, shift_first):
     if not math.isfinite(top):
         raise NonFiniteEntry("lambda contains a non-finite entry")
     big = float(np.abs(c).max())
-    if not math.isfinite(big):
-        raise NonFiniteEntry("c contains a non-finite entry")
     if not big:
         mu = min(0.0, float(lam.min()))
         lam = lam - mu
         return DualCertificate(lam=lam, feasibility_margin=mu, certified_bound=_sum_up(lam))
     e = max(math.frexp(big)[1], math.frexp(top)[1] - 1000)
     cs, x, mu = np.ldexp(c, -e), np.ldexp(lam, -e), 0.0
-    if shift_first or (proof := _proven(cs, x, _allowance(np.abs(x), m))) is None:
+    if (proof := _proven(cs, x, _allowance(np.abs(x), m))) is None:
         mu = min(0.0, min_eigenvalue(_slack(cs, x)))
         x = x - mu
         cap = _allowance(np.abs(x), m)
@@ -444,18 +432,15 @@ def _certify(c, lam, shift_first):
             cap *= 2.0
             if not np.isfinite(cap).all():
                 raise NonFiniteEntry("certified bound overflows")
-    lam = np.nextafter(np.ldexp(proof, e), np.inf)
-    return DualCertificate(lam=lam, feasibility_margin=math.ldexp(mu, e),
-                           certified_bound=_sum_up(lam))
+    return _certificate(proof, e, math.ldexp(mu, e))
 
 
 def _single_run(c, rank, seed):
     primal, proof = _ascent(c, rank, seed)
-    if proof is None or not c.any():  # shift first, from outside the cone; c = 0: exact 0
-        dual = _certify(c, extract_dual(c, primal.vectors), shift_first=True)
+    if proof is None or not c.any():  # no proof, or c = 0: certify's exact 0
+        dual = certify(c, extract_dual(c, primal.vectors))
     else:
-        lam = np.nextafter(np.ldexp(proof, _scale_exponent(c)), np.inf)
-        dual = DualCertificate(lam, 0.0, _sum_up(lam))
+        dual = _certificate(proof, _scale_exponent(c))
     run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
               dual.certified_bound, dual.certified_bound - primal.value, "mixing")
     return primal, dual, run
@@ -467,17 +452,15 @@ def _spectral(c, rank):
     lambda = sigma_1 sqrt(nB/nA)/2 on Alice's side and sigma_1 sqrt(nA/nB)/2
     on Bob's, sigma_1 the largest singular value of c, makes diag(lambda) -
     W/2 PSD: by its Schur complement, exactly when 4 lambda_A lambda_B I - c
-    c^T is.  A Gram matrix attains sum(lambda) iff it is K M K^T with M PSD,
-    diag(K M K^T) = 1 and K = [U_1; sqrt(nB/nA) V_1], the d top singular
-    pairs (Epping, Kampermann & Bruss, 2013).  K^T K is a multiple of I, so
-    when |k_r| is constant the least-norm M is s I and the rows of K,
-    normalized, are the primal; for d = 1 that is the whole test.  Otherwise
-    M is solved for by least squares, a second eigh gives M^(1/2), and the
-    rows of K M^(1/2), normalized, are the primal.  One eigh of the smaller
-    side's n x n Gram matrix G of a = c / 2^e gives the pairs, and one
-    Cholesky of sigma_1^2 I - G proves the bound; W is never formed.  None
-    when c is zero, d > rank, the residual exceeds _TIGHT_TOL, the gap before
-    the rounding allowance exceeds _GAP_TARGET * 2^e, or the Cholesky fails.
+    c^T is.  Its sum is attained when the rows of K = [U_1; sqrt(nB/nA) V_1],
+    the d top singular pairs, have one norm: K^T K is a multiple of I, and
+    the rows of K, normalized, are the primal (Epping, Kampermann & Bruss,
+    2013).  One eigh of the smaller side's n x n Gram matrix G of a = c /
+    2^e gives the pairs, and one Cholesky of sigma_1^2 I - G proves the
+    bound; W is never formed.  None when c is zero, d > rank, the rows of K
+    differ in norm by more than _TIGHT_TOL, the gap before the rounding
+    allowance exceeds _GAP_TARGET * 2^e, or the Cholesky fails: the ascent
+    then certifies c as it does every other input.
     """
     na, nb = c.shape
     e = _scale_exponent(c)
@@ -492,20 +475,10 @@ def _spectral(c, rank):
     near, far = vecs[:, -d:], a.T @ vecs[:, -d:] / sigma
     u, v = (far, near) if nb < na else (near, far)
     k = np.concatenate([u, math.sqrt(nb / na) * v])
-    sq = np.add.reduce(k * k, axis=1)  # |k_r|^2
-    if np.abs(sq * (np.sum(sq) / np.vdot(sq, sq)) - 1.0).max() <= _TIGHT_TOL:
-        rows = k / np.sqrt(sq)[:, None]
-    elif d == 1:
+    sq = np.add.reduce(k * k, axis=1)  # |k_r|^2; one norm: sq s = 1, s = sum(sq) / |sq|^2
+    if not np.abs(sq * (np.sum(sq) / np.vdot(sq, sq)) - 1.0).max() <= _TIGHT_TOL:
         return None
-    else:
-        eqs = (k[:, :, None] * k[:, None, :]).reshape(len(k), d * d)  # row r: k_r k_r^T
-        # a least-norm M is symmetric, in the span of the k_r k_r^T
-        x = np.linalg.lstsq(eqs, np.ones(len(k)))[0]
-        if not np.abs(eqs @ x - 1.0).max() <= _TIGHT_TOL:
-            return None
-        ev, q = np.linalg.eigh(x.reshape(d, d))
-        rows = k @ ((q * np.sqrt(np.maximum(ev, 0.0))) @ q.T)
-        rows /= _row_norms(rows, keepdims=True)
+    rows = k / np.sqrt(sq)[:, None]
     value = _value(rows[:na], rows[na:], c, e)
     half = math.ldexp(sigma, e - 1)  # about value / (2 sqrt(nA nB)): finite
     la, lb = half * math.sqrt(nb / na), half * math.sqrt(na / nb)  # Alice's, Bob's
@@ -535,10 +508,12 @@ def _spectral(c, rank):
 def solve(ineq, classical=True):
     """Full pipeline: objective, primal ascent, dual extraction, certification.
 
-    With classical, the exact classical bound comes first, so an input too
-    large to enumerate raises TooLarge before any quantum work.  A spectral
-    run (_spectral), where taken, is the only one; otherwise the ascent runs
-    at seed 0 and rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB, for at most
+    c is checked first (_block): EmptyMatrix unless it is a non-empty 2-d
+    array, NonFiniteEntry on a NaN or infinite entry.  With classical, the
+    exact classical bound comes next, so an input too large to enumerate
+    raises TooLarge before any quantum work.  A spectral run (_spectral),
+    where taken, is the only one; otherwise the ascent runs at seed 0 and
+    rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB, for at most
     DEFAULT_MAX_ITER iterations.  If the first run's gap over max(1, max|c|)
     exceeds RESTART_GAP, whether it converged or hit the cap (both happen at
     a stuck rank-deficient saddle), one restart at seed 1 and rank + 2 is
@@ -551,8 +526,8 @@ def solve(ineq, classical=True):
     convergence flag are kept, and runs is unchanged.  A run that reads the
     classical bound is kept.
     """
+    c = _block(ineq.coefficients)
     lhv = lhv_bound(ineq) if classical else None
-    c = ineq.coefficients
     m = sum(c.shape)
     rank = min(m, math.isqrt(2 * m - 1) + 2)
     primal, dual, run = _spectral(c, rank) or _single_run(c, rank, 0)

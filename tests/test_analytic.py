@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,13 @@ def test_chained_n1_bound_is_exactly_zero():
     assert chained_quantum_bound(1) == 0.0
     spec = chained_A_spectrum(1)
     assert spec.w_max == 0.0 and spec.sigmas.tolist() == [0.0]
+
+
+def test_chsh_bound_is_correctly_rounded():
+    # the sine form 2n sin(pi(n-1)/2n) read 2.82842712474619, 1 ulp below 2 sqrt(2)
+    assert chained_quantum_bound(2) == math.sqrt(8)
+    assert chained_A_spectrum(2).w_max == math.sqrt(2)
+    assert 2 * chained_A_spectrum(2).w_max == math.sqrt(8)
 
 
 def test_chained_bound_is_the_cosine_form_within_one_ulp():

@@ -2,6 +2,7 @@ import argparse
 import collections
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -571,6 +572,15 @@ def test_file_inequality_without_coefficients(tmp_path, capsys):
     status, out, err = run_cli(capsys, "bound", "--inequality", "file", "--file", str(path))
     assert (status, out) == (1, "")
     assert err == f'error: {path}: expected {{"name": ..., "coefficients": [[...]]}}\n'
+
+
+def test_chsh_analytic_bound_and_w_max_are_correctly_rounded(capsys):
+    # 2 sqrt(2) and sqrt(2) to the last bit; the sine form printed 2.82842712474619
+    status, out, _ = run_cli(capsys, "bound", "--inequality", "chsh", "--format", "json")
+    assert (status, json.loads(out)["analytic_bound"]) == (0, math.sqrt(8))
+    args = ("spectrum", "--inequality", "chained", "--n", "2", "--format", "json")
+    status, out, _ = run_cli(capsys, *args)
+    assert (status, json.loads(out)["w_max"]) == (0, math.sqrt(2))
 
 
 def test_bound_chsh_reports_analytic_bound(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsirelson import build_objective, chained, chsh
-from tsirelson.errors import LengthMismatch, NonFiniteEntry
+from tsirelson.errors import EmptyMatrix, LengthMismatch, NonFiniteEntry
 from tsirelson.linalg import min_eigenvalue, symmetrize
 
 from oracles import (
@@ -107,6 +107,19 @@ def test_min_eigenvalue_rejects_non_finite(bad):
     s[1, 1] = bad
     with pytest.raises(NonFiniteEntry):
         min_eigenvalue(s)
+
+
+def test_min_eigenvalue_rejects_an_empty_matrix():
+    # eigvalsh's empty result used to raise IndexError
+    with pytest.raises(EmptyMatrix):
+        min_eigenvalue(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,)], ids=["2x3", "flat"])
+def test_min_eigenvalue_rejects_a_non_square_matrix(shape):
+    # M/2 + M^T/2 used to raise numpy's broadcasting ValueError
+    with pytest.raises(LengthMismatch):
+        min_eigenvalue(np.ones(shape))
 
 
 def test_gram_from_vectors_basis():

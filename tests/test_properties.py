@@ -194,11 +194,34 @@ def test_spectral_path_is_a_true_optimum(c):
 @derandomized
 @given(st.one_of(matrices, tight_families(), game_sums()))
 def test_spectral_decision_matches_least_squares(c):
-    # the shortcut through the row norms of K takes the path exactly where
-    # least squares for M would
+    # the test through the row norms of K takes the path only where least
+    # squares for M would; a game sum it refuses goes to the ascent
     report = solve(new_inequality("c", c), classical=False)
-    spectral = report.runs[0].method == "spectral"
-    assert spectral == lstsq_tight(c, _bp_rank(sum(c.shape)))
+    if report.runs[0].method == "spectral":
+        assert lstsq_tight(c, _bp_rank(sum(c.shape)))
+
+
+@settings(derandomized, max_examples=60)
+@given(game_sums())
+def test_game_sums_run_one_eigh_and_no_lstsq(c):
+    # as on the chained and Gisin families (test_sdp.py): the spectral try's
+    # eigh is the one eigen routine, and a game sum whose K rows differ in
+    # norm is certified optimal by the ascent, exactly PSD
+    calls = {"eigh": 0, "lstsq": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            routine = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _routine=routine, **kwargs):
+                calls[_name] += 1
+                return _routine(*args, **kwargs)
+
+            patch.setattr(np.linalg, name, counted)
+        ineq = new_inequality("c", c)
+        report = solve(ineq, classical=False)
+    assert calls == {"eigh": 1, "lstsq": 0}
+    assert report.certified_optimal
+    assert exact_psd(exact_slack(build_objective(ineq), report.dual.lam))
 
 
 def _assert_exactly_certified(w, cert):

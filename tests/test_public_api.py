@@ -126,3 +126,28 @@ def test_public_parameter_lists_are_pinned(name):
         assert tuple(f.name for f in dataclasses.fields(obj)) == FIELDS[name]
     else:
         assert str(inspect.signature(obj)) == SIGNATURES[name]
+
+
+# every np.linalg call site in the library, by routine: a second eigen
+# routine on the hot path, or a least-squares solve, has to edit this table
+LINALG_CALLS = {
+    "cholesky": 1,  # sdp._factors: every PSD proof
+    "eigh": 1,  # sdp._spectral: the singular pairs of c
+    "eigvalsh": 1,  # linalg.min_eigenvalue: certify's shift, where its first proof fails
+    "norm": 2,  # cli and realize: row norms
+    "solve": 1,  # sdp._Anderson.mix: the k x k normal equations
+    "svd": 1,  # cli: the thin SVD of the primal factor
+}
+
+
+def test_linalg_call_sites_are_pinned():
+    calls = {}
+    for path in Path(tsirelson.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # the routines are reached as np.linalg.<name> only
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "numpy.linalg", path.name
+            if (isinstance(node, ast.Call) and isinstance(f := node.func, ast.Attribute)
+                    and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"):
+                calls[f.attr] = calls.get(f.attr, 0) + 1
+    assert calls == LINALG_CALLS

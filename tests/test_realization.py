@@ -213,6 +213,12 @@ def test_realize_input_validation():
         realize([np.array([1.0, 0.0])], [np.array([1.0, 0.0, 0.0])])
 
 
+def test_realize_rejects_zero_length_vectors():
+    # np.reshape(xs, (-1, 0)) used to raise its own ValueError first
+    with pytest.raises(TooLarge, match=r"need 1 <= N <= 20, got 0"):
+        realize([np.zeros(0)], [np.zeros(0), np.zeros(0)])
+
+
 @pytest.mark.parametrize(
     "xs, ys",
     [([[np.nan, 0.0]], [[1.0, 0.0]]), ([[1.0, 0.0]], [[0.0, 1.0], [0.0, np.nan]]),

@@ -19,6 +19,7 @@ from tsirelson import (
     solve_primal,
 )
 from tsirelson.analytic import chained_quantum_bound
+from tsirelson.inequality import CorrelationInequality
 from tsirelson import sdp
 from tsirelson.errors import (
     EmptyMatrix,
@@ -525,6 +526,41 @@ def test_certify_rejects_empty_block(c):
         certify(c, np.ones(3))
 
 
+@pytest.mark.parametrize("c", [np.ones(3), np.ones((2, 2, 2))], ids=["1-d", "3-d"])
+def test_entry_points_reject_a_block_that_is_not_2d(c):
+    # solve_primal used to raise numpy's matmul ValueError, and certify a
+    # LengthMismatch "expected (6,)" from the sum of a 3-d shape
+    with pytest.raises(EmptyMatrix):
+        solve_primal(c, rank=2)
+    with pytest.raises(EmptyMatrix):
+        extract_dual(c, np.ones((3, 2)))
+    with pytest.raises(EmptyMatrix):
+        certify(c, np.ones(sum(c.shape)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_extract_dual_rejects_non_finite_input(bad):
+    # a NaN c gave NaN multipliers, and an infinite one a RuntimeWarning
+    c = chained(2).coefficients.copy()
+    c[0, 1] = bad
+    with pytest.raises(NonFiniteEntry):
+        extract_dual(c, np.ones((4, 2)))
+    v = np.ones((4, 2))
+    v[3, 0] = bad
+    with pytest.raises(NonFiniteEntry):
+        extract_dual(chained(2).coefficients, v)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3,)], ids=["0x2", "flat"])
+def test_solve_checks_a_hand_built_block(shape):
+    # CorrelationInequality does not check its block; solve does, before the
+    # classical enumeration, which raised a ValueError on either shape
+    ineq = CorrelationInequality("bad", np.zeros(shape))
+    for classical in (True, False):
+        with pytest.raises(EmptyMatrix):
+            solve(ineq, classical=classical)
+
+
 @pytest.mark.parametrize("rows", [3, 5, 8], ids=["3-rows", "5-rows", "8-rows"])
 def test_extract_dual_rejects_wrong_row_count(rows):
     # chained-2 has 4 rows; a matmul ValueError, or a lambda of the wrong
@@ -893,39 +929,36 @@ def test_spectral_path_on_rectangular_inputs(c, bound):
 
 @pytest.mark.parametrize("family", [chained, gisin])
 def test_family_spectral_decision_matches_least_squares(family):
-    # K has rows of one norm (chained-1 falls through): the shortcut takes
-    # the path exactly where least squares for M would
+    # the path is taken only where least squares for M, the general test of
+    # whether the singular vectors carry a primal attaining the bound, accepts
     for n in range(1, 65):
         report = solve(family(n), classical=False)
-        spectral = report.runs[0].method == "spectral"
-        assert spectral == lstsq_tight(family(n).coefficients, _bp_rank(2 * n)), n
+        if report.runs[0].method == "spectral":
+            assert lstsq_tight(family(n).coefficients, _bp_rank(2 * n)), n
 
 
-def test_spectral_path_through_least_squares(monkeypatch):
-    # [[J_4, 0], [0, 4]], J_4 all ones: two games with sigma_1 = 4.  K has
-    # four rows of norm 1/2 and one of norm 1 on each side, so M = diag(4, 1)
-    # in the basis of the two games, not a multiple of I
+def test_tight_non_isotropic_input_falls_through():
+    # [[J_4, 0], [0, 4]], J_4 all ones: two games with sigma_1 = 4, attained
+    # (least squares finds M = diag(4, 1) in the basis of the two games), but
+    # K has four rows of norm 1/2 and one of norm 1 on each side.  The
+    # spectral path takes only rows of one norm, so the ascent certifies it:
+    # exactly PSD, within the gate's gap of the optimum 20
     c = np.zeros((5, 5))
     c[:4, :4] = 1.0
     c[4, 4] = 4.0
-    lstsq = np.linalg.lstsq
-    calls = []
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
     ineq = new_inequality("two-games", c)
     report = solve(ineq, classical=False)
     (run,) = report.runs
-    assert (run.method, run.rank, len(calls)) == ("spectral", 2, 1)
-    assert report.primal.value == 20.0
-    # lambda = 2 on every row, plus the rounding allowance of the proof on the
-    # 5 x 5 Gram matrix, about 3.3e-13 here; exactly PSD on W
-    assert 20.0 < report.dual.certified_bound <= 20.0 + 1e-12
-    assert exact_psd(exact_slack(build_objective(ineq), report.dual.lam))
+    assert (run.method, report.certified_optimal) == ("mixing", True)
     assert lstsq_tight(c, run.rank)
+    bound = report.dual.certified_bound
+    assert 20.0 < bound <= 20.0 + mixing_gap_limit(c, bound)
+    assert exact_psd(exact_slack(build_objective(ineq), report.dual.lam))
 
 
 def test_tight_families_run_one_eigh_and_no_lstsq(monkeypatch):
-    # chained and Gisin K have rows of one norm: no least squares, no
-    # square root of M, only the eigh that gives the singular pairs
+    # chained and Gisin K have rows of one norm: only the eigh that gives
+    # the singular pairs, and no least squares (game sums: test_properties.py)
     calls = {"eigh": 0, "lstsq": 0}
     for name in calls:
         routine = getattr(np.linalg, name)
@@ -957,10 +990,9 @@ FALL_THROUGH = [
 
 
 def _count_certify(monkeypatch):
-    # certify and the mixing run's shift-first certificate both go through _certify
+    # a mixing run without its gate's proof is certified by the public certify
     calls = []
-    certify = sdp._certify
-    monkeypatch.setattr(sdp, "_certify", lambda *a, **k: calls.append(1) or certify(*a, **k))
+    monkeypatch.setattr(sdp, "certify", lambda *a: calls.append(1) or certify(*a))
     return calls
 
 
@@ -1086,8 +1118,8 @@ def test_mixing_path_is_unchanged(monkeypatch, ineq):
     # are solve_primal's, bit for bit.  A run that stops on its gate's proof
     # reports that proof: lambda' rounded up from it, a margin of 0.0, and a
     # gap of at most 2^e _GAP_TARGET + 2 sum(cap).  A run without one (STUCK's
-    # capped first run) or on a zero c keeps the shift-first certificate.
-    # The reported certificate is exactly PSD
+    # capped first run) or on a zero c is certified by certify on its
+    # extracted lambda.  The reported certificate is exactly PSD
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
     report = solve(ineq, classical=False)
     c = ineq.coefficients
@@ -1099,7 +1131,7 @@ def test_mixing_path_is_unchanged(monkeypatch, ineq):
         assert (run.method, run.iterations, run.primal_value) == (
             "mixing", ref.iterations, ref.value)
         if proof is None or not c.any():
-            dual = sdp._certify(c, extract_dual(c, sol.vectors), shift_first=True)
+            dual = certify(c, extract_dual(c, sol.vectors))
         else:
             lam = np.nextafter(np.ldexp(proof, sdp._scale_exponent(c)), np.inf)
             dual = sdp.DualCertificate(lam, 0.0, sdp._sum_up(lam))
