@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEntry, TooLarge
+from .inequality import _block
 
 # One lhv_bound call on a random k x k in -3..3 (int16 scores), one BLAS
 # thread, 2 vCPUs: k = 24 takes 0.05 s, 26 0.2 s, 28 0.8-1.0 s, 30 3.8 s; at
@@ -102,8 +103,10 @@ def _enumerate(c):
 
 
 def lhv_bound(ineq):
-    """Classical bound with an optimal deterministic strategy as witness."""
-    c = np.asarray(ineq.coefficients)
+    """Classical bound with an optimal deterministic strategy as witness.  Raises
+    EmptyMatrix unless c is a non-empty 2-d array, NonFiniteEntry on a NaN or infinite
+    entry or an overflowing bound, and TooLarge past ENUM_LIMIT on the smaller side."""
+    c = _block(ineq.coefficients)
     na, nb = c.shape
     if min(na, nb) > ENUM_LIMIT:
         raise TooLarge(f"enumeration limited to {ENUM_LIMIT} settings per side")

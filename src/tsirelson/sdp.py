@@ -1,9 +1,9 @@
 """Unit-diagonal SDP solver with dual certification, on the coefficient block.
 
 The objective of an nA x nB coefficient block c is (1/2) Tr(G W), W =
-[[0, c], [c^T, 0]].  Every routine here reads c, checked on entry as
-new_inequality checks it (_block); the only m x m array formed is the
-slack diag(lambda) - W/2 that a mixing-path PSD test factors.
+[[0, c], [c^T, 0]].  A public routine checks c once (_block) and scales it
+once (_scaled); the private ones take cs = c 2^-e and e.  The only m x m
+array formed is the slack diag(lambda) - W/2 a mixing-path PSD test factors.
 
 solve first tries the paper's proof (_spectral): constant multipliers from
 the top singular value of c, attained when its top singular vectors,
@@ -117,10 +117,12 @@ def _initial_vectors(m, rank, seed):
     return v
 
 
-def _scale_exponent(c):
-    """e with max|c| * 2^-e in [0.5, 1), or 0 when c == 0: scaling by 2^-e is exact,
-    and keeps the squares inside _row_norms from overflowing for entries above ~1e154."""
-    return int(np.frexp(np.abs(c).max())[1])
+def _scaled(c, least=-math.inf):
+    """(c 2^-e, e, max|c|), max|c| 2^-e in [0.5, 1), e = 0 if c == 0, or e = least if larger:
+    exact, and it keeps the squares inside _row_norms from overflowing above ~1e154."""
+    big = float(np.abs(c).max())
+    e = max(math.frexp(big)[1], least)
+    return np.ldexp(c, -e), e, big
 
 
 def _fields(cs, cts, v):
@@ -267,19 +269,18 @@ def solve_primal(c, rank, seed=0):
     value overflows.  Everything runs on c scaled by a power of two, so a
     scaled c takes the same steps.
     """
-    return _ascent(c, rank, seed)[0]
-
-
-def _ascent(c, rank, seed):
-    """solve_primal, and the proof (_gap_proven) it stopped on, or None; a
-    residual stop is checked once, a run that hits the cap is not."""
     if rank < 2:
         raise InvalidRank(f"rank must be >= 2, got {rank}")
-    c = _block(c)
-    m = sum(c.shape)
+    cs, e, _ = _scaled(_block(c))
+    return _ascent(cs, e, rank, seed)[0]
+
+
+def _ascent(cs, e, rank, seed):
+    """solve_primal on cs = c 2^-e, and the proof (_gap_proven) it stopped on, or
+    None; a residual stop is checked once, a run that hits the cap is not."""
+    m = sum(cs.shape)
     v = _initial_vectors(m, rank, seed)
-    e = _scale_exponent(c)
-    cs, floor = np.ldexp(c, -e), np.ldexp(1e-14, -e)
+    floor = np.ldexp(1e-14, -e)
     # products with a contiguous c^T equal those on W's Bob x Alice view bit
     # for bit, so the iterates are those of the ascent on W; the view cs.T's are not
     cts = np.ascontiguousarray(cs.T)
@@ -291,7 +292,7 @@ def _ascent(c, rank, seed):
         f = fv - v
         residual = math.sqrt(float((f**2).sum(axis=1).max()))
         if residual < _RESIDUAL_TOL:
-            return _finish(c, fv, e, it, residual, True), _gap_proven(cs, cts, fv)
+            return _finish(cs, fv, e, it, residual, True), _gap_proven(cs, cts, fv)
         ring.push(f, fv)
         v = fv
         if ring.k:
@@ -309,30 +310,23 @@ def _ascent(c, rank, seed):
         if it == check:
             check += min(check, _CHECK_EVERY)
             if (proof := _gap_proven(cs, cts, v)) is not None:
-                return _finish(c, v, e, it, residual, True), proof
-    return _finish(c, v, e, it, residual, False), None
+                return _finish(cs, v, e, it, residual, True), proof
+    return _finish(cs, v, e, it, residual, False), None
 
 
-def _finish(c, v, e, iterations, residual, converged):
+def _finish(cs, v, e, iterations, residual, converged):
     """The PrimalSolution at unit rows v = [x; y], of value sum(c * (x y^T))."""
-    value = _value(v[:len(c)], v[len(c):], c, e)
+    value = _value(v[:len(cs)], v[len(cs):], cs, e)
     return PrimalSolution(v, value, iterations, float(residual), converged)
 
 
-def _value(x, y, c, e):
-    """sum(c * (x y^T)) for unit rows x, y and max|c| < 2^e.
-
-    The terms are summed scaled by 2^-k, k > 0 only where a partial sum could
-    overflow, and the sum by 2^k: exact, so NonFiniteEntry is raised only
-    when the value itself overflows.
-    """
+def _value(x, y, cs, e):
+    """sum(c * (x y^T)) for unit rows x, y: summed on cs = c 2^-e, where every partial
+    sum stays below nA nB, then scaled by 2^e, so NonFiniteEntry only if the value overflows."""
     g = x @ y.T
-    k = max(0, e + len(x).bit_length() + len(y).bit_length() - 1022)  # below 2^1023
-    if k:
-        g *= math.ldexp(1.0, -k)
-    g *= c
+    g *= cs
     try:
-        return math.ldexp(float(np.sum(g)), k)
+        return math.ldexp(float(np.sum(g)), e)
     except OverflowError:
         raise NonFiniteEntry("primal value overflows the float range") from None
 
@@ -351,8 +345,7 @@ def extract_dual(c, vectors):
         raise LengthMismatch(f"vectors have shape {v.shape}, expected {sum(c.shape)} rows")
     if not np.isfinite(v).all():
         raise NonFiniteEntry("vectors contain a non-finite entry")
-    e = _scale_exponent(c)
-    cs = np.ldexp(c, -e)
+    cs, e, _ = _scaled(c)
     return 0.5 * np.ldexp(_row_norms(_fields(cs, np.ascontiguousarray(cs.T), v)), e)
 
 
@@ -417,13 +410,12 @@ def certify(c, lam):
     top = float(np.abs(lam).max())
     if not math.isfinite(top):
         raise NonFiniteEntry("lambda contains a non-finite entry")
-    big = float(np.abs(c).max())
+    cs, e, big = _scaled(c, math.frexp(top)[1] - 1000)
     if not big:
         mu = min(0.0, float(lam.min()))
         lam = lam - mu
         return DualCertificate(lam=lam, feasibility_margin=mu, certified_bound=_sum_up(lam))
-    e = max(math.frexp(big)[1], math.frexp(top)[1] - 1000)
-    cs, x, mu = np.ldexp(c, -e), np.ldexp(lam, -e), 0.0
+    x, mu = np.ldexp(lam, -e), 0.0
     if (proof := _proven(cs, x, _allowance(np.abs(x), m))) is None:
         mu = min(0.0, min_eigenvalue(_slack(cs, x)))
         x = x - mu
@@ -435,18 +427,18 @@ def certify(c, lam):
     return _certificate(proof, e, math.ldexp(mu, e))
 
 
-def _single_run(c, rank, seed):
-    primal, proof = _ascent(c, rank, seed)
-    if proof is None or not c.any():  # no proof, or c = 0: certify's exact 0
+def _single_run(c, cs, e, rank, seed):
+    primal, proof = _ascent(cs, e, rank, seed)
+    if proof is None or not cs.any():  # no proof, or c = 0: certify's exact 0
         dual = certify(c, extract_dual(c, primal.vectors))
     else:
-        dual = _certificate(proof, _scale_exponent(c))
+        dual = _certificate(proof, e)
     run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
               dual.certified_bound, dual.certified_bound - primal.value, "mixing")
     return primal, dual, run
 
 
-def _spectral(c, rank):
+def _spectral(cs, e, rank):
     """The paper's bound, certified, and a rank-d primal attaining it; or None.
 
     lambda = sigma_1 sqrt(nB/nA)/2 on Alice's side and sigma_1 sqrt(nA/nB)/2
@@ -455,16 +447,15 @@ def _spectral(c, rank):
     c^T is.  Its sum is attained when the rows of K = [U_1; sqrt(nB/nA) V_1],
     the d top singular pairs, have one norm: K^T K is a multiple of I, and
     the rows of K, normalized, are the primal (Epping, Kampermann & Bruss,
-    2013).  One eigh of the smaller side's n x n Gram matrix G of a = c /
-    2^e gives the pairs, and one Cholesky of sigma_1^2 I - G proves the
-    bound; W is never formed.  None when c is zero, d > rank, the rows of K
+    2013).  One eigh of the smaller side's n x n Gram matrix G of a, cs =
+    c 2^-e or its transpose, gives the pairs, and one Cholesky of sigma_1^2
+    I - G proves the bound; W is never formed.  None when c is zero, d > rank, the rows of K
     differ in norm by more than _TIGHT_TOL, the gap before the rounding
     allowance exceeds _GAP_TARGET * 2^e, or the Cholesky fails: the ascent
     then certifies c as it does every other input.
     """
-    na, nb = c.shape
-    e = _scale_exponent(c)
-    a = np.ldexp(c.T if nb < na else c, -e)  # rows: the smaller side
+    na, nb = cs.shape
+    a = cs.T if nb < na else cs  # rows: the smaller side
     g = a @ a.T
     vals, vecs = np.linalg.eigh(g)
     top = vals[-1]
@@ -479,7 +470,7 @@ def _spectral(c, rank):
     if not np.abs(sq * (np.sum(sq) / np.vdot(sq, sq)) - 1.0).max() <= _TIGHT_TOL:
         return None
     rows = k / np.sqrt(sq)[:, None]
-    value = _value(rows[:na], rows[na:], c, e)
+    value = _value(rows[:na], rows[na:], cs, e)
     half = math.ldexp(sigma, e - 1)  # about value / (2 sqrt(nA nB)): finite
     la, lb = half * math.sqrt(nb / na), half * math.sqrt(na / nb)  # Alice's, Bob's
     # judged before the rounding allowance, which grows like n^2 u sum(lambda)
@@ -511,7 +502,8 @@ def solve(ineq, classical=True):
     c is checked first (_block): EmptyMatrix unless it is a non-empty 2-d
     array, NonFiniteEntry on a NaN or infinite entry.  With classical, the
     exact classical bound comes next, so an input too large to enumerate
-    raises TooLarge before any quantum work.  A spectral run (_spectral),
+    raises TooLarge before any quantum work.  Then c is scaled once
+    (_scaled) for every run.  A spectral run (_spectral),
     where taken, is the only one; otherwise the ascent runs at seed 0 and
     rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB, for at most
     DEFAULT_MAX_ITER iterations.  If the first run's gap over max(1, max|c|)
@@ -528,13 +520,14 @@ def solve(ineq, classical=True):
     """
     c = _block(ineq.coefficients)
     lhv = lhv_bound(ineq) if classical else None
+    cs, e, big = _scaled(c)
     m = sum(c.shape)
     rank = min(m, math.isqrt(2 * m - 1) + 2)
-    primal, dual, run = _spectral(c, rank) or _single_run(c, rank, 0)
+    primal, dual, run = _spectral(cs, e, rank) or _single_run(c, cs, e, rank, 0)
     runs = (run,)
-    scale = max(1.0, float(np.abs(c).max()))
+    scale = max(1.0, big)
     if run.gap / scale > RESTART_GAP:
-        primal2, dual2, run2 = _single_run(c, rank + 2, 1)
+        primal2, dual2, run2 = _single_run(c, cs, e, rank + 2, 1)
         runs = (run, run2)
         if run2.gap < run.gap:
             primal, dual = primal2, dual2

@@ -337,6 +337,14 @@ def gisin_quantum_bound(n):
     return n / np.sin(np.pi / (2 * n))
 
 
+def gisin_classical_bound(n):
+    """Local-hidden-variable bound ceil(n^2 / 2) of Gisin's n-setting inequality.
+
+    Stated without proof (Gisin, quant-ph/0702021); an oracle by citation only.
+    """
+    return float(-(-n * n // 2))
+
+
 def lstsq_tight(c, rank):
     """True iff some M solves diag(K M K^T) = 1 by least squares, the d top
     singular pairs of c in K = [U_1; sqrt(nB/nA) V_1], with 0 < d <= rank."""

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tsirelson import chained, chsh, classical, gisin, lhv_bound, new_inequality, solve
-from tsirelson.errors import NonFiniteEntry, TooLarge
+from tsirelson.errors import EmptyMatrix, NonFiniteEntry, TooLarge
+from tsirelson.inequality import CorrelationInequality
 
-from oracles import chunked_enumeration, first_max_lhv
+from oracles import chunked_enumeration, first_max_lhv, gisin_classical_bound
 
 
 def _assert_matches_reference(c, reference=first_max_lhv):
@@ -21,6 +22,12 @@ def _assert_matches_reference(c, reference=first_max_lhv):
 def test_chained_classical_bound(n):
     bound = lhv_bound(chained(n))
     assert bound.value == 2 * n - 2
+
+
+def test_gisin_classical_bound():
+    # Gisin's ceil(n^2 / 2), stated without proof, against the exact enumeration
+    for n in range(1, 23):
+        assert lhv_bound(gisin(n)).value == gisin_classical_bound(n), n
 
 
 def test_chsh_classical_bound():
@@ -190,6 +197,18 @@ def test_witnesses_are_float_signs():
     bound = lhv_bound(gisin(5))
     assert bound.witness_x.dtype == bound.witness_y.dtype == np.float64
     assert set(bound.witness_x) | set(bound.witness_y) <= {-1.0, 1.0}
+
+
+def test_hand_built_block_is_checked():
+    # CorrelationInequality does not check its block; lhv_bound does, as
+    # new_inequality does.  The scan raised numpy's "negative shift count" on
+    # an empty side, "not enough values to unpack" on a flat block, and
+    # NonFiniteEntry "classical bound overflows" on a NaN
+    for shape in [(0, 2), (2, 0), (3,)]:
+        with pytest.raises(EmptyMatrix):
+            lhv_bound(CorrelationInequality("bad", np.zeros(shape)))
+    with pytest.raises(NonFiniteEntry, match="coefficient matrix"):
+        lhv_bound(CorrelationInequality("nan", np.array([[1.0, np.nan]])))
 
 
 def test_too_large():

@@ -140,18 +140,23 @@ def tight_families(draw):
 
 @st.composite
 def game_sums(draw):
-    """Tight sums of games with one sigma_1 whose K rows differ in norm.
+    """Tight sums of games with one sigma_1.
 
     Either blocks (4/p) J_{p x rp}, each with sigma_1 = 4 sqrt(r) and aspect
     1 : r, as in [[J_4, 0], [0, 4]]; or the projector X (X^T X)^-1 X^T, a sum
     of rank-one games q q^T, onto the span of unit rows X (rarely a tight
     frame), attained by x = y = X.  On blocks the rows of K, normalized, are
-    already optimal; on a projector only the least-squares M gives the
-    primal.  Settings permuted, signs flipped, times 1..3.
+    already optimal: of one norm, so the spectral path is taken, where the
+    blocks have one size p, and of differing norms where their sizes differ.
+    On a projector only the least-squares M gives the primal.  Settings
+    permuted, signs flipped, times 1..3.
     """
     if draw(st.booleans()):
-        r = draw(st.sampled_from([1, 2]))
-        sizes = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=2, max_size=3, unique=True))
+        r, size = draw(st.sampled_from([1, 2])), st.sampled_from([1, 2, 4])
+        if draw(st.booleans()):
+            sizes = [draw(size)] * draw(st.integers(2, 3))
+        else:
+            sizes = draw(st.lists(size, min_size=2, max_size=3, unique=True))
         c = np.zeros((sum(sizes), r * sum(sizes)))
         at = 0
         for p in sizes:
@@ -189,6 +194,21 @@ def test_spectral_path_is_a_true_optimum(c):
     scale = max(1.0, float(np.abs(c).max()))
     assert report.dual.certified_bound >= sol.value - 1e-9 * scale
     assert report.primal.value >= certified - 1e-7 * scale
+
+
+def test_game_sums_take_both_paths():
+    # equal-size blocks take the spectral path, so the game-sum half of
+    # test_spectral_path_is_a_true_optimum asserts something; blocks of
+    # differing sizes and projectors take the ascent
+    methods = set()
+
+    @settings(derandomized, max_examples=120)
+    @given(game_sums())
+    def record(c):
+        methods.add(solve(new_inequality("c", c), classical=False).runs[0].method)
+
+    record()
+    assert methods == {"spectral", "mixing"}
 
 
 @derandomized

@@ -151,3 +151,32 @@ def test_linalg_call_sites_are_pinned():
                     and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"):
                 calls[f.attr] = calls.get(f.attr, 0) + 1
     assert calls == LINALG_CALLS
+
+
+def _call_sites(name, files="*.py"):
+    """The library function around each call of name, sorted: one entry a call."""
+    sites = []
+
+    def visit(node, caller):
+        if isinstance(node, ast.FunctionDef):
+            caller = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            sites.append(caller)
+        for child in ast.iter_child_nodes(node):
+            visit(child, caller)
+
+    for path in Path(tsirelson.__file__).parent.glob(files):
+        visit(ast.parse(path.read_text()), None)
+    return sorted(sites)
+
+
+def test_c_is_checked_and_scaled_once_per_public_call():
+    # each public entry checks c once, and sdp's public entries scale it once:
+    # the private routines take the scaled block.  A second check or scaling
+    # on one call path has to edit these lists
+    assert _call_sites("_block") == sorted(
+        ["new_inequality", "solve", "solve_primal", "extract_dual", "certify", "lhv_bound"])
+    assert _call_sites("_scaled") == sorted(["solve", "solve_primal", "extract_dual", "certify"])
+    # the scale exponent comes from one helper; certify's also depends on lambda
+    assert _call_sites("frexp", "sdp.py") == ["_scaled", "certify"]

@@ -188,7 +188,7 @@ def test_gap_gate_rejects_nan_slack(monkeypatch):
     # slack, from a NaN in Alice's rows or in Bob's, must be refused before
     # it: no proof, and nothing factored
     c = chained(3).coefficients
-    cs = np.ldexp(c, -sdp._scale_exponent(c))
+    cs = sdp._scaled(c)[0]
     monkeypatch.setattr(sdp, "_GAP_TARGET", 1e300)  # any finite slack passes the target
     factored = []
     monkeypatch.setattr(sdp, "_factors", lambda a: factored.append(1) or True)
@@ -243,7 +243,8 @@ def test_sweep_fields_match_w_views_bitwise(monkeypatch):
     for _ in range(150):
         na, nb = (int(k) for k in rng.integers(2, 80, 2))
         c = rng.standard_normal((na, nb))
-        ws = np.ldexp(_w(c), -sdp._scale_exponent(c))
+        cs, e, _ = sdp._scaled(c)
+        ws = np.ldexp(_w(c), -e)
         sweeps.clear()
         solve_primal(c, int(rng.integers(2, 30)), seed=int(rng.integers(99)))
         assert sweeps
@@ -255,7 +256,6 @@ def test_sweep_fields_match_w_views_bitwise(monkeypatch):
             assert swept.tobytes() == np.concatenate([x, y]).tobytes()
             assert value == float(np.vdot(y, h))
             views = np.concatenate([ws[:na, na:] @ swept[na:], ws[na:, :na] @ swept[:na]])
-            cs = np.ldexp(c, -sdp._scale_exponent(c))
             assert sdp._fields(cs, _ct(cs), swept).tobytes() == views.tobytes()
 
 
@@ -1124,8 +1124,9 @@ def test_mixing_path_is_unchanged(monkeypatch, ineq):
     report = solve(ineq, classical=False)
     c = ineq.coefficients
     bp = _bp_rank(sum(c.shape))
+    cs, e, _ = sdp._scaled(c)
     for run, (rank, seed) in zip(report.runs, [(bp, 0), (bp + 2, 1)]):
-        sol, proof = sdp._ascent(c, rank, seed)
+        sol, proof = sdp._ascent(cs, e, rank, seed)
         ref = solve_primal(c, rank, seed=seed)
         assert sol.vectors.tobytes() == ref.vectors.tobytes()
         assert (run.method, run.iterations, run.primal_value) == (
@@ -1133,7 +1134,7 @@ def test_mixing_path_is_unchanged(monkeypatch, ineq):
         if proof is None or not c.any():
             dual = certify(c, extract_dual(c, sol.vectors))
         else:
-            lam = np.nextafter(np.ldexp(proof, sdp._scale_exponent(c)), np.inf)
+            lam = np.nextafter(np.ldexp(proof, e), np.inf)
             dual = sdp.DualCertificate(lam, 0.0, sdp._sum_up(lam))
             assert 0 <= run.gap <= mixing_gap_limit(c, run.certified_bound)
         assert run.certified_bound == dual.certified_bound
@@ -1142,6 +1143,38 @@ def test_mixing_path_is_unchanged(monkeypatch, ineq):
             assert report.dual.feasibility_margin == dual.feasibility_margin
             assert report.primal.value == sol.value
     assert exact_psd(exact_slack(_w(c), report.dual.lam))
+
+
+@pytest.mark.parametrize(
+    "ineq, method",
+    [(chained(8), "spectral"),
+     (new_inequality("random-16", np.random.default_rng(16).integers(-3, 4, (16, 16))), "mixing")],
+    ids=["spectral", "mixing"],
+)
+def test_solve_checks_and_scales_c_once(monkeypatch, ineq, method):
+    # one check of c, one scaling and one read of max|c| per solve: the
+    # spectral try, the ascent and the restart test share the scaled block.
+    # random-16's run stops on its gate's proof, so certify's fallback, which
+    # checks and scales c as a public entry, is not reached
+    calls = {"_block": 0, "_scaled": 0, "max|c|": 0}
+    for name in ("_block", "_scaled"):
+        routine = getattr(sdp, name)
+
+        def counted(*args, _name=name, _routine=routine):
+            calls[_name] += 1
+            return _routine(*args)
+
+        monkeypatch.setattr(sdp, name, counted)
+    c, absolute = ineq.coefficients, np.abs
+
+    def read(x, *args, **kwargs):  # |c| itself, not the scaled block
+        calls["max|c|"] += np.shape(x) == c.shape and np.array_equal(x, c)
+        return absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", read)
+    report = solve(ineq, classical=False)
+    assert [run.method for run in report.runs] == [method]
+    assert calls == {"_block": 1, "_scaled": 1, "max|c|": 1}
 
 
 @pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
@@ -1218,7 +1251,7 @@ def test_witness_tie_keeps_the_run():
     (run,) = report.runs
     lhv = lhv_bound(GAUSS_TIE)
     x, y, c = lhv.witness_x, lhv.witness_y, GAUSS_TIE.coefficients
-    witness = sdp._value(x[:, None], y[:, None], c, math.frexp(np.abs(c).max())[1])
+    witness = sdp._value(x[:, None], y[:, None], *sdp._scaled(c)[:2])
     assert witness == math.nextafter(run.primal_value, math.inf)
     assert report.primal.value == run.primal_value == lhv.value == quantum.primal.value
     np.testing.assert_array_equal(report.primal.vectors, quantum.primal.vectors)
