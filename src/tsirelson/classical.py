@@ -90,29 +90,27 @@ def _scores(c):
         yield start << b, acc.ravel()
 
 
-def _enumerate(c):
-    best_val, best_i = -np.inf, 0
-    for first, score in _scores(c):
-        i = int(np.argmax(score))  # lands on a NaN or inf if there is one
-        if not np.isfinite(score[i]):
-            raise NonFiniteEntry("classical bound overflows the float range")
-        if score[i] > best_val:
-            best_val, best_i = score[i], first + i
-    x = np.array([1.0 - 2.0 * (best_i >> s & 1) for s in range(c.shape[0])])
-    return best_val, x, np.where(x @ c >= 0, 1.0, -1.0)
-
-
 def lhv_bound(ineq):
     """Classical bound with an optimal deterministic strategy as witness.  Raises
     EmptyMatrix unless c is a non-empty 2-d array, NonFiniteEntry on a NaN or infinite
     entry or an overflowing bound, and TooLarge past ENUM_LIMIT on the smaller side."""
-    c = _block(ineq.coefficients)
-    na, nb = c.shape
-    if min(na, nb) > ENUM_LIMIT:
+    return _lhv(_block(ineq.coefficients))
+
+
+def _lhv(c):
+    """lhv_bound on a checked block c (_block), as solve hands it over."""
+    if min(c.shape) > ENUM_LIMIT:
         raise TooLarge(f"enumeration limited to {ENUM_LIMIT} settings per side")
+    flip = c.shape[1] < c.shape[0]  # scan Bob's signs
+    k = c.T if flip else c
+    best_val, best_i = -np.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        if nb < na:
-            val, wy, wx = _enumerate(c.T)
-        else:
-            val, wx, wy = _enumerate(c)
-    return ClassicalBound(value=float(val), witness_x=wx, witness_y=wy)
+        for first, score in _scores(k):
+            i = int(np.argmax(score))  # lands on a NaN or inf if there is one
+            if not np.isfinite(score[i]):
+                raise NonFiniteEntry("classical bound overflows the float range")
+            if score[i] > best_val:
+                best_val, best_i = score[i], first + i
+        x = np.array([1.0 - 2.0 * (best_i >> s & 1) for s in range(k.shape[0])])
+        y = np.where(x @ k >= 0, 1.0, -1.0)
+    return ClassicalBound(float(best_val), *((y, x) if flip else (x, y)))

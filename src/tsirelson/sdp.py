@@ -3,7 +3,7 @@
 The objective of an nA x nB coefficient block c is (1/2) Tr(G W), W =
 [[0, c], [c^T, 0]].  A public routine checks c once (_block) and scales it
 once (_scaled); the private ones take cs = c 2^-e and e.  The only m x m
-array formed is the slack diag(lambda) - W/2 a mixing-path PSD test factors.
+array formed is the slack diag(lambda) - W/2 that picks certify's shift.
 
 solve first tries the paper's proof (_spectral): constant multipliers from
 the top singular value of c, attained when its top singular vectors,
@@ -26,12 +26,13 @@ matrix, the mixing weights solve those k x k normal equations, a singular
 system is a rejected mix, and a mixed step is kept only if it does not
 lower the objective.  Any lambda whose diag(lambda) - W/2 is PSD bounds the
 objective by Tr(diag(lambda)) (weak duality), which repairs the
-nonconvexity of the factorization.  certify proves PSD in floating point by
-one Cholesky factorization with an a-priori rounding allowance (Rump, BIT
-46, 2006).  The ascent stops as soon as that test proves its iterate within
-a small gap of optimal, and the multipliers it proved are the run's
-certificate: no eigensolver runs.  A run with no proof (one that hit the
-iteration cap, or a zero c) is certified by certify, as any lambda is.
+nonconvexity of the factorization.  certify proves PSD in floating point as
+the spectral path does, by one Cholesky factorization of an n x n matrix,
+n = min(nA, nB), with a rounding allowance (Rump, BIT 46, 2006).  The
+ascent stops as soon as that test proves its iterate within a small gap of
+optimal, and the multipliers it proved are the run's certificate: no
+eigensolver runs.  A run with no proof (one that hit the iteration cap, or
+a zero c) is certified by certify, as any lambda is.
 """
 
 import math
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import lhv_bound
+from .classical import _lhv
 from .errors import InvalidRank, LengthMismatch, NonFiniteEntry
 from .inequality import _block
 from .linalg import min_eigenvalue
@@ -67,7 +68,7 @@ class PrimalSolution:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    lam: np.ndarray  # diag(lam) - W/2 PSD in exact arithmetic, proven on W or on c c^T
+    lam: np.ndarray  # diag(lam) - W/2 PSD in exact arithmetic, proven on an n x n Schur complement
     feasibility_margin: float  # minus the shift applied to the input: 0.0, or min eig < 0
     certified_bound: float
 
@@ -199,20 +200,30 @@ class _Anderson:
         return self.fx - gamma @ self.dg[:k]
 
 
-def _factors(a):
-    """True iff LAPACK's Cholesky factorization of a (its lower triangle) completes."""
+def _gram_proven(k, g, x, terms, grow=1.0):
+    """(cap, delta), or None: the library's one PSD proof, of diag(x + 2 cap + delta) - k k^T.
+
+    g = fl(k k^T), overwritten, has at most terms roundings an entry; cap is grow
+    times Rump's allowance for diag(x + cap) - g (certify); delta = 2 terms u (r
+    + 1), r the largest row sum of |k| |k|^T, bounds the norm of |g - k k^T| <=
+    gamma_terms |k| |k|^T (Higham, 2002, 3.5), with 1 for underflow.
+    """
+    neg = -g.diagonal()
+    np.negative(g, out=g)
+    cap = _allowance(abs(x) - neg, len(neg), grow)
+    np.fill_diagonal(g, x + cap + neg)
     try:
-        np.linalg.cholesky(a)
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+    b = np.abs(k)
+    return cap, 2 * terms * _U * (float((b @ b.sum(axis=0)).max()) + 1.0)
 
 
 def _slack(cs, d):
-    """diag(d) - W/2 for W = [[0, cs], [cs^T, 0]]: the only m x m array formed.
-
-    The zero blocks hold -0.0, W's zeros negated: eigvalsh's reflectors, and
-    so the shift certify takes, read the sign of a zero.
+    """diag(d) - W/2 for W = [[0, cs], [cs^T, 0]]: the only m x m array formed,
+    for certify's shift.  The zero blocks hold -0.0, W's zeros negated:
+    eigvalsh's reflectors, and so the shift, read the sign of a zero.
     """
     na, nb = cs.shape
     s = np.full((na + nb, na + nb), -0.0)
@@ -222,10 +233,21 @@ def _slack(cs, d):
     return s
 
 
-def _proven(cs, x, cap):
-    """x + 2 cap, or None: a Cholesky factorization of diag(x + cap) - W/2 that
-    completes proves diag(x + 2 cap) - W/2 PSD for Rump's allowance cap (certify)."""
-    return x + cap + cap if _factors(_slack(cs, x + cap)) else None
+def _proven(cs, x, grow=1.0):
+    """Multipliers (p, y) >= x, Alice's first, with diag - W/2 PSD, or None: y on the
+    larger side, p = x_s + 2 cap + delta on the Schur complement (certify); k's
+    sqrt and division add four roundings to each entry of k k^T."""
+    na, nb = cs.shape
+    flip = nb < na  # the smaller side is Bob's
+    a, xs, xl = (cs.T, x[na:], x[:na]) if flip else (cs, x[:na], x[na:])
+    y = xl + _allowance(abs(xl), len(x), grow)
+    if not (y > 0).all():
+        return None
+    k = a / (2 * np.sqrt(y))
+    if (proof := _gram_proven(k, k @ k.T, xs, a.shape[1] + 4, grow)) is None:
+        return None
+    p = xs + proof[0] + proof[0] + proof[1]
+    return np.concatenate([y, p] if flip else [p, y])
 
 
 def _gap_proven(cs, cts, v):
@@ -233,17 +255,15 @@ def _gap_proven(cs, cts, v):
 
     x = lambda + t, with lambda = extract_dual(cs, v) and t = (_GAP_TARGET -
     (sum(lambda) - value)) / m >= 0, sums to the value plus _GAP_TARGET;
-    _proven tests it as certify does, by one Cholesky factorization with
-    certify's rounding allowance, and returns x + 2 cap.  cs is scaled, so
-    lambda is half the row norms of the fields W v, formed once here for
-    lambda and the value.
+    _proven tests it as certify does.  cs is scaled, so lambda is half the
+    row norms of the fields W v, formed once here for lambda and the value.
     """
     g = _fields(cs, cts, v)
     lam = 0.5 * _row_norms(g)
     t = (_GAP_TARGET - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / len(v)
     if not t >= 0:  # a NaN slack proves nothing
         return None
-    return _proven(cs, x := lam + t, _allowance(x, len(x)))
+    return _proven(cs, lam + t)
 
 
 def solve_primal(c, rank, seed=0):
@@ -365,10 +385,10 @@ def _sum_up(x):
     return math.nextafter(s, math.inf) if math.fsum(x + [-s]) > 0 else s
 
 
-def _allowance(a, m):
-    """Rump's allowance cap, a_i = |x_i| + |A_ii| for an m x m A: a Cholesky of diag(x +
-    cap) + A that completes proves diag(x + 2 cap) + A PSD; m u covers underflow."""
-    return (m + 2) ** 2 * _U * a + m * _U
+def _allowance(a, m, grow=1.0):
+    """Rump's allowance cap, a_i = |x_i| + |A_ii| for an m x m A: a Cholesky of diag(x + cap)
+    + A that completes proves diag(x + 2 cap) + A PSD; m u covers underflow; grow >= 1 scales."""
+    return (m + 2) ** 2 * _U * grow * a + m * _U * grow
 
 
 def _certificate(proof, e, margin=0.0):
@@ -387,21 +407,22 @@ def certify(c, lam):
     observables, no matter where lam came from.
 
     c and lam are scaled by 2^-e, which keeps max|c| * 2^-e below 1 and
-    every lambda * 2^-e below 2^1000.  With x = lam, a floating-point
-    Cholesky factorization of A = diag(x + cap) - W/2 that completes proves
-    A + diag(cap) PSD (Demmel's backward error |dA| <= g d d^T, d_i^2 =
-    a_ii, g = gamma_{m+1}/(1 - gamma_{m+1}) and gamma_k = k u/(1 - k u),
-    bounds -dA by g m diag(a_ii); summed over the rows that is Rump's
-    allowance g m tr(A)).  W has a zero diagonal, so cap_i = (m+2)^2 u |x_i|
-    + m u suffices: the room above g m a_ii covers the roundings in forming
-    A and cap, and m u those of underflow.  Then lam' = x + 2 cap, rounded
-    upward, and feasibility_margin is 0.0.  Only where that factorization
-    fails is x = lam - mu, mu = min(0, min_eig(diag(lam) - W/2)), which
-    feasibility_margin reports, and cap doubled until diag(x + cap) - W/2
-    factors.  A zero c needs no allowance: lam' is lam shifted up to a least
-    entry of 0.  Raises EmptyMatrix unless c is a non-empty 2-d array,
-    LengthMismatch unless lam has nA + nB entries, and NonFiniteEntry when c
-    or lam has a NaN or infinite entry, or when the bound overflows.
+    every lambda * 2^-e below 2^1000.  With x = lam, the larger side's x_l
+    is raised by its allowance to y > 0, and diag(p, y) - W/2 is PSD when the
+    Schur complement diag(p) - k k^T is, k = a diag(1/(2 sqrt(y))), a = c or
+    c^T with n = min(nA, nB) rows (_proven).  A Cholesky factorization of A =
+    diag(x_s + cap) - fl(k k^T) that completes proves A + diag(cap) PSD
+    (Demmel's backward error, g = gamma_{n+1}/(1 - gamma_{n+1}), is at most g
+    n diag(a_ii)); cap_i = (n+2)^2 u (|x_i| + |A_ii|) + n u also covers the
+    roundings in forming A and cap, and underflow.  With delta >= |fl(k k^T) -
+    k k^T| (_gram_proven), lam' = (x_s + 2 cap + delta, y) rounded upward,
+    and feasibility_margin is 0.0.  Only where that fails is x = lam - mu, mu
+    = min(0, min_eig(diag(lam) - W/2)), which feasibility_margin reports, and
+    both allowances doubled until it holds.  A zero c needs no allowance:
+    lam' is lam shifted up to a least entry of 0.  Raises EmptyMatrix unless
+    c is a non-empty 2-d array, LengthMismatch unless lam has nA + nB
+    entries, and NonFiniteEntry when c or lam has a NaN or infinite entry, or
+    when the bound overflows.
     """
     c, lam = _block(c), np.asarray(lam, dtype=float)
     m = sum(c.shape)
@@ -416,13 +437,12 @@ def certify(c, lam):
         lam = lam - mu
         return DualCertificate(lam=lam, feasibility_margin=mu, certified_bound=_sum_up(lam))
     x, mu = np.ldexp(lam, -e), 0.0
-    if (proof := _proven(cs, x, _allowance(np.abs(x), m))) is None:
+    if (proof := _proven(cs, x)) is None:
         mu = min(0.0, min_eigenvalue(_slack(cs, x)))
-        x = x - mu
-        cap = _allowance(np.abs(x), m)
-        while (proof := _proven(cs, x, cap)) is None:
-            cap *= 2.0
-            if not np.isfinite(cap).all():
+        x, grow = x - mu, 1.0
+        while (proof := _proven(cs, x, grow)) is None:
+            grow *= 2.0
+            if grow == math.inf:
                 raise NonFiniteEntry("certified bound overflows")
     return _certificate(proof, e, math.ldexp(mu, e))
 
@@ -476,18 +496,10 @@ def _spectral(cs, e, rank):
     # judged before the rounding allowance, which grows like n^2 u sum(lambda)
     if not na * la + nb * lb - value <= math.ldexp(_GAP_TARGET, e):
         return None
-    # |G - fl(G)| <= gamma_N |a| |a|^T (Higham, 2002, 3.5), whose largest row
-    # sum bounds its 2-norm (2 N u covers gamma_N and its roundings, + 1 any
-    # underflow); diag(top + 2 cap) - fl(G) is PSD if the Cholesky completes
-    b = np.abs(a)
-    delta = 2 * a.shape[1] * _U * (float((b @ b.sum(axis=0)).max()) + 1.0)
-    neg = -g.diagonal()
-    np.negative(g, out=g)
-    np.fill_diagonal(g, top + (cap := _allowance(top - neg, len(neg))) + neg)
-    if not _factors(g):
+    if (proof := _gram_proven(a, g, top, a.shape[1])) is None:
         return None
     # so s I - G is PSD; half >= 2^(e-1) sqrt(s), and la lb >= half^2 exactly
-    s = math.nextafter(math.fsum([top, 2 * float(cap.max()), delta]), math.inf)
+    s = math.nextafter(math.fsum([top, 2 * float(proof[0].max()), proof[1]]), math.inf)
     half, r = math.nextafter(math.ldexp(math.sqrt(s), e - 1), math.inf), math.sqrt(nb / na)
     la, lb = math.nextafter(half * r, math.inf), math.nextafter(half / r, math.inf)
     lam = np.repeat(np.array([la, lb]), (na, nb))
@@ -501,9 +513,9 @@ def solve(ineq, classical=True):
 
     c is checked first (_block): EmptyMatrix unless it is a non-empty 2-d
     array, NonFiniteEntry on a NaN or infinite entry.  With classical, the
-    exact classical bound comes next, so an input too large to enumerate
-    raises TooLarge before any quantum work.  Then c is scaled once
-    (_scaled) for every run.  A spectral run (_spectral),
+    exact classical bound of that block comes next (_lhv), so an input too
+    large to enumerate raises TooLarge before any quantum work.  Then c is
+    scaled once (_scaled) for every run.  A spectral run (_spectral),
     where taken, is the only one; otherwise the ascent runs at seed 0 and
     rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB, for at most
     DEFAULT_MAX_ITER iterations.  If the first run's gap over max(1, max|c|)
@@ -519,7 +531,7 @@ def solve(ineq, classical=True):
     classical bound is kept.
     """
     c = _block(ineq.coefficients)
-    lhv = lhv_bound(ineq) if classical else None
+    lhv = _lhv(c) if classical else None
     cs, e, big = _scaled(c)
     m = sum(c.shape)
     rank = min(m, math.isqrt(2 * m - 1) + 2)

@@ -20,7 +20,7 @@ from tsirelson import (
 )
 from tsirelson.analytic import chained_quantum_bound
 from tsirelson.inequality import CorrelationInequality
-from tsirelson import sdp
+from tsirelson import classical as classical_module, sdp
 from tsirelson.errors import (
     EmptyMatrix,
     InvalidRank,
@@ -191,7 +191,7 @@ def test_gap_gate_rejects_nan_slack(monkeypatch):
     cs = sdp._scaled(c)[0]
     monkeypatch.setattr(sdp, "_GAP_TARGET", 1e300)  # any finite slack passes the target
     factored = []
-    monkeypatch.setattr(sdp, "_factors", lambda a: factored.append(1) or True)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1))
     for row in (2, 4):
         v = sdp._initial_vectors(6, 4, 0)
         v[row, 1] = np.nan
@@ -646,15 +646,91 @@ def test_spectral_path_at_large_n(family, exact, n):
 
 @pytest.mark.parametrize("n", [2, 5, 16, 64])
 def test_certify_allowance_size(n):
-    # the paper's lambda factor at once, and certify adds 2 c_i to each, c_i =
-    # (m+2)^2 u lambda_i + m u 2^e with max|c| 2^-e in [1/2, 1), rounded up
+    # the paper's lambda factor at once.  In c 2^-e, max|c| 2^-e in [1/2, 1),
+    # certify raises Bob's x_l by his floor (m+2)^2 u x_l + m u, and Alice's
+    # x_s by 2 cap + delta of the proof on her n x n Schur complement: cap =
+    # (n+2)^2 u (x_s + g_ss) + n u, with g_ss <= x_s at a feasible lambda, and
+    # delta = 2 (n+4) u (r + 1), r the largest row sum of |k| |k|^T, k = c
+    # 2^-e / (2 sqrt(y)) <= c 2^-e / (2 sqrt(x_l)).  The m x m proof's 2
+    # (m+2)^2 u sum(lambda) exceeds this from n = 3
     m, u = 2 * n, 2.0**-53
-    lam = chained_dual_lambda(n)
-    cert = certify(chained(n).coefficients, lam)
+    c, lam = chained(n).coefficients, chained_dual_lambda(n)
+    cert = certify(c, lam)
     assert cert.feasibility_margin == 0.0
-    allowance = 2 * ((m + 2) ** 2 * u * lam.sum() + m * m * u * 2)
+    e = math.frexp(np.abs(c).max())[1]
+    xs, xl = np.ldexp(lam[:n], -e), np.ldexp(lam[n:], -e)
+    b = np.ldexp(np.abs(c), -e) / (2 * np.sqrt(xl))
+    delta = 2 * (n + 4) * u * (float((b @ b.sum(axis=0)).max()) + 1)
+    small = 2 * ((n + 2) ** 2 * u * 2 * xs.sum() + n * n * u) + n * delta
+    large = (m + 2) ** 2 * u * xl.sum() + n * m * u
     rounding = 4 * m * np.spacing(lam.max())
-    assert 0 < cert.certified_bound - math.fsum(lam) <= allowance + rounding
+    assert 0 < cert.certified_bound - math.fsum(lam) <= math.ldexp(small + large, e) + rounding
+
+
+def _schur_edge(shape, seed, scale=1.0, zero=None):
+    c = np.random.default_rng(seed).integers(-3, 4, shape) * 1.0
+    if zero is not None:  # a zero row or column on the larger side
+        c[(zero, slice(None)) if shape[0] > shape[1] else (slice(None), zero)] = 0.0
+    return c, scale
+
+
+SCHUR_EDGES = {
+    "wide-3x7": _schur_edge((3, 7), 1),
+    "tall-7x3": _schur_edge((7, 3), 2),
+    "square-5x5": _schur_edge((5, 5), 3),
+    "row-1x6": _schur_edge((1, 6), 4),
+    "column-6x1": _schur_edge((6, 1), 5),
+    "zero-column-4x7": _schur_edge((4, 7), 6, zero=2),
+    "zero-row-7x4": _schur_edge((7, 4), 7, zero=5),
+    "big-3x6": _schur_edge((3, 6), 8, scale=1e300),
+    "tiny-6x3": _schur_edge((6, 3), 9, scale=1e-300),
+    "big-1x5": _schur_edge((1, 5), 10, scale=1e300),
+    "tiny-5x1": _schur_edge((5, 1), 11, scale=1e-300),
+}
+
+
+@pytest.mark.parametrize("c, scale", SCHUR_EDGES.values(), ids=SCHUR_EDGES)
+def test_schur_proof_is_exact_at_its_edges(c, scale):
+    # the proof on the smaller side's Schur complement: solve's certificate,
+    # certify's Cholesky-first proof of an optimal lambda raised by 1e-3 of
+    # its largest, and its shift and doubling on lambda lowered by as much
+    # (below the value, so not feasible) are all exactly PSD.  lambda is read
+    # at scale 1: below it, fields under 1e-14 are zero and the ascent stops
+    lam = extract_dual(c, solve(new_inequality("c", c), classical=False).primal.vectors)
+    c, lam = c * scale, lam * scale
+    report = solve(new_inequality("c", c), classical=False)
+    assert [run.method for run in report.runs] == ["mixing"]
+    w = _w(c)
+    assert exact_psd(exact_slack(w, report.dual.lam))
+    for step in (1e-3, -1e-3):
+        cert = certify(c, lam + step * np.abs(lam).max())
+        assert (cert.feasibility_margin < 0) == (step < 0)
+        assert exact_psd(exact_slack(w, cert.lam))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3)], ids=["bob-larger", "alice-larger"])
+@pytest.mark.parametrize("low", [0.0, -1.0])
+def test_certify_non_positive_larger_side_takes_the_shift(monkeypatch, shape, low):
+    # one larger-side lambda at or below zero: at -1 it stays non-positive
+    # under its floor, so _proven declines before factoring anything; at 0 the
+    # Schur complement's factorization fails.  certify then takes the shift,
+    # and its certificate is exact
+    c = np.random.default_rng(12).integers(1, 4, shape) * 1.0
+    na, nb = shape
+    lam = extract_dual(c, solve(new_inequality("c", c), classical=False).primal.vectors)
+    larger = na + 1 if nb > na else 1
+    lam[larger] = low
+    cs, e, _ = sdp._scaled(c)
+    factored, shifted = [], []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
+    assert sdp._proven(cs, np.ldexp(lam, -e)) is None
+    assert len(factored) == (low == 0.0)
+    min_eig = sdp.min_eigenvalue
+    monkeypatch.setattr(sdp, "min_eigenvalue", lambda a: shifted.append(1) or min_eig(a))
+    cert = certify(c, lam)
+    assert shifted == [1] and cert.feasibility_margin < 0
+    assert exact_psd(exact_slack(_w(c), cert.lam))
 
 
 def test_certify_corrupted_lambda_still_bounds():
@@ -1153,28 +1229,33 @@ def test_mixing_path_is_unchanged(monkeypatch, ineq):
 )
 def test_solve_checks_and_scales_c_once(monkeypatch, ineq, method):
     # one check of c, one scaling and one read of max|c| per solve: the
-    # spectral try, the ascent and the restart test share the scaled block.
+    # classical scan, the spectral try, the ascent and the restart test share
+    # the checked and scaled block.  random-16's classical scan reads |c| once
+    # more, for the dtype of its scores (sum|c|); chained-8's is one product.
     # random-16's run stops on its gate's proof, so certify's fallback, which
     # checks and scales c as a public entry, is not reached
-    calls = {"_block": 0, "_scaled": 0, "max|c|": 0}
-    for name in ("_block", "_scaled"):
-        routine = getattr(sdp, name)
+    calls = {"_block": 0, "_scaled": 0, "|c|": 0}
+    for module, name in ((sdp, "_block"), (classical_module, "_block"), (sdp, "_scaled")):
+        routine = getattr(module, name)
 
         def counted(*args, _name=name, _routine=routine):
             calls[_name] += 1
             return _routine(*args)
 
-        monkeypatch.setattr(sdp, name, counted)
+        monkeypatch.setattr(module, name, counted)
     c, absolute = ineq.coefficients, np.abs
 
     def read(x, *args, **kwargs):  # |c| itself, not the scaled block
-        calls["max|c|"] += np.shape(x) == c.shape and np.array_equal(x, c)
+        calls["|c|"] += np.shape(x) == c.shape and np.array_equal(x, c)
         return absolute(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "abs", read)
-    report = solve(ineq, classical=False)
-    assert [run.method for run in report.runs] == [method]
-    assert calls == {"_block": 1, "_scaled": 1, "max|c|": 1}
+    for classical in (False, True):
+        calls.update(dict.fromkeys(calls, 0))
+        report = solve(ineq, classical=classical)
+        assert [run.method for run in report.runs] == [method]
+        scans = classical and method == "mixing"
+        assert calls == {"_block": 1, "_scaled": 1, "|c|": 1 + scans}
 
 
 @pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
@@ -1201,14 +1282,17 @@ def test_mixing_path_runs_no_eigvalsh(monkeypatch, ineq):
 @pytest.mark.parametrize("ineq", [ineq for ineq in MIXED if ineq.name not in UNPROVEN],
                          ids=lambda ineq: ineq.name)
 def test_proof_costs_one_slack_and_one_cholesky(monkeypatch, ineq):
-    # the check that stops the run forms one slack and factors it once; the
-    # certificate is that proof, so nothing is formed or factored after it
-    counts = {"_slack": 0, "cholesky": 0}
+    # the check that stops the run factors one slack, the Schur complement on
+    # the smaller side: one Cholesky of a min(nA, nB) square matrix, and no
+    # m x m slack.  The certificate is that proof, so nothing is formed or
+    # factored after it, and no check forms the m x m slack
+    counts, shapes = {"_slack": 0, "cholesky": 0}, []
     for module, name in ((sdp, "_slack"), (np.linalg, "cholesky")):
         routine = getattr(module, name)
 
         def counted(*args, _name=name, _routine=routine):
             counts[_name] += 1
+            shapes.append(np.shape(args[0]))
             return _routine(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -1216,19 +1300,21 @@ def test_proof_costs_one_slack_and_one_cholesky(monkeypatch, ineq):
     gate = sdp._gap_proven
 
     def record(*args):
-        before = dict(counts)
+        before = len(shapes)
         proof = gate(*args)
-        checks.append((proof is not None, before, dict(counts)))
+        checks.append((proof is not None, shapes[before:]))
         return proof
 
     monkeypatch.setattr(sdp, "_gap_proven", record)
     monkeypatch.setattr(sdp, "_spectral", lambda *args: None)
     (run,) = solve(ineq, classical=False).runs
     assert run.method == "mixing"
-    proven, before, after = checks[-1]
-    assert proven and not any(stop for stop, *_ in checks[:-1])
-    assert {k: after[k] - before[k] for k in counts} == {"_slack": 1, "cholesky": 1}
-    assert counts == after
+    proven, factored = checks[-1]
+    assert proven and not any(stop for stop, _ in checks[:-1])
+    n = min(ineq.coefficients.shape)
+    assert factored == [(n, n)]
+    assert counts["_slack"] == 0 and set(shapes) == {(n, n)}
+    assert sum(len(f) for _, f in checks) == len(shapes)  # nothing outside a check
 
 
 @pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
