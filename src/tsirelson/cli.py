@@ -83,11 +83,14 @@ def _render_csv(rows, header):
 # argument handling
 
 
-def _add_common(p, formats=("text", "json")):
+def _add_common(p, n=True, file=True, formats=("text", "json")):
+    """Every subcommand's options; --n and --file only where the subcommand reads them."""
     p.add_argument("--inequality", choices=["chained", "chsh", "gisin", "file"],
                    default="chained")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--file", dest="file_path")
+    if n:
+        p.add_argument("--n", type=int, default=2)
+    if file:
+        p.add_argument("--file", dest="file_path")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--output", dest="output_path")
 
@@ -98,7 +101,7 @@ def _add_certify(p):
 
 
 def _add_table(p):
-    _add_common(p, formats=("text", "json", "csv"))
+    _add_common(p, n=False, file=False, formats=("text", "json", "csv"))
     p.add_argument("--n-range", dest="n_range", default="2..8")
 
 
@@ -107,7 +110,7 @@ _SUBCOMMANDS = {  # name: (help, add_arguments)
     "certify": ("certify a lambda vector from file", _add_certify),
     "classical": ("exact LHV bound with witnesses", _add_common),
     "realize": ("observables achieving the bound", _add_common),
-    "spectrum": ("closed-form chained spectrum", _add_common),
+    "spectrum": ("closed-form chained spectrum", functools.partial(_add_common, file=False)),
     "table": ("bound table over a range of n", _add_table),
 }
 
@@ -120,7 +123,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 
@@ -130,7 +133,7 @@ def _subcommand_parser(name, add_arguments):
 
     Keyed by add_arguments too, so a changed _SUBCOMMANDS entry gets its own.
     """
-    parser = argparse.ArgumentParser(prog=f"tsirelson {name}")
+    parser = argparse.ArgumentParser(prog=f"tsirelson {name}", allow_abbrev=False)
     add_arguments(parser)
     return parser
 
@@ -223,9 +226,9 @@ def _read_lambda_file(path, expected_len):
 
 def _config_block(args):
     cfg = {"command": args.command, "inequality": args.inequality}
-    if args.inequality in _FAMILIES:
+    if args.inequality in _FAMILIES and "n" in args:
         cfg["n"] = args.n
-    if args.file_path:
+    if getattr(args, "file_path", None):
         cfg["file"] = args.file_path
     if getattr(args, "lambda_file", None):
         cfg["lambda_file"] = args.lambda_file

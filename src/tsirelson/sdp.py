@@ -3,7 +3,8 @@
 The objective of an nA x nB coefficient block c is (1/2) Tr(G W), W =
 [[0, c], [c^T, 0]].  A public routine checks c once (_block) and scales it
 once (_scaled); the private ones take cs = c 2^-e and e.  The only m x m
-array formed is the slack diag(lambda) - W/2 that picks certify's shift.
+array formed is the slack diag(lambda) - W/2, for certify's shift and for a
+stalled ascent's lift.
 
 solve first tries the paper's proof (_spectral): constant multipliers from
 the top singular value of c, attained when its top singular vectors,
@@ -25,18 +26,19 @@ the last few residual and sweep differences with their running normal
 matrix, the mixing weights solve those k x k normal equations, a singular
 system is a rejected mix, and a mixed step is kept only if it does not
 lower the objective.  Any lambda whose diag(lambda) - W/2 is PSD bounds the
-objective by Tr(diag(lambda)) (weak duality), which repairs the
-nonconvexity of the factorization.  certify proves PSD in floating point as
-the spectral path does, by one Cholesky factorization of an n x n matrix,
-n = min(nA, nB), with a rounding allowance (Rump, BIT 46, 2006).  The
-ascent stops as soon as that test proves its iterate within a small gap of
-optimal, and the multipliers it proved are the run's certificate: no
-eigensolver runs.  A run with no proof (one that hit the iteration cap, or
-a zero c) is certified by certify, as any lambda is.
+objective by Tr(diag(lambda)) (weak duality).  certify proves PSD in
+floating point as the spectral path does, by one Cholesky factorization of
+an n x n matrix, n = min(nA, nB), with a rounding allowance (Rump, BIT 46,
+2006).  The ascent stops once that test proves its iterate within a small
+gap of optimal, and the multipliers it proved are the run's certificate.  A
+run stalled at a saddle (lambda sums to the value, its slack is not PSD)
+moves one rank up along the slack's least eigenvector (Journee, Bach, Absil
+& Sepulchre, 2010).  A run with no proof (capped, or a zero c) is certified
+by certify, as any lambda is.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,13 +48,14 @@ from .inequality import _block
 from .linalg import min_eigenvalue
 
 DEFAULT_MAX_ITER = 10000
-OPTIMAL_GAP = 1e-5  # thresholds on the gap relative to max(1, max|c|)
-RESTART_GAP = 1e-4
+OPTIMAL_GAP = 1e-5  # threshold on the gap relative to max(1, max|c|)
+LIFT_GAP = 1e-4  # threshold on m |mu|, mu the stalled slack's least eigenvalue, over max|c|
 
 _DEPTH = 5  # Anderson history: the last _DEPTH points and their sweeps
 _GAP_TARGET = 1e-8  # certified gap, in the scaled c, that stops the ascent
 _RESIDUAL_TOL = 1e-10  # largest per-vector move of a sweep that stops it
 _CHECK_EVERY = 10  # largest step between gap checks
+_STALL = 6  # gap checks in a row that fail at a fixed point: a stall
 _TIGHT_TOL = 1e-9  # relative: sigma_1's multiplicity, and the spectral test's residual
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -77,8 +80,7 @@ class DualCertificate:
 class Run:
     """One primal ascent and its certificate, as solve reports it."""
 
-    seed: int
-    rank: int
+    rank: int  # columns of the returned vectors
     iterations: int
     converged: bool
     primal_value: float
@@ -95,7 +97,7 @@ class BoundReport:
     gap: float
     relative_gap: float  # gap / max(1, max|c|): the solver is accurate to that scale
     classical_bound: float | None = None
-    runs: tuple = ()  # one Run, or two after a restart
+    runs: tuple = ()  # the one Run
 
     @property
     def certified_optimal(self):
@@ -221,10 +223,9 @@ def _gram_proven(k, g, x, terms, grow=1.0):
 
 
 def _slack(cs, d):
-    """diag(d) - W/2 for W = [[0, cs], [cs^T, 0]]: the only m x m array formed,
-    for certify's shift.  The zero blocks hold -0.0, W's zeros negated:
-    eigvalsh's reflectors, and so the shift, read the sign of a zero.
-    """
+    """diag(d) - W/2 for W = [[0, cs], [cs^T, 0]]: the only m x m array, for certify's
+    shift and a stalled ascent's lift.  The zero blocks hold -0.0, W's zeros
+    negated: eigvalsh's reflectors, and so the shift, read the sign of a zero."""
     na, nb = cs.shape
     s = np.full((na + nb, na + nb), -0.0)
     np.multiply(cs, -0.5, out=s[:na, na:])
@@ -251,19 +252,20 @@ def _proven(cs, x, grow=1.0):
 
 
 def _gap_proven(cs, cts, v):
-    """The scaled multipliers that prove v within _GAP_TARGET of optimal, or None.
+    """(lambda, proof): extract_dual(cs, v), or None off a fixed point, and the scaled
+    multipliers that prove v within _GAP_TARGET of optimal, or None.
 
-    x = lambda + t, with lambda = extract_dual(cs, v) and t = (_GAP_TARGET -
-    (sum(lambda) - value)) / m >= 0, sums to the value plus _GAP_TARGET;
-    _proven tests it as certify does.  cs is scaled, so lambda is half the
-    row norms of the fields W v, formed once here for lambda and the value.
+    x = lambda + t, t = (_GAP_TARGET - (sum(lambda) - value)) / m, sums to the
+    value plus _GAP_TARGET; where t >= 0 (a fixed point) _proven tests it as
+    certify does.  cs is scaled, so lambda is half the row norms of the fields
+    W v, formed once here for lambda and the value.
     """
     g = _fields(cs, cts, v)
     lam = 0.5 * _row_norms(g)
     t = (_GAP_TARGET - (float(np.sum(lam)) - 0.5 * float(np.vdot(g, v)))) / len(v)
     if not t >= 0:  # a NaN slack proves nothing
-        return None
-    return _proven(cs, lam + t)
+        return None, None
+    return lam, _proven(cs, lam + t)
 
 
 def solve_primal(c, rank, seed=0):
@@ -282,12 +284,17 @@ def solve_primal(c, rank, seed=0):
     plain sweep's largest per-vector displacement), falls below
     _RESIDUAL_TOL, or when a check (_gap_proven) after iterations 4, 8, 16,
     then every _CHECK_EVERY, proves the iterate within _GAP_TARGET of
-    optimal.  After DEFAULT_MAX_ITER iterations, each of at most two sweeps,
-    it returns the last iterate and residual with converged=False.  Raises
-    InvalidRank unless rank >= 2, EmptyMatrix unless c is a non-empty 2-d
-    array, and NonFiniteEntry when c has a NaN or infinite entry or the
-    value overflows.  Everything runs on c scaled by a power of two, so a
-    scaled c takes the same steps.
+    optimal.  After _STALL checks in a row that fail at a fixed point (the
+    multipliers sum to the value, but S = diag(lambda) - W/2 is not PSD),
+    one eigh of S gives its least eigenpair (mu, u); if m |mu| > LIFT_GAP
+    max|c|, the ascent goes on from the rows of [v, u/10], renormalized, so
+    the vectors returned may have more than rank columns.  After
+    DEFAULT_MAX_ITER iterations, each of at most two sweeps, it returns the
+    last iterate and residual with converged=False.  Raises InvalidRank
+    unless rank >= 2, EmptyMatrix unless c is a non-empty 2-d array, and
+    NonFiniteEntry when c has a NaN or infinite entry or the value
+    overflows.  Everything runs on c scaled by a power of two, so c and c
+    2^k take the same steps while neither has a subnormal entry.
     """
     if rank < 2:
         raise InvalidRank(f"rank must be >= 2, got {rank}")
@@ -300,25 +307,25 @@ def _ascent(cs, e, rank, seed):
     None; a residual stop is checked once, a run that hits the cap is not."""
     m = sum(cs.shape)
     v = _initial_vectors(m, rank, seed)
-    floor = np.ldexp(1e-14, -e)
+    floor = 1e-14  # on the fields of cs, whose max|cs| is in [1/2, 1)
     # products with a contiguous c^T equal those on W's Bob x Alice view bit
     # for bit, so the iterates are those of the ascent on W; the view cs.T's are not
     cts = np.ascontiguousarray(cs.T)
     ring = _Anderson(m * rank)
-    check = 4
+    check, stalled = 4, 0
     for it in range(1, DEFAULT_MAX_ITER + 1):
         fv = v.copy()
         value = _sweep(cs, cts, fv, floor)
         f = fv - v
         residual = math.sqrt(float((f**2).sum(axis=1).max()))
         if residual < _RESIDUAL_TOL:
-            return _finish(cs, fv, e, it, residual, True), _gap_proven(cs, cts, fv)
+            return _finish(cs, fv, e, it, residual, True), _gap_proven(cs, cts, fv)[1]
         ring.push(f, fv)
         v = fv
         if ring.k:
             mixed = ring.mix()
             if mixed is not None:
-                mixed = mixed.reshape(m, rank)
+                mixed = mixed.reshape(v.shape)
                 mixed /= _row_norms(mixed, keepdims=True)
                 y = mixed.copy()
                 mixed_value = _sweep(cs, cts, y, floor)
@@ -329,8 +336,17 @@ def _ascent(cs, e, rank, seed):
                 ring.clear()
         if it == check:
             check += min(check, _CHECK_EVERY)
-            if (proof := _gap_proven(cs, cts, v)) is not None:
+            lam, proof = _gap_proven(cs, cts, v)
+            if proof is not None:
                 return _finish(cs, v, e, it, residual, True), proof
+            stalled = 0 if lam is None else stalled + 1
+            if stalled == _STALL:
+                stalled = 0
+                mu, u = np.linalg.eigh(_slack(cs, lam))
+                if m * -mu[0] > LIFT_GAP * float(np.abs(cs).max()):
+                    v = np.hstack([v, 0.1 * u[:, :1]])
+                    v /= _row_norms(v, keepdims=True)
+                    ring = _Anderson(v.size)
     return _finish(cs, v, e, it, residual, False), None
 
 
@@ -447,17 +463,6 @@ def certify(c, lam):
     return _certificate(proof, e, math.ldexp(mu, e))
 
 
-def _single_run(c, cs, e, rank, seed):
-    primal, proof = _ascent(cs, e, rank, seed)
-    if proof is None or not cs.any():  # no proof, or c = 0: certify's exact 0
-        dual = certify(c, extract_dual(c, primal.vectors))
-    else:
-        dual = _certificate(proof, e)
-    run = Run(seed, rank, primal.iterations, primal.converged, primal.value,
-              dual.certified_bound, dual.certified_bound - primal.value, "mixing")
-    return primal, dual, run
-
-
 def _spectral(cs, e, rank):
     """The paper's bound, certified, and a rank-d primal attaining it; or None.
 
@@ -504,8 +509,7 @@ def _spectral(cs, e, rank):
     la, lb = math.nextafter(half * r, math.inf), math.nextafter(half / r, math.inf)
     lam = np.repeat(np.array([la, lb]), (na, nb))
     bound = _sum_up(lam)
-    return (PrimalSolution(rows, value, 0, 0.0), DualCertificate(lam, 0.0, bound),
-            Run(0, d, 0, True, value, bound, bound - value, "spectral"))
+    return PrimalSolution(rows, value, 0, 0.0), DualCertificate(lam, 0.0, bound)
 
 
 def solve(ineq, classical=True):
@@ -515,16 +519,13 @@ def solve(ineq, classical=True):
     array, NonFiniteEntry on a NaN or infinite entry.  With classical, the
     exact classical bound of that block comes next (_lhv), so an input too
     large to enumerate raises TooLarge before any quantum work.  Then c is
-    scaled once (_scaled) for every run.  A spectral run (_spectral),
-    where taken, is the only one; otherwise the ascent runs at seed 0 and
+    scaled once (_scaled).  One run is reported: the spectral one
+    (_spectral), where taken, or else the ascent (_ascent) at seed 0 and
     rank min(m, ceil(sqrt(2m)) + 1), m = nA + nB, for at most
-    DEFAULT_MAX_ITER iterations.  If the first run's gap over max(1, max|c|)
-    exceeds RESTART_GAP, whether it converged or hit the cap (both happen at
-    a stuck rank-deficient saddle), one restart at seed 1 and rank + 2 is
-    attempted and both runs are reported; the report carries the better
-    run, and its gap also over max(1, max|c|) as relative_gap.  When that
-    run's primal value reads below the classical bound (a slow run can stop
-    just short of a classical optimum), the classical witness, as the
+    DEFAULT_MAX_ITER iterations; a stalled ascent lifts itself a rank up.
+    The report carries its gap over max(1, max|c|) as relative_gap.  When
+    the run's primal value reads below the classical bound (a slow run can
+    stop just short of a classical optimum), the classical witness, as the
     feasible point x_s, y_t = +-e_1 of value the classical bound, becomes
     the reported primal; the run's iteration count, residual and
     convergence flag are kept, and runs is unchanged.  A run that reads the
@@ -535,26 +536,21 @@ def solve(ineq, classical=True):
     cs, e, big = _scaled(c)
     m = sum(c.shape)
     rank = min(m, math.isqrt(2 * m - 1) + 2)
-    primal, dual, run = _spectral(cs, e, rank) or _single_run(c, cs, e, rank, 0)
-    runs = (run,)
-    scale = max(1.0, big)
-    if run.gap / scale > RESTART_GAP:
-        primal2, dual2, run2 = _single_run(c, cs, e, rank + 2, 1)
-        runs = (run, run2)
-        if run2.gap < run.gap:
-            primal, dual = primal2, dual2
+    if (found := _spectral(cs, e, rank)) is not None:
+        (primal, dual), method = found, "spectral"
+    else:
+        (primal, proof), method = _ascent(cs, e, rank, 0), "mixing"
+        if proof is None or not big:  # no proof, or c = 0: certify's exact 0
+            dual = certify(c, extract_dual(c, primal.vectors))
+        else:
+            dual = _certificate(proof, e)
+    run = Run(primal.vectors.shape[1], primal.iterations, primal.converged, primal.value,
+              dual.certified_bound, dual.certified_bound - primal.value, method)
     if lhv is not None and primal.value < lhv.value:
         v = np.zeros_like(primal.vectors)
         v[:, 0] = np.concatenate([lhv.witness_x, lhv.witness_y])
-        primal = PrimalSolution(v, lhv.value, primal.iterations, primal.residual,
-                                primal.converged)
+        primal = replace(primal, vectors=v, value=lhv.value)
     gap = dual.certified_bound - primal.value
-    return BoundReport(
-        name=ineq.name,
-        primal=primal,
-        dual=dual,
-        gap=gap,
-        relative_gap=gap / scale,
-        classical_bound=None if lhv is None else lhv.value,
-        runs=runs,
-    )
+    return BoundReport(name=ineq.name, primal=primal, dual=dual, gap=gap,
+                       relative_gap=gap / max(1.0, big),
+                       classical_bound=None if lhv is None else lhv.value, runs=(run,))

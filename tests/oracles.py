@@ -445,26 +445,30 @@ def eager_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json")):
+    def add(name, help, n=True, file=True, formats=("text", "json")):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument(
             "--inequality",
             choices=["chained", "chsh", "gisin", "file"],
             default="chained",
         )
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--file", dest="file_path")
+        if n:
+            p.add_argument("--n", type=int, default=2)
+        if file:
+            p.add_argument("--file", dest="file_path")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", dest="output_path")
+        return p
 
-    add_common(sub.add_parser("bound", help="primal + certified dual bound"))
-    p_cert = sub.add_parser("certify", help="certify a lambda vector from file")
-    add_common(p_cert)
+    add("bound", "primal + certified dual bound")
+    p_cert = add("certify", "certify a lambda vector from file")
     p_cert.add_argument("--lambda-file", dest="lambda_file", required=True)
-    add_common(sub.add_parser("classical", help="exact LHV bound with witnesses"))
-    add_common(sub.add_parser("realize", help="observables achieving the bound"))
-    add_common(sub.add_parser("spectrum", help="closed-form chained spectrum"))
-    p_table = sub.add_parser("table", help="bound table over a range of n")
-    add_common(p_table, formats=("text", "json", "csv"))
+    add("classical", "exact LHV bound with witnesses")
+    add("realize", "observables achieving the bound")
+    # spectrum reads no file, and table neither a file nor --n
+    add("spectrum", "closed-form chained spectrum", file=False)
+    p_table = add("table", "bound table over a range of n", n=False, file=False,
+                  formats=("text", "json", "csv"))
     p_table.add_argument("--n-range", dest="n_range", default="2..8")
     return parser
 

@@ -138,6 +138,24 @@ def test_table_gisin_has_no_analytic_bound(capsys):
     assert [line.split(",")[2] for line in out.strip().split("\n")[1:]] == ["", ""]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--n", "5", "--n-range", "2..3"], ["table", "--file", "c.json"],
+     ["spectrum", "--file", "/nonexistent"], ["table", "--n-range", "2..3", "--n-r", "4..5"]],
+)
+def test_options_a_subcommand_ignores_are_usage_errors(capsys, argv):
+    # table reads neither --n nor a file, and spectrum no file: each used to
+    # exit 0 and echo the option into the config block.  No option is
+    # abbreviated, so --n cannot stand for table's --n-range
+    status, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (status, out) == (1, "")
+    assert "unrecognized arguments" in err
+    status, out, _ = run_cli(capsys, "table", "--n-range", "2..3", "--format", "json")
+    assert status == 0
+    assert json.loads(out)["config"] == {
+        "command": "table", "format": "json", "inequality": "chained", "n_range": "2..3"}
+
+
 def test_table_bad_range(capsys):
     status, _, err = run_cli(capsys, "table", "--n-range", "8..2")
     assert status == 1
@@ -475,26 +493,28 @@ def _stuck_file(tmp_path):
     return str(path)
 
 
-def test_bound_restarts_unconverged_run(tmp_path, capsys, monkeypatch):
-    # the first run stalls at a saddle for all 200 iterations; it used to
-    # exit 2 because only converged runs were restarted
-    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
+def test_bound_lifts_stuck_run(tmp_path, capsys):
+    # the run stalls at a saddle; it used to spend the whole cap there and
+    # restart, reporting two runs.  It lifts a rank up and converges: one run
     status, out, _ = run_cli(
         capsys, "bound", "--inequality", "file", "--file", _stuck_file(tmp_path),
         "--format", "json",
     )
     assert status == 0
     doc = json.loads(out)
-    assert [run["converged"] for run in doc["runs"]] == [False, True]
+    (run,) = doc["runs"]
+    assert (run["converged"], run["rank"], run["method"]) == (True, 7, "mixing")
+    assert run["iterations"] < 100 and "seed" not in run
     assert doc["certified_optimal"] is True
 
 
 def test_bound_text_lists_run_fields_in_order(tmp_path, capsys, monkeypatch):
     # JSON sorts the keys; text output keeps the order of sdp.Run's fields.
-    # STUCK is not tight, so it takes the mixing path and restarts
+    # STUCK is not tight, so it takes the mixing path; capped at 3
+    # iterations it is far from optimal, which exits 2
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 3)
     stuck = tsirelson.new_inequality("rand-6", STUCK)
-    assert len(sdp.solve(stuck).runs) == 2
+    assert len(sdp.solve(stuck).runs) == 1
     status, out, _ = run_cli(
         capsys, "bound", "--inequality", "file", "--file", _stuck_file(tmp_path),
         "--format", "text",
@@ -502,11 +522,11 @@ def test_bound_text_lists_run_fields_in_order(tmp_path, capsys, monkeypatch):
     assert status == 2
     lines = out.splitlines()
     block = lines[lines.index("runs:") + 1 :]
-    fields = ["seed", "rank", "iterations", "converged", "primal_value",
-              "certified_bound", "gap", "method"]
-    assert [line for line in block if line.startswith("  -")] == ["  -", "  -"]
+    fields = ["rank", "iterations", "converged", "primal_value", "certified_bound", "gap",
+              "method"]
+    assert [line for line in block if line.startswith("  -")] == ["  -"]
     keys = [line.split(":")[0].strip() for line in block if line.startswith("    ")]
-    assert keys == fields * 2
+    assert keys == fields
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -741,7 +761,10 @@ def _as_main(parsed):
      ["bound", "bound"], ["bound", "--", "x"], ["-h", "bound"], ["--format", "json", "bound"],
      ["bound", "--n", "3", "extra", "--bogus"], ["certify", "--n", "3"]]
     + [[cmd, *args] for cmd in ("bound", "certify", "classical", "realize", "spectrum",
-                                "table") for args in (["--help"], ["--n", "two"], ["-x"])],
+                                "table") for args in (["--help"], ["--n", "two"], ["-x"])]
+    # options the subcommand does not read, and an abbreviation
+    + [["table", "--n", "5", "--n-range", "2..3"], ["table", "--file", "c.json"],
+       ["spectrum", "--file", "c.json"], ["bound", "--form", "json"]],
 )
 def test_parser_matches_eager_parser(capsys, monkeypatch, argv):
     # namespaces, help, usage and errors as with every argument added up front,
@@ -775,8 +798,8 @@ def test_readme_flags_exist():
 def test_parser_parses_more_than_once():
     # a parser keeps no state from one parse to the next
     parser = build_parser()
-    first = parser.parse_args(["table", "--n", "3"])
-    assert parser.parse_args(["table", "--n", "3"]) == first
+    first = parser.parse_args(["table", "--n-range", "3..4"])
+    assert parser.parse_args(["table", "--n-range", "3..4"]) == first
 
 
 @pytest.fixture

@@ -113,6 +113,16 @@ def test_solve_converges_certified(c):
     assert report.gap <= sdp.OPTIMAL_GAP
 
 
+@settings(derandomized, max_examples=100)
+@given(matrices, st.booleans())
+def test_solve_reports_one_run_of_its_vectors_rank(c, classical):
+    # one ascent per solve: a stalled run lifts itself, so no second run, and
+    # a run's rank counts the columns of the vectors reported with it
+    report = solve(new_inequality("c", c), classical=classical)
+    (run,) = report.runs
+    assert run.rank == report.primal.vectors.shape[1]
+
+
 def _bp_rank(m):
     """The Barvinok-Pataki rank of solve's mixing run."""
     return min(m, math.isqrt(2 * m - 1) + 2)

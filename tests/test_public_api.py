@@ -132,7 +132,7 @@ def test_public_parameter_lists_are_pinned(name):
 # routine on the hot path, or a least-squares solve, has to edit this table
 LINALG_CALLS = {
     "cholesky": 1,  # sdp._gram_proven: every PSD proof, on the smaller side's n x n matrix
-    "eigh": 1,  # sdp._spectral: the singular pairs of c
+    "eigh": 2,  # sdp._spectral: the singular pairs of c; sdp._ascent: a stalled run's lift
     "eigvalsh": 1,  # linalg.min_eigenvalue: certify's shift, where its first proof fails
     "norm": 2,  # cli and realize: row norms
     "solve": 1,  # sdp._Anderson.mix: the k x k normal equations
@@ -185,9 +185,9 @@ def test_c_is_checked_and_scaled_once_per_public_call():
 def test_one_psd_proof_and_one_m_by_m_slack():
     # the spectral path, the gap gate and certify prove PSD by one routine, on
     # the smaller side's n x n matrix; the m x m slack is formed only for
-    # certify's shift, where that proof fails.  A second proof, or a gate
-    # that factors the m x m slack, has to edit these lists
+    # certify's shift, where that proof fails, and for a stalled ascent's lift.
+    # A second proof, or a gate that factors the m x m slack, has to edit these lists
     assert _call_sites("cholesky", "sdp.py") == ["_gram_proven"]
     assert _call_sites("_gram_proven", "sdp.py") == ["_proven", "_spectral"]
     assert _call_sites("_proven", "sdp.py") == ["_gap_proven", "certify", "certify"]
-    assert _call_sites("_slack", "sdp.py") == ["certify"]
+    assert _call_sites("_slack", "sdp.py") == ["_ascent", "certify"]

@@ -195,7 +195,7 @@ def test_gap_gate_rejects_nan_slack(monkeypatch):
     for row in (2, 4):
         v = sdp._initial_vectors(6, 4, 0)
         v[row, 1] = np.nan
-        assert sdp._gap_proven(cs, _ct(cs), v) is None
+        assert sdp._gap_proven(cs, _ct(cs), v) == (None, None)
     assert factored == []
 
 
@@ -386,8 +386,9 @@ def test_cholesky_gate_matches_certify(monkeypatch):
     gate = sdp._gap_proven
 
     def record(cs, cts, v):
-        checks.append((cs, v.copy(), gate(cs, cts, v)))
-        return checks[-1][2]
+        lam, proof = gate(cs, cts, v)
+        checks.append((cs, v.copy(), proof))
+        return lam, proof
 
     monkeypatch.setattr(sdp, "_gap_proven", record)
     for c in _gate_cases():
@@ -417,7 +418,7 @@ def test_cholesky_gate_matches_certify(monkeypatch):
         for target in (default, gap - eps, gap + eps):
             monkeypatch.setattr(sdp, "_GAP_TARGET", target)
             factored.clear()
-            assert (gate(cs, _ct(cs), v) is not None) == (gap <= target)
+            assert (gate(cs, _ct(cs), v)[1] is not None) == (gap <= target)
             assert bool(factored) == (target >= slack)
 
 
@@ -814,7 +815,7 @@ def test_rank_sufficiency_chained():
                          ids=lambda ineq: ineq.name)
 def test_solve_rank_is_barvinok_pataki(monkeypatch, ineq):
     # the one mixing run is at min(m, ceil(sqrt(2m)) + 1); STUCK pins a
-    # restart's rank + 2.  These inputs take the spectral path unless it is
+    # lift's rank + 1.  These inputs take the spectral path unless it is
     # patched out
     monkeypatch.setattr(sdp, "_spectral", lambda *args: None)
     m = ineq.n_alice + ineq.n_bob
@@ -879,16 +880,69 @@ STUCK = new_inequality(
 )
 
 
-def test_unconverged_stuck_run_restarts(monkeypatch):
-    # seed 0 at rank 6 stalls near a saddle and never converges; the restart
-    # with seed 1 at rank 8 reaches the optimum
-    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
+def _lifts(monkeypatch):
+    """(checks, lifts): an entry per gap check, and the number of checks run before each lift."""
+    checks, lifts = [], []
+    gate, slack = sdp._gap_proven, sdp._slack
+    monkeypatch.setattr(sdp, "_gap_proven", lambda *a: checks.append(1) or gate(*a))
+    monkeypatch.setattr(sdp, "_slack", lambda *a: lifts.append(len(checks)) or slack(*a))
+    return checks, lifts
+
+
+def test_stuck_run_lifts_once(monkeypatch):
+    # seed 0 at rank 6 stalls near a saddle: its multipliers sum to the value
+    # but their slack is not PSD.  It used to spend the whole cap there, then
+    # restart at seed 1 and rank 8.  One eigh of the slack lifts it a rank up
+    # along the least eigenvector, and the one run reaches the optimum
+    lifts = _lifts(monkeypatch)[1]
+    ascents = []
+    ascent = sdp._ascent
+    monkeypatch.setattr(sdp, "_ascent", lambda *a: ascents.append(1) or ascent(*a))
     report = solve(STUCK)
-    first, second = report.runs
-    assert first.converged is False
-    assert first.gap > sdp.RESTART_GAP
-    assert (second.seed, second.rank) == (1, first.rank + 2)
-    assert report.certified_optimal
+    (run,) = report.runs
+    assert len(ascents) == len(lifts) == 1
+    assert lifts[0] >= sdp._STALL
+    assert (run.method, run.converged, run.rank) == ("mixing", True, _bp_rank(12) + 1)
+    assert report.primal.vectors.shape == (12, run.rank)
+    assert run.iterations < 100 and report.certified_optimal
+    assert abs(report.dual.certified_bound - 37.0905924006685) <= 1e-10 * 37.0905924006685
+    assert exact_psd(exact_slack(_w(STUCK.coefficients), report.dual.lam))
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_scaled_stuck_run_lifts_at_the_same_check(monkeypatch, k):
+    # the ascent, its floor and the lift's test all run on c 2^-e, so STUCK
+    # 2^k takes STUCK's steps: the same lift, vectors and iterations, with
+    # the value and bound scaled exactly.  The floor was fixed in c's own
+    # units, so at 2^-600 every field lay below it and no row moved
+    checks, lifts = _lifts(monkeypatch)
+    ref = solve(STUCK, classical=False)
+    at = lifts.copy()
+    checks.clear()
+    lifts.clear()
+    report = solve(new_inequality("scaled", np.ldexp(STUCK.coefficients, k)), classical=False)
+    assert lifts == at and len(at) == 1
+    assert report.runs[0].iterations == ref.runs[0].iterations
+    np.testing.assert_array_equal(report.primal.vectors, ref.primal.vectors)
+    assert report.primal.value == math.ldexp(ref.primal.value, k)
+    assert report.dual.certified_bound == math.ldexp(ref.dual.certified_bound, k)
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_solve_primal_is_scale_invariant(k):
+    # c 2^k takes c's steps in both directions: a block near 1e-300 used to
+    # stop at iteration 1 from its random start, every field below the floor
+    c = np.random.default_rng(9).integers(-3, 4, (6, 3)) * 1.0
+    ref, sol = solve_primal(c, rank=4), solve_primal(np.ldexp(c, k), rank=4)
+    assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+    np.testing.assert_array_equal(sol.vectors, ref.vectors)
+    assert sol.value == math.ldexp(ref.value, k)
+    # at 1e-300, not a power of two, the run read 5.65e-300 against 3.137e-299
+    ref, report = (solve(new_inequality("c", s * c), classical=False) for s in (1.0, 1e-300))
+    assert report.runs[0].iterations == ref.runs[0].iterations
+    assert report.primal.value == pytest.approx(1e-300 * ref.primal.value, rel=1e-12)
+    assert report.dual.certified_bound == pytest.approx(1e-300 * ref.dual.certified_bound,
+                                                        rel=1e-12)
 
 
 def test_huge_coefficients_do_not_overflow():
@@ -961,8 +1015,7 @@ def test_relative_gap_is_over_max_coefficient():
 
 def test_run_fields():
     assert [f.name for f in dataclasses.fields(sdp.Run)] == [
-        "seed", "rank", "iterations", "converged", "primal_value", "certified_bound",
-        "gap", "method",
+        "rank", "iterations", "converged", "primal_value", "certified_bound", "gap", "method",
     ]
 
 
@@ -1072,17 +1125,17 @@ def _count_certify(monkeypatch):
     return calls
 
 
-# the runs that end without a proof: STUCK's first run hits the cap, and a
-# zero c keeps certify's exact 0
-UNPROVEN = {"rand-6": 1, "chained-1": 1}
+# the runs that end without a proof: a zero c keeps certify's exact 0
+UNPROVEN = {"chained-1": 1}
 
 
 @pytest.mark.parametrize("ineq", FALL_THROUGH, ids=lambda ineq: ineq.name)
 def test_non_tight_inputs_fall_through(monkeypatch, ineq):
     # the spectral bound is not attained (or c is zero): solve runs the
-    # mixing ascent, whose first run is solve_primal's at seed 0.  The
-    # tightness test refuses before any certificate, and a run that stops on
-    # its gate's proof reports it: only a run without one certifies
+    # mixing ascent, solve_primal's at seed 0, which STUCK's lift leaves one
+    # column wider.  The tightness test refuses before any certificate, and a
+    # run that stops on its gate's proof reports it: only a run without one
+    # certifies
     certified = _count_certify(monkeypatch)
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
     report = solve(ineq, classical=False)
@@ -1090,9 +1143,9 @@ def test_non_tight_inputs_fall_through(monkeypatch, ineq):
     assert len(certified) == UNPROVEN.get(ineq.name, 0)
     m = ineq.n_alice + ineq.n_bob
     sol = solve_primal(ineq.coefficients, _bp_rank(m))
-    first = report.runs[0]
-    assert (first.rank, first.iterations, first.primal_value) == (
-        _bp_rank(m), sol.iterations, sol.value)
+    (run,) = report.runs
+    assert run.rank == sol.vectors.shape[1] == _bp_rank(m) + (ineq is STUCK)
+    assert (run.iterations, run.primal_value) == (sol.iterations, sol.value)
 
 
 def test_certified_gap_refuses_what_a_loose_test_passes(monkeypatch):
@@ -1190,34 +1243,32 @@ MIXED = FALL_THROUGH + [
 
 @pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
 def test_mixing_path_is_unchanged(monkeypatch, ineq):
-    # where the spectral path is not taken, each run's iterations and value
+    # where the spectral path is not taken, the one run's iterations and value
     # are solve_primal's, bit for bit.  A run that stops on its gate's proof
     # reports that proof: lambda' rounded up from it, a margin of 0.0, and a
-    # gap of at most 2^e _GAP_TARGET + 2 sum(cap).  A run without one (STUCK's
-    # capped first run) or on a zero c is certified by certify on its
-    # extracted lambda.  The reported certificate is exactly PSD
+    # gap of at most 2^e _GAP_TARGET + 2 sum(cap).  A run on a zero c is
+    # certified by certify on its extracted lambda.  The reported
+    # certificate is exactly PSD
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
     report = solve(ineq, classical=False)
     c = ineq.coefficients
     bp = _bp_rank(sum(c.shape))
     cs, e, _ = sdp._scaled(c)
-    for run, (rank, seed) in zip(report.runs, [(bp, 0), (bp + 2, 1)]):
-        sol, proof = sdp._ascent(cs, e, rank, seed)
-        ref = solve_primal(c, rank, seed=seed)
-        assert sol.vectors.tobytes() == ref.vectors.tobytes()
-        assert (run.method, run.iterations, run.primal_value) == (
-            "mixing", ref.iterations, ref.value)
-        if proof is None or not c.any():
-            dual = certify(c, extract_dual(c, sol.vectors))
-        else:
-            lam = np.nextafter(np.ldexp(proof, e), np.inf)
-            dual = sdp.DualCertificate(lam, 0.0, sdp._sum_up(lam))
-            assert 0 <= run.gap <= mixing_gap_limit(c, run.certified_bound)
-        assert run.certified_bound == dual.certified_bound
-        if report.dual.certified_bound == dual.certified_bound:
-            np.testing.assert_array_equal(report.dual.lam, dual.lam)
-            assert report.dual.feasibility_margin == dual.feasibility_margin
-            assert report.primal.value == sol.value
+    (run,) = report.runs
+    sol, proof = sdp._ascent(cs, e, bp, 0)
+    ref = solve_primal(c, bp)
+    assert sol.vectors.tobytes() == ref.vectors.tobytes()
+    assert (run.method, run.iterations, run.primal_value) == ("mixing", ref.iterations, ref.value)
+    if proof is None or not c.any():
+        dual = certify(c, extract_dual(c, sol.vectors))
+    else:
+        lam = np.nextafter(np.ldexp(proof, e), np.inf)
+        dual = sdp.DualCertificate(lam, 0.0, sdp._sum_up(lam))
+        assert 0 <= run.gap <= mixing_gap_limit(c, run.certified_bound)
+    assert run.certified_bound == dual.certified_bound
+    np.testing.assert_array_equal(report.dual.lam, dual.lam)
+    assert report.dual.feasibility_margin == dual.feasibility_margin
+    assert report.primal.value == sol.value
     assert exact_psd(exact_slack(_w(c), report.dual.lam))
 
 
@@ -1260,32 +1311,33 @@ def test_solve_checks_and_scales_c_once(monkeypatch, ineq, method):
 
 @pytest.mark.parametrize("ineq", MIXED, ids=lambda ineq: ineq.name)
 def test_mixing_path_runs_no_eigvalsh(monkeypatch, ineq):
-    # the spectral try's eigh is the one eigen routine: a run proven by its
-    # gate never reaches eigvalsh.  Only STUCK's capped first run, which has
-    # no proof, picks its shift by min_eigenvalue and then restarts
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        routine = getattr(np.linalg, name)
+    # solve runs one ascent.  The spectral try's eigh is the one eigen routine
+    # of a run proven by its gate, and none reaches eigvalsh.  Only STUCK
+    # stalls, and takes one more eigh, of its slack, to lift a rank up
+    calls = {"eigh": 0, "eigvalsh": 0, "_ascent": 0}
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (sdp, "_ascent")):
+        routine = getattr(module, name)
 
         def counted(*args, _name=name, _routine=routine, **kwargs):
             calls[_name] += 1
             return _routine(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 200)
     report = solve(ineq, classical=False)
-    stuck = ineq.name == "rand-6"
-    assert calls == {"eigh": 1, "eigvalsh": int(stuck)}
-    assert len(report.runs) == 1 + stuck
+    assert calls == {"eigh": 1 + (ineq is STUCK), "eigvalsh": 0, "_ascent": 1}
+    assert len(report.runs) == 1
 
 
-@pytest.mark.parametrize("ineq", [ineq for ineq in MIXED if ineq.name not in UNPROVEN],
-                         ids=lambda ineq: ineq.name)
+@pytest.mark.parametrize(
+    "ineq", [ineq for ineq in MIXED if ineq.name not in UNPROVEN and ineq is not STUCK],
+    ids=lambda ineq: ineq.name)
 def test_proof_costs_one_slack_and_one_cholesky(monkeypatch, ineq):
     # the check that stops the run factors one slack, the Schur complement on
     # the smaller side: one Cholesky of a min(nA, nB) square matrix, and no
     # m x m slack.  The certificate is that proof, so nothing is formed or
-    # factored after it, and no check forms the m x m slack
+    # factored after it, and no check forms the m x m slack.  STUCK's lift,
+    # between two checks, forms it once (test_stuck_run_lifts_once)
     counts, shapes = {"_slack": 0, "cholesky": 0}, []
     for module, name in ((sdp, "_slack"), (np.linalg, "cholesky")):
         routine = getattr(module, name)
@@ -1301,9 +1353,9 @@ def test_proof_costs_one_slack_and_one_cholesky(monkeypatch, ineq):
 
     def record(*args):
         before = len(shapes)
-        proof = gate(*args)
+        lam, proof = gate(*args)
         checks.append((proof is not None, shapes[before:]))
-        return proof
+        return lam, proof
 
     monkeypatch.setattr(sdp, "_gap_proven", record)
     monkeypatch.setattr(sdp, "_spectral", lambda *args: None)

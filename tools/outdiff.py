@@ -8,16 +8,20 @@ PARENT and CHANGE are source checkouts (directories holding ``src/tsirelson``).
 Each one runs the corpus in a fresh interpreter with one BLAS thread and its
 own ``src`` first on the path, and prints one JSON record per input.  The
 corpus is fixed: chsh, chained 1-64, gisin 1-32, STUCK (a 6 x 6 integral input
-whose first run stalls) and 320 seeded blocks up to 20 x 20, integral in -3..3
-or Gaussian, some scaled by 1e300 or 1e-300, some with a zero row or column,
-some all zero.  A record holds every field of ``solve(ineq, classical=False)``
-(prefix ``q.``) and of ``solve(ineq)`` (prefix ``c.``), each run of ``runs``
-flattened by index, ``extract_dual(c, v)`` on the first solve's vectors v,
-``certify`` on those multipliers (``cert.``) and ``certify`` on them lowered
-by 1e-3 of their largest, which takes the shift path (``shift.``).  A raised error is
-recorded by its class name.
+whose run stalls at a saddle) and 600 seeded blocks up to 20 x 20, integral in
+-3..3 or Gaussian, some scaled by 1e300 or 1e-300, some with a zero row or
+column, some all zero.  A record holds every field of ``solve(ineq,
+classical=False)`` (prefix ``q.``) and of ``solve(ineq)`` (prefix ``c.``), each
+run of ``runs`` flattened by index, ``extract_dual(c, v)`` on the first solve's
+vectors v, ``certify`` on those multipliers (``cert.``) and ``certify`` on them
+lowered by 1e-3 of their largest, which takes the shift path (``shift.``).  A
+raised error is recorded by its class name.  The corpus also holds the
+``tsirelson bound --format json`` requests of perfbench's cli-mixed workload:
+chsh, chained 2-8, gisin 2-8 and seeded integral 3 x 3 to 6 x 6 files, each
+recorded as its exit status (``cli.status``) and output bytes (``cli.out``).
 
-The summary groups records by the parent's ``q.runs[0].method`` and prints,
+The summary groups records by the parent's ``q.runs[0].method`` (``cli`` for
+the requests) and prints,
 per field, how many records are identical, how many moved, how many of the
 numeric moves rose or fell, and the largest relative move with its record.
 A relative move is |a - b| / max(|a|, |b|), taken entrywise on arrays and
@@ -33,7 +37,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-SEEDED = 320
+SEEDED = 600
 STUCK = [[-1, -3, 2, 2, -1, 2], [-1, 2, -2, -2, -1, 0], [-1, -3, 0, 2, 2, 2],
          [-3, 2, 2, -1, 3, 1], [1, -1, 0, -2, 3, -1], [-1, 2, 2, -1, -3, -1]]
 
@@ -66,6 +70,20 @@ def _corpus():
             c *= scale
             tags.append(f"x{scale:.0e}")
         yield new_inequality(f"seeded-{seed}-{na}x{nb}-{'-'.join(tags)}", c)
+
+
+def _requests():
+    """(name, argv) of each bound request; a file is written to the working directory."""
+    import numpy as np
+
+    yield "cli bound chsh", ["bound", "--inequality", "chsh"]
+    for family in ("chained", "gisin"):
+        for n in range(2, 9):
+            yield f"cli bound {family} {n}", ["bound", "--inequality", family, "--n", str(n)]
+    for k in range(3, 7):
+        c = np.random.default_rng(k).integers(-3, 4, (k, k)).tolist()
+        Path(f"rand-{k}.json").write_text(json.dumps({"name": f"rand-{k}", "coefficients": c}))
+        yield f"cli bound rand-{k}", ["bound", "--inequality", "file", "--file", f"rand-{k}.json"]
 
 
 def _plain(x):
@@ -102,8 +120,13 @@ def _fields(prefix, thunk, into):
 
 def _run():
     """Print one JSON record per corpus input, in this interpreter's checkout."""
+    import contextlib
+    import io
+    import tempfile
+
     import numpy as np
     from tsirelson import certify, extract_dual, solve
+    from tsirelson.cli import main
 
     for ineq in _corpus():
         record = {"input": ineq.name}
@@ -117,6 +140,14 @@ def _run():
             low = lam - 1e-3 * float(np.abs(lam).max())
             _fields("shift.", lambda: certify(c, low), record)
         print(json.dumps(record), flush=True)
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # files by a relative name, so each config block reads the same
+        for name, argv in _requests():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = main([*argv, "--format", "json"])
+            record = {"input": name, "cli.status": status, "cli.out": out.getvalue()}
+            print(json.dumps(record), flush=True)
 
 
 def _records(checkout):
@@ -151,6 +182,13 @@ def _move(a, b):
     return rel, sign
 
 
+def _text_move(a, b):
+    """Where two strings first differ, with 20 characters of context either side."""
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    lo = max(0, i - 20)
+    return f"...{a[lo:i + 20]!r} -> ...{b[lo:i + 20]!r}"
+
+
 def _same(a, b):
     return json.dumps(a) == json.dumps(b)
 
@@ -161,7 +199,8 @@ def _summary(parent, change, show):
     groups = {}
     for key in keys:
         if key in parent and key in change:
-            method = parent[key].get("q.runs[0].method", "error")
+            method = parent[key].get("q.runs[0].method", "cli" if "cli.out" in parent[key]
+                                     else "error")
             groups.setdefault(method, []).append(key)
     print(f"{len(keys)} inputs; missing on one side: {len(missing)}")
     for key in missing:
@@ -194,7 +233,8 @@ def _summary(parent, change, show):
                                                          change[k].get(field)):
                 a, b = parent[k].get(field), change[k].get(field)
                 rel, _ = _move(a, b)
-                values = f"{a!r} -> {b!r}" if not isinstance(a, list) else ""
+                values = (_text_move(a, b) if isinstance(a, str) and isinstance(b, str)
+                          else "" if isinstance(a, list) else f"{a!r} -> {b!r}")
                 print(f"  {k}: {values} rel {rel if rel is None else f'{rel:.3g}'}")
 
 
