@@ -22,8 +22,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-NUMERICAL_GAP_THRESHOLD = 1e-4  # on BoundReport.relative_gap
-
 
 class UsageError(Exception):
     pass
@@ -83,13 +81,13 @@ def _render_csv(rows, header):
 # argument handling
 
 
-def _add_common(p, n=True, file=True, formats=("text", "json")):
-    """Every subcommand's options; --n and --file only where the subcommand reads them."""
-    p.add_argument("--inequality", choices=["chained", "chsh", "gisin", "file"],
-                   default="chained")
+def _add_common(p, kinds=("chained", "chsh", "gisin", "file"), n=True,
+                formats=("text", "json")):
+    """A subcommand's options: the inequality kinds it reads; --n and --file where it reads them."""
+    p.add_argument("--inequality", choices=kinds, default="chained")
     if n:
         p.add_argument("--n", type=int, default=2)
-    if file:
+    if "file" in kinds:
         p.add_argument("--file", dest="file_path")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--output", dest="output_path")
@@ -101,18 +99,8 @@ def _add_certify(p):
 
 
 def _add_table(p):
-    _add_common(p, n=False, file=False, formats=("text", "json", "csv"))
+    _add_common(p, kinds=("chained", "gisin"), n=False, formats=("text", "json", "csv"))
     p.add_argument("--n-range", dest="n_range", default="2..8")
-
-
-_SUBCOMMANDS = {  # name: (help, add_arguments)
-    "bound": ("primal + certified dual bound", _add_common),
-    "certify": ("certify a lambda vector from file", _add_certify),
-    "classical": ("exact LHV bound with witnesses", _add_common),
-    "realize": ("observables achieving the bound", _add_common),
-    "spectrum": ("closed-form chained spectrum", functools.partial(_add_common, file=False)),
-    "table": ("bound table over a range of n", _add_table),
-}
 
 
 def build_parser():
@@ -122,19 +110,16 @@ def build_parser():
         "Bell inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 
 @functools.cache
-def _subcommand_parser(name, add_arguments):
-    """The parser of one subcommand, built on its first request and then reused.
-
-    Keyed by add_arguments too, so a changed _SUBCOMMANDS entry gets its own.
-    """
+def _subcommand_parser(name):
+    """The parser of one subcommand, built on its first request and then reused."""
     parser = argparse.ArgumentParser(prog=f"tsirelson {name}", allow_abbrev=False)
-    add_arguments(parser)
+    _SUBCOMMANDS[name][1](parser)
     return parser
 
 
@@ -148,7 +133,7 @@ def _parse_args(argv):
     """
     name = argv[0] if argv else None
     if name in _SUBCOMMANDS:
-        parser = _subcommand_parser(name, _SUBCOMMANDS[name][1])
+        parser = _subcommand_parser(name)
         args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
         if not extras:
             return args
@@ -159,7 +144,9 @@ _FAMILIES = {"chained": ineq_mod.chained, "gisin": ineq_mod.gisin}
 
 
 def _sized(build, n):
-    """build(n), where numpy's refusal to size an array that large is TooLarge."""
+    """build(n) for n >= 1, where numpy's refusal to size an array that large is TooLarge."""
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
     try:
         return build(n)
     except ValueError as exc:  # "Maximum allowed dimension exceeded", "array is too big"
@@ -174,8 +161,6 @@ def _load_inequality(args):
         return _read_inequality_file(args.file_path)
     if kind == "chsh":
         return ineq_mod.chsh()
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     return _sized(_FAMILIES[kind], args.n)
 
 
@@ -262,7 +247,6 @@ def _cmd_bound(args):
     ineq = _load_inequality(args)
     report = sdp.solve(ineq)
     out = {
-        "config": _config_block(args),
         "inequality": ineq.name,
         "primal": {
             "value": report.primal.value,
@@ -279,36 +263,25 @@ def _cmd_bound(args):
     bound = _analytic_bound(args.inequality, args.n)
     if bound is not None:
         out["analytic_bound"] = bound
-    status = EXIT_OK
-    if not report.primal.converged and report.relative_gap > NUMERICAL_GAP_THRESHOLD:
-        status = EXIT_NUMERICAL
-    return out, status
+    return out, EXIT_OK if report.certified_optimal else EXIT_NUMERICAL
 
 
 def _cmd_certify(args):
     ineq = _load_inequality(args)
     c = ineq.coefficients
     lam = _read_lambda_file(args.lambda_file, sum(c.shape))
-    cert = sdp.certify(c, lam)
-    out = {
-        "config": _config_block(args),
-        "inequality": ineq.name,
-        **_dual_fields(cert),
-    }
-    return out, EXIT_OK
+    return {"inequality": ineq.name, **_dual_fields(sdp.certify(c, lam))}, EXIT_OK
 
 
 def _cmd_classical(args):
     ineq = _load_inequality(args)
     bound = lhv_bound(ineq)
-    out = {
-        "config": _config_block(args),
+    return {
         "inequality": ineq.name,
         "value": bound.value,
         "witness_x": [int(v) for v in bound.witness_x],
         "witness_y": [int(v) for v in bound.witness_y],
-    }
-    return out, EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_realize(args):
@@ -321,31 +294,23 @@ def _cmd_realize(args):
     xs, ys = v[: ineq.n_alice], v[ineq.n_alice :]
     real = realization.realize(xs, ys)
     table = realization.correlation_table(real)
-    out = {
-        "config": _config_block(args),
+    return {
         "inequality": ineq.name,
         "dimension": real.dim,
         "achieved_value": float(np.sum(ineq.coefficients * table)),
         "certified_bound": report.dual.certified_bound,
         "max_correlation_error": float(np.abs(table - xs @ ys.T).max()),
-    }
-    return out, EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_spectrum(args):
-    if args.inequality != "chained":
-        raise UsageError("spectrum is defined for the chained family only")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     spec = _sized(analytic.chained_A_spectrum, args.n)
-    out = {
-        "config": _config_block(args),
+    return {
         "n": spec.n,
         "gammas": [[float(g.real), float(g.imag)] for g in spec.gammas],
         "sigmas": [float(s) for s in spec.sigmas],
         "w_max": spec.w_max,
-    }
-    return out, EXIT_OK
+    }, EXIT_OK
 
 
 def _parse_range(text):
@@ -362,8 +327,6 @@ def _parse_range(text):
 
 
 def _cmd_table(args):
-    if args.inequality not in _FAMILIES:
-        raise UsageError("table supports the chained and gisin families")
     lo, hi = _parse_range(args.n_range)
     if hi > ENUM_LIMIT:  # row n enumerates n settings a side: fail before the first row
         raise TooLarge(f"enumeration limited to {ENUM_LIMIT} settings per side")
@@ -377,35 +340,33 @@ def _cmd_table(args):
         )
     header = ["n", "classical", "quantum_analytic", "quantum_numeric", "gap"]
     if args.format == "json":
-        out = {
-            "config": _config_block(args),
-            "rows": [dict(zip(header, r)) for r in rows],
-        }
-        return out, EXIT_OK
+        return {"rows": [dict(zip(header, r)) for r in rows]}, EXIT_OK
     return _render_csv(rows, header), EXIT_OK
 
 
-_COMMANDS = {
-    "bound": _cmd_bound,
-    "certify": _cmd_certify,
-    "classical": _cmd_classical,
-    "realize": _cmd_realize,
-    "spectrum": _cmd_spectrum,
-    "table": _cmd_table,
+_SUBCOMMANDS = {  # name: (help, add_arguments, command)
+    "bound": ("primal + certified dual bound", _add_common, _cmd_bound),
+    "certify": ("certify a lambda vector from file", _add_certify, _cmd_certify),
+    "classical": ("exact LHV bound with witnesses", _add_common, _cmd_classical),
+    "realize": ("observables achieving the bound", _add_common, _cmd_realize),
+    "spectrum": ("closed-form chained spectrum",
+                 functools.partial(_add_common, kinds=("chained",)), _cmd_spectrum),
+    "table": ("bound table over a range of n", _add_table, _cmd_table),
 }
 
 
 def _emit(payload, args):
+    """Write a command's payload: a string as it is, a report under its config block."""
     if isinstance(payload, str):
         text = payload
-    elif args.format == "json":
+    else:
+        report = {"config": _config_block(args), **payload}  # first in text output
         try:
-            text = canonical_json(payload) + "\n"
+            text = (canonical_json(report) if args.format == "json"
+                    else "\n".join(_render_text(report))) + "\n"
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-    else:
-        text = "\n".join(_render_text(payload)) + "\n"
     if args.output_path:
         try:
             with open(args.output_path, "w") as fh:
@@ -424,7 +385,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        payload, status = _COMMANDS[args.command](args)
+        payload, status = _SUBCOMMANDS[args.command][2](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

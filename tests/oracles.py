@@ -445,13 +445,11 @@ def eager_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, n=True, file=True, formats=("text", "json")):
+    every_kind = ["chained", "chsh", "gisin", "file"]
+
+    def add(name, help, kinds=every_kind, n=True, file=True, formats=("text", "json")):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.add_argument(
-            "--inequality",
-            choices=["chained", "chsh", "gisin", "file"],
-            default="chained",
-        )
+        p.add_argument("--inequality", choices=kinds, default="chained")
         if n:
             p.add_argument("--n", type=int, default=2)
         if file:
@@ -465,10 +463,11 @@ def eager_parser():
     p_cert.add_argument("--lambda-file", dest="lambda_file", required=True)
     add("classical", "exact LHV bound with witnesses")
     add("realize", "observables achieving the bound")
-    # spectrum reads no file, and table neither a file nor --n
-    add("spectrum", "closed-form chained spectrum", file=False)
-    p_table = add("table", "bound table over a range of n", n=False, file=False,
-                  formats=("text", "json", "csv"))
+    # spectrum reads the chained family only, and table the chained and Gisin
+    # families for a range of n: neither reads a file, and table no --n
+    add("spectrum", "closed-form chained spectrum", kinds=["chained"], file=False)
+    p_table = add("table", "bound table over a range of n", kinds=["chained", "gisin"],
+                  n=False, file=False, formats=("text", "json", "csv"))
     p_table.add_argument("--n-range", dest="n_range", default="2..8")
     return parser
 

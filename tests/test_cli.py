@@ -87,6 +87,30 @@ def test_bound_embeds_config(capsys):
     assert "rank" not in cfg and "tol" not in cfg
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_every_report_starts_with_its_config(tmp_path, capsys, monkeypatch, fmt):
+    # every subcommand's report is rendered with its config block as the first key;
+    # table's text is CSV, with no report around it
+    lam = tmp_path / "lam.json"
+    lam.write_text(json.dumps([2**-0.5] * 4))
+    requests = [["bound"], ["certify", "--lambda-file", str(lam)], ["classical"],
+                ["realize"], ["spectrum"]] + ([["table", "--n-range", "2..3"]] * (fmt == "json"))
+    rendered = []
+    monkeypatch.setattr(cli, "canonical_json",
+                        lambda obj: rendered.append(obj) or canonical_json(obj))
+    for argv in requests:
+        status, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (status, err) == (0, "")
+        if fmt == "json":
+            (report,) = rendered
+            rendered.clear()
+            assert list(report)[0] == "config"
+            assert json.loads(out)["config"] == report["config"]
+            assert (report["config"]["command"], report["config"]["format"]) == (argv[0], fmt)
+        else:
+            assert out.startswith(f"config:\n  command: {argv[0]}\n  inequality: chained\n")
+
+
 @pytest.mark.parametrize("value", ["17", "abc"])
 def test_seed_env_is_ignored(capsys, monkeypatch, value):
     # the output depends on the arguments alone, whatever the environment holds
@@ -529,9 +553,32 @@ def test_bound_text_lists_run_fields_in_order(tmp_path, capsys, monkeypatch):
     assert keys == fields
 
 
+def test_bound_exits_2_exactly_when_not_certified_optimal(tmp_path, capsys, monkeypatch):
+    # capped at 7 iterations this block stops with gap 7.2e-5, relative 2.4e-5:
+    # above sdp.OPTIMAL_GAP, so not certified optimal, yet it once exited 0
+    # because a second threshold, 1e-4 on the relative gap, ruled the exit
+    rng = np.random.default_rng(1)
+    k = rng.integers(4, 16)
+    c = rng.integers(-3, 4, (k, k))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"name": "capped", "coefficients": c.tolist()}))
+    argv = ("bound", "--inequality", "file", "--file", str(path), "--format", "json")
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 7)
+    status, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert doc["primal"]["converged"] is False and doc["certified_optimal"] is False
+    assert sdp.OPTIMAL_GAP < doc["gap"] / np.abs(c).max() < 1e-4
+    assert status == cli.EXIT_NUMERICAL
+    monkeypatch.undo()
+    status, out, _ = run_cli(capsys, *argv)
+    assert (status, json.loads(out)["certified_optimal"]) == (cli.EXIT_OK, True)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_report_is_numerical_failure(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setitem(cli._COMMANDS, "classical", lambda args: ({"value": value}, 0))
+    help_text, add_arguments, _ = cli._SUBCOMMANDS["classical"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "classical",
+                        (help_text, add_arguments, lambda args: ({"value": value}, 0)))
     status, out, err = run_cli(capsys, "classical", "--format", "json")
     assert (status, out) == (2, "")
     assert "error" in err
@@ -578,12 +625,27 @@ def test_n_too_large_to_size(capsys, argv):
         (["spectrum", "--n", "0"], "--n must be >= 1, got 0"),
         (["table", "--n-range", "2-8"], "bad --n-range '2-8', expected A..B"),
         (["table", "--n-range", "a..b"], "bad --n-range 'a..b', expected integers"),
-        (["table", "--inequality", "chsh"], "table supports the chained and gisin families"),
     ],
-    ids=["n-0", "spectrum-n-0", "range-dash", "range-letters", "table-chsh"],
+    ids=["n-0", "spectrum-n-0", "range-dash", "range-letters"],
 )
 def test_usage_error_messages(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("table", "chsh"), ("table", "file"),
+     ("spectrum", "gisin"), ("spectrum", "chsh"), ("spectrum", "file")],
+)
+def test_kind_a_subcommand_does_not_read_is_a_usage_error(capsys, command, kind):
+    # the subcommand's parser offers only the kinds it reads, so argparse refuses the rest
+    accepted = {"table": "chained,gisin", "spectrum": "chained"}[command]
+    status, out, err = run_cli(capsys, command, "--inequality", kind)
+    assert (status, out) == (1, "")
+    usage, error = err.split(f"tsirelson {command}: error: ")
+    assert usage.startswith(f"usage: tsirelson {command} ")
+    assert re.findall(r"--inequality \{([^}]*)\}", usage) == [accepted]
+    assert error.startswith(f"argument --inequality: invalid choice: '{kind}'")
 
 
 def test_file_inequality_without_coefficients(tmp_path, capsys):
@@ -734,8 +796,8 @@ def _main_parse(argv, capsys, monkeypatch):
     def stop(args):
         raise _Parsed(args)
 
-    for name in cli._COMMANDS:
-        monkeypatch.setitem(cli._COMMANDS, name, stop)
+    for name, (help_text, add_arguments, _) in list(cli._SUBCOMMANDS.items()):
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, add_arguments, stop))
     try:
         result = main(argv)
     except _Parsed as parsed:
@@ -764,7 +826,10 @@ def _as_main(parsed):
                                 "table") for args in (["--help"], ["--n", "two"], ["-x"])]
     # options the subcommand does not read, and an abbreviation
     + [["table", "--n", "5", "--n-range", "2..3"], ["table", "--file", "c.json"],
-       ["spectrum", "--file", "c.json"], ["bound", "--form", "json"]],
+       ["spectrum", "--file", "c.json"], ["bound", "--form", "json"]]
+    # inequality kinds the subcommand does not read
+    + [["table", "--inequality", kind] for kind in ("chsh", "file")]
+    + [["spectrum", "--inequality", kind] for kind in ("gisin", "chsh", "file")],
 )
 def test_parser_matches_eager_parser(capsys, monkeypatch, argv):
     # namespaces, help, usage and errors as with every argument added up front,
@@ -835,8 +900,8 @@ def test_reused_parsers_keep_no_state(tmp_path, capsys, fresh_parsers):
 
 def test_main_builds_each_subcommand_parser_once(tmp_path, capsys, monkeypatch,
                                                  fresh_parsers):
-    # 38 mixed requests, none of them a parse error, build each subcommand's
-    # parser once and the full parser never
+    # 38 mixed requests build each subcommand's parser once and the full parser
+    # never, the two that the subcommand's parser refuses included
     built = collections.Counter()
     init = argparse.ArgumentParser.__init__
 
@@ -859,7 +924,7 @@ def test_main_builds_each_subcommand_parser_once(tmp_path, capsys, monkeypatch,
         + [["spectrum", "--n", str(n)] for n in range(2, 9)]
         + [["table", "--inequality", family, "--n-range", "2..3"]
            for family in ("chained", "gisin")]
-        # usage errors that the command, not the parser, reports
+        # kinds these subcommands do not read: usage errors from their own parsers
         + [["spectrum", "--inequality", "gisin"], ["table", "--inequality", "chsh"]]
     )
     assert len(requests) == 38
@@ -867,19 +932,6 @@ def test_main_builds_each_subcommand_parser_once(tmp_path, capsys, monkeypatch,
     capsys.readouterr()
     assert statuses == [0] * 36 + [cli.EXIT_USAGE] * 2
     assert built == {f"tsirelson {name}": 1 for name in cli._SUBCOMMANDS}
-
-
-def test_changed_subcommand_gets_its_own_parser(capsys, monkeypatch, fresh_parsers):
-    # a test that swaps a _SUBCOMMANDS entry is never served the old entry's parser
-    assert _main_parse(["spectrum", "--n", "3"], capsys, monkeypatch)[0].n == 3
-
-    def add_arguments(p):
-        cli._add_common(p)
-        p.add_argument("--extra", type=int, default=7)
-
-    monkeypatch.setitem(cli._SUBCOMMANDS, "spectrum", ("with --extra", add_arguments))
-    args, _, _ = _main_parse(["spectrum", "--n", "3"], capsys, monkeypatch)
-    assert (args.n, args.extra) == (3, 7)
 
 
 def test_library_import_skips_cli():

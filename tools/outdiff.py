@@ -15,10 +15,17 @@ classical=False)`` (prefix ``q.``) and of ``solve(ineq)`` (prefix ``c.``), each
 run of ``runs`` flattened by index, ``extract_dual(c, v)`` on the first solve's
 vectors v, ``certify`` on those multipliers (``cert.``) and ``certify`` on them
 lowered by 1e-3 of their largest, which takes the shift path (``shift.``).  A
-raised error is recorded by its class name.  The corpus also holds the
-``tsirelson bound --format json`` requests of perfbench's cli-mixed workload:
-chsh, chained 2-8, gisin 2-8 and seeded integral 3 x 3 to 6 x 6 files, each
-recorded as its exit status (``cli.status``) and output bytes (``cli.out``).
+raised error is recorded by its class name.  The corpus also holds
+``tsirelson`` requests, each recorded as its exit status (``cli.status``),
+standard output (``cli.out``) and standard error (``cli.err``): every request
+of perfbench's cli-mixed workload (``bound`` on chsh, chained 2-8, gisin 2-8
+and seeded integral 3 x 3 to 6 x 6 files, ``classical`` gisin 4, 8 and 12,
+``certify`` chained 4 on cos(pi/8) multipliers, ``realize`` chained 3, 5 and 8,
+gisin 3-8 and the same files, ``spectrum --n 8``) in json and in text,
+``table --n-range 2..8`` in json, text and csv, ``certify`` on 8 seeded
+integral blocks up to 8 x 8 with multipliers that the Cholesky proof accepts
+as they are and with 0.6 of them, which take the shift, and the usage errors
+and help pages of ``USAGE_ERRORS``.
 
 The summary groups records by the parent's ``q.runs[0].method`` (``cli`` for
 the requests) and prints,
@@ -38,6 +45,16 @@ import sys
 from pathlib import Path
 
 SEEDED = 600
+CERTIFY_SEEDED = 8
+USAGE_ERRORS = (
+    [["table", "--inequality", kind] for kind in ("chsh", "file")]
+    + [["spectrum", "--inequality", kind] for kind in ("gisin", "chsh", "file")]
+    + [["bound", "--n", "0"], ["spectrum", "--n", "0"],
+       ["classical", "--inequality", "gisin", "--n", "0"]]
+    + [["table", "--n-range", text] for text in ("2-8", "a..b", "0..3", "5..2", "2..")]
+    + [[name, "--help"]
+       for name in ("bound", "certify", "classical", "realize", "spectrum", "table")]
+)
 STUCK = [[-1, -3, 2, 2, -1, 2], [-1, 2, -2, -2, -1, 0], [-1, -3, 0, 2, 2, 2],
          [-3, 2, 2, -1, 3, 1], [1, -1, 0, -2, 3, -1], [-1, 2, 2, -1, -3, -1]]
 
@@ -73,17 +90,47 @@ def _corpus():
 
 
 def _requests():
-    """(name, argv) of each bound request; a file is written to the working directory."""
+    """(name, argv) of each CLI request; its files are written to the working directory."""
     import numpy as np
 
-    yield "cli bound chsh", ["bound", "--inequality", "chsh"]
-    for family in ("chained", "gisin"):
-        for n in range(2, 9):
-            yield f"cli bound {family} {n}", ["bound", "--inequality", family, "--n", str(n)]
+    files = []
     for k in range(3, 7):
         c = np.random.default_rng(k).integers(-3, 4, (k, k)).tolist()
         Path(f"rand-{k}.json").write_text(json.dumps({"name": f"rand-{k}", "coefficients": c}))
-        yield f"cli bound rand-{k}", ["bound", "--inequality", "file", "--file", f"rand-{k}.json"]
+        files.append(f"rand-{k}.json")
+    Path("lambda-chained-4.json").write_text(json.dumps([math.cos(math.pi / 8)] * 8))
+    certify = [["--inequality", "chained", "--n", "4", "--lambda-file", "lambda-chained-4.json"]]
+    for seed in range(CERTIFY_SEEDED):
+        rng = np.random.default_rng([33, seed])
+        c = rng.integers(-3, 4, tuple(int(k) for k in rng.integers(2, 9, 2)))
+        Path(f"cert-{seed}.json").write_text(
+            json.dumps({"name": f"cert-{seed}", "coefficients": c.tolist()}))
+        # half the absolute row and column sums make diag(lambda) - W/2 diagonally
+        # dominant, which the Cholesky proof accepts; 0.6 of that needs the shift
+        dominant = np.concatenate([np.abs(c).sum(1), np.abs(c).sum(0)]) / 2
+        for tag, scale in (("dominant", 1.0), ("low", 0.6)):
+            Path(f"cert-{seed}-{tag}.json").write_text(json.dumps((scale * dominant).tolist()))
+            certify.append(["--inequality", "file", "--file", f"cert-{seed}.json",
+                            "--lambda-file", f"cert-{seed}-{tag}.json"])
+    reports = (
+        [["bound", "--inequality", "chsh"]]
+        + [["bound", "--inequality", family, "--n", str(n)]
+           for family in ("chained", "gisin") for n in range(2, 9)]
+        + [["bound", "--inequality", "file", "--file", f] for f in files]
+        + [["classical", "--inequality", "gisin", "--n", str(n)] for n in (4, 8, 12)]
+        + [["certify", *argv] for argv in certify]
+        + [["realize", "--inequality", "chained", "--n", str(n)] for n in (3, 5, 8)]
+        + [["realize", "--inequality", "gisin", "--n", str(n)] for n in range(3, 9)]
+        + [["realize", "--inequality", "file", "--file", f] for f in files]
+        + [["spectrum", "--n", "8"]]
+    )
+    for argv in reports:
+        for fmt in ("json", "text"):
+            yield f"cli {' '.join(argv)} {fmt}", [*argv, "--format", fmt]
+    for fmt in ("json", "text", "csv"):
+        yield f"cli table --n-range 2..8 {fmt}", ["table", "--n-range", "2..8", "--format", fmt]
+    for argv in USAGE_ERRORS:
+        yield f"cli {' '.join(argv)}", argv
 
 
 def _plain(x):
@@ -143,15 +190,16 @@ def _run():
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # files by a relative name, so each config block reads the same
         for name, argv in _requests():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                status = main([*argv, "--format", "json"])
-            record = {"input": name, "cli.status": status, "cli.out": out.getvalue()}
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(argv)
+            record = {"input": name, "cli.status": status, "cli.out": out.getvalue(),
+                      "cli.err": err.getvalue()}
             print(json.dumps(record), flush=True)
 
 
 def _records(checkout):
-    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"), COLUMNS="80",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, __file__, "--run"], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
