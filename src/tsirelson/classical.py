@@ -23,6 +23,14 @@ score is exact and a block of the same bytes holds 4 or 2 times as many
 strategies; otherwise float64, which is exact for integral c below 2^53.
 In float64 the bound overflows exactly when some score does, and then some
 block's best score is non-finite.
+
+The same argument holds one column at a time: no partial sum of column t
+exceeds its norm sum_s |c_st|.  So from 14 settings (more than one row of
+high indices; below that the scan is bound by the number of numpy calls),
+when c is integral and every column's norm is at most 127, the tables are
+int8, and each run of columns whose norms sum to at most 255 is scored into
+one int8 buffer, whose wrapped sums read as uint8 are exact, and added once
+into the block's scores.
 """
 
 from dataclasses import dataclass
@@ -32,10 +40,10 @@ import numpy as np
 from .errors import NonFiniteEntry, TooLarge
 from .inequality import _block
 
-# One lhv_bound call on a random k x k in -3..3 (int16 scores), one BLAS
-# thread, 2 vCPUs: k = 24 takes 0.05 s, 26 0.2 s, 28 0.8-1.0 s, 30 3.8 s; at
-# 28 ru_maxrss rises 1.3 MiB.  float64 scores take about 4 times as long
-# (Gaussian k = 28: 3.4 s).
+# One lhv_bound call on a seeded k x k, one BLAS thread, 2 vCPUs.  Integral in
+# -3..3 (int16 scores, 8-bit column runs): k = 24 takes 0.04 s, 26 0.17 s, 28
+# 0.5-0.7 s, 30 2.7-3.5 s.  Gaussian (float64 scores): 0.23 s, 0.96 s, 4.0 s,
+# 15.7 s.  The first call raises ru_maxrss by about 1.5 MiB.
 ENUM_LIMIT = 30
 _DIRECT = 1 << 10  # up to this many strategies, one product beats building tables
 _LOW_BITS = 12
@@ -54,14 +62,26 @@ def _signs(first, count, bits):
     return 1.0 - 2.0 * ((np.arange(first, first + count) >> np.arange(bits)[:, None]) & 1)
 
 
-def _score_dtype(c):
-    """int16 or int32 when c is integral and sum |c| fits, else float64."""
-    total = np.abs(c).sum()
+def _score_dtype(c, norms):
+    """int16 or int32 when c is integral and sum |c|, the sum of its column norms,
+    fits, else float64."""
+    total = norms.sum()
     if np.all(c == np.round(c)):
         for dtype in (np.int16, np.int32):
             if total <= np.iinfo(dtype).max:
                 return dtype
     return np.float64
+
+
+def _runs(norms):
+    """(first, stop) of consecutive columns whose norms sum to at most 255."""
+    first, total = 0, 0
+    for t, norm in enumerate(norms):
+        if total + norm > 255:
+            yield first, t
+            first, total = t, 0
+        total += norm
+    yield first, len(norms)
 
 
 def _scores(c):
@@ -70,23 +90,37 @@ def _scores(c):
     if 1 << (k - 1) <= _DIRECT:
         yield 0, np.abs(_signs(0, 1 << (k - 1), k).T @ c).sum(axis=1)
         return
-    dtype = _score_dtype(c)
-
-    def sums(sub, first, count):  # (n, count) column sums of the rows sub, in dtype
-        return (sub.T @ _signs(first, count, len(sub))).astype(dtype, copy=False)
-
+    norms = np.abs(c).sum(axis=0)
+    dtype = _score_dtype(c, norms)
     b = min(k - 1, _LOW_BITS)
+    highs = 1 << (k - 1 - b)
+    # more than one row of high indices, and every column's partial sums fit in int8
+    narrow = highs > 1 and dtype != np.float64 and norms.max() <= 127
+    table = np.int8 if narrow else dtype
+
+    def sums(sub, first, count):  # (n, count) column sums of the rows sub, in table
+        return (sub.T @ _signs(first, count, len(sub))).astype(table, copy=False)
+
     h = b // 2  # two half tables: a 2^b-column sign matrix costs as much as a k = 16 scan
     low = np.add(sums(c[h:b], 0, 1 << (b - h))[:, :, None],
                  sums(c[:h], 0, 1 << h)[:, None, :]).reshape(n, 1 << b)
-    highs = 1 << (k - 1 - b)
-    rows = min(highs, _BLOCK_BYTES // (low.itemsize << b))
+    rows = min(highs, _BLOCK_BYTES // (np.dtype(dtype).itemsize << b))
     acc, part = np.empty((2, rows, 1 << b), dtype)
+    group, runs = acc, [(0, n)]
+    if narrow:  # two int8 buffers in part's bytes
+        part, group = part.view(np.int8).reshape(-1, rows, 1 << b)[:2]
+        runs = list(_runs(norms.tolist()))
     for start in range(0, highs, rows):
         high = sums(c[b:], start, rows)
-        np.abs(np.add(high[0, :, None], low[0], out=acc), out=acc)
-        for t in range(1, n):
-            acc += np.abs(np.add(high[t, :, None], low[t], out=part), out=part)
+        for first, stop in runs:
+            np.abs(np.add(high[first, :, None], low[first], out=group), out=group)
+            for t in range(first + 1, stop):
+                group += np.abs(np.add(high[t, :, None], low[t], out=part), out=part)
+            # int8 sums wrap modulo 256: read as uint8, group holds the run's sums
+            if narrow and first:
+                acc += group.view(np.uint8)
+            elif narrow:
+                acc[...] = group.view(np.uint8)
         yield start << b, acc.ravel()
 
 

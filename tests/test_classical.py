@@ -18,10 +18,13 @@ def _assert_matches_reference(c, reference=first_max_lhv):
     np.testing.assert_array_equal(bound.witness_y, y)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 25))
 def test_chained_classical_bound(n):
-    bound = lhv_bound(chained(n))
+    # from 14 settings the scan runs in 8-bit column runs
+    ineq = chained(n)
+    bound = lhv_bound(ineq)
     assert bound.value == 2 * n - 2
+    assert float(bound.witness_x @ ineq.coefficients @ bound.witness_y) == bound.value
 
 
 def test_gisin_classical_bound():
@@ -128,6 +131,7 @@ def test_matches_first_max_enumeration():
 @pytest.mark.parametrize("shape", [
     (11, 11), (12, 12), (13, 13), (14, 14), (17, 17), (18, 18), (20, 20),
     (13, 16), (16, 13), (17, 19), (19, 17), (2, 2000), (2000, 2), (8, 500), (500, 8),
+    (14, 300), (300, 14),
 ], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_matches_chunked_enumeration(shape):
     # above a dozen settings the chunked half-scan stands in for the one-at-a-time loop
@@ -136,7 +140,7 @@ def test_matches_chunked_enumeration(shape):
     _assert_matches_reference(rng.integers(-1, 2, shape).astype(float), chunked_enumeration)
 
 
-@pytest.mark.parametrize("n", [17, 18])
+@pytest.mark.parametrize("n", [17, 18, 20])
 def test_tied_families_match_chunked_enumeration(n):
     _assert_matches_reference(gisin(n).coefficients, chunked_enumeration)
     _assert_matches_reference(chained(n).coefficients, chunked_enumeration)
@@ -168,18 +172,52 @@ def test_overflow_in_high_bits_or_later_block():
                 lhv_bound(new_inequality("overflow", c))
 
 
-@pytest.mark.parametrize("total, dtype", [
-    (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.float64),
-])
-def test_integer_scan_at_dtype_thresholds(total, dtype):
-    # integer overflow wraps silently, so the best score sits exactly on each
-    # threshold: ones and one large entry, all signs +1 score sum |c| = total
+def _ones_and_one(total):
+    """12 x 12 ones and one large entry, sum |c| = total."""
     c = np.ones((12, 12))
     c[0, 5] = total - 143
-    assert classical._score_dtype(c) == dtype
+    return c
+
+
+def _block_with_column_norms(norms, k=14):
+    """k x len(norms) non-negative integers with these column sums."""
+    q, r = np.divmod(norms, k)
+    return (q + (np.arange(k)[:, None] < r)).astype(float)
+
+
+@pytest.mark.parametrize("c, dtype, runs", [
+    (_ones_and_one(2**15 - 1), np.int16, None),
+    (_ones_and_one(2**15), np.int32, None),
+    (_ones_and_one(2**31 - 1), np.int32, None),
+    (_ones_and_one(2**31), np.float64, None),
+    # 14 settings and every column at most 127: 8-bit runs of column norm sum <= 255
+    (_block_with_column_norms([127, 127, 1] + [0] * 11), np.int16, [(0, 14)]),
+    (_block_with_column_norms([127, 127, 2] + [0] * 11), np.int16, [(0, 2), (2, 14)]),
+    (_block_with_column_norms([0, 127, 0, 0, 127, 0, 1] + [0] * 7), np.int16, [(0, 14)]),
+    (np.zeros((14, 14)), np.int16, [(0, 14)]),
+    (_block_with_column_norms([128, 1] + [0] * 12), np.int16, None),
+    # sum |c| = 38100 needs int32 scores, while each column fits in int8
+    (_block_with_column_norms([127] * 300), np.int32, [(t, t + 2) for t in range(0, 300, 2)]),
+], ids=["32767-int16", "32768-int32", "2147483647-int32", "2147483648-float64", "run-255",
+        "run-256", "zero-columns", "zero", "column-128", "int32-runs"])
+def test_integer_scan_at_dtype_thresholds(c, dtype, runs, monkeypatch):
+    # integer overflow wraps silently, so the best score sits exactly on each
+    # threshold: with no negative entry, all signs +1 score sum |c|, and each
+    # column's partial sums reach its norm.  runs is None where the scan
+    # takes the one-column path
+    assert classical._score_dtype(c, np.abs(c).sum(axis=0)) == dtype
+    seen, runs_of = [], classical._runs
+
+    def spy(norms):
+        seen.append(list(runs_of(norms)))
+        return seen[-1]
+
+    monkeypatch.setattr(classical, "_runs", spy)
+    assert lhv_bound(new_inequality("edge", c)).value == np.abs(c).sum()
+    assert seen == ([runs] if runs else [])
     for m in (c, c.T):
-        assert lhv_bound(new_inequality("edge", m)).value == total
         _assert_matches_reference(m, chunked_enumeration)
+        _assert_matches_reference(m)
 
 
 def test_huge_finite_bound_is_reported():

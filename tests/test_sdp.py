@@ -1282,7 +1282,8 @@ def test_solve_checks_and_scales_c_once(monkeypatch, ineq, method):
     # one check of c, one scaling and one read of max|c| per solve: the
     # classical scan, the spectral try, the ascent and the restart test share
     # the checked and scaled block.  random-16's classical scan reads |c| once
-    # more, for the dtype of its scores (sum|c|); chained-8's is one product.
+    # more, for its column norms and the dtype of its scores (their sum);
+    # chained-8's is one product.
     # random-16's run stops on its gate's proof, so certify's fallback, which
     # checks and scales c as a public entry, is not reached
     calls = {"_block": 0, "_scaled": 0, "|c|": 0}

@@ -8,14 +8,16 @@ PARENT and CHANGE are source checkouts (directories holding ``src/tsirelson``).
 Each one runs the corpus in a fresh interpreter with one BLAS thread and its
 own ``src`` first on the path, and prints one JSON record per input.  The
 corpus is fixed: chsh, chained 1-64, gisin 1-32, STUCK (a 6 x 6 integral input
-whose run stalls at a saddle) and 600 seeded blocks up to 20 x 20, integral in
+whose run stalls at a saddle), 600 seeded blocks up to 20 x 20, integral in
 -3..3 or Gaussian, some scaled by 1e300 or 1e-300, some with a zero row or
-column, some all zero.  A record holds every field of ``solve(ineq,
-classical=False)`` (prefix ``q.``) and of ``solve(ineq)`` (prefix ``c.``), each
-run of ``runs`` flattened by index, ``extract_dual(c, v)`` on the first solve's
-vectors v, ``certify`` on those multipliers (``cert.``) and ``certify`` on them
-lowered by 1e-3 of their largest, which takes the shift path (``shift.``).  A
-raised error is recorded by its class name.  The corpus also holds
+column, some all zero, and seeded integral 14 x 64 and 14 x 300 blocks in
+-3..3.  A record holds every field of ``solve(ineq, classical=False)`` (prefix
+``q.``) and of ``solve(ineq)`` (prefix ``c.``), each run of ``runs`` flattened
+by index, ``lhv_bound(ineq)``'s value and witnesses (``lhv.``),
+``extract_dual(c, v)`` on the first solve's vectors v, ``certify`` on those
+multipliers (``cert.``) and ``certify`` on them lowered by 1e-3 of their
+largest, which takes the shift path (``shift.``).  A raised error is recorded
+by its class name.  The corpus also holds
 ``tsirelson`` requests, each recorded as its exit status (``cli.status``),
 standard output (``cli.out``) and standard error (``cli.err``): every request
 of perfbench's cli-mixed workload (``bound`` on chsh, chained 2-8, gisin 2-8
@@ -45,6 +47,7 @@ import sys
 from pathlib import Path
 
 SEEDED = 600
+WIDE = [(14, 64), (14, 300)]
 CERTIFY_SEEDED = 8
 USAGE_ERRORS = (
     [["table", "--inequality", kind] for kind in ("chsh", "file")]
@@ -87,6 +90,9 @@ def _corpus():
             c *= scale
             tags.append(f"x{scale:.0e}")
         yield new_inequality(f"seeded-{seed}-{na}x{nb}-{'-'.join(tags)}", c)
+    for shape in WIDE:
+        c = np.random.default_rng([34, *shape]).integers(-3, 4, shape) * 1.0
+        yield new_inequality(f"wide-{shape[0]}x{shape[1]}-int", c)
 
 
 def _requests():
@@ -172,13 +178,14 @@ def _run():
     import tempfile
 
     import numpy as np
-    from tsirelson import certify, extract_dual, solve
+    from tsirelson import certify, extract_dual, lhv_bound, solve
     from tsirelson.cli import main
 
     for ineq in _corpus():
         record = {"input": ineq.name}
         report = _fields("q.", lambda: solve(ineq, classical=False), record)
         _fields("c.", lambda: solve(ineq), record)
+        _fields("lhv.", lambda: lhv_bound(ineq), record)
         if report is not None:
             c = ineq.coefficients
             lam = extract_dual(c, report.primal.vectors)
